@@ -253,11 +253,6 @@ func BenchmarkEncodeF64(b *testing.B) { benchsuite.EncodeF64(b) }
 func BenchmarkMatMulQ8(b *testing.B) { benchsuite.MatMulQ8(b) }
 func BenchmarkEncodeQ8(b *testing.B) { benchsuite.EncodeQ8(b) }
 
-// BenchmarkServeF32 is BenchmarkServe with the float32 fast path pinned
-// explicitly in the config (the budget entry's stable name for the
-// production serving configuration).
-func BenchmarkServeF32(b *testing.B) { benchsuite.ServeF32(b) }
-
 // BenchmarkSweep measures the batched design-space sweep (candidates
 // embedded once, one GEMM per program over a 2048-config space) and
 // BenchmarkSweepNaive the same prediction matrix via per-config re-embedding

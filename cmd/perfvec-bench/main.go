@@ -148,7 +148,6 @@ func main() {
 		{"EncodeF64", benchsuite.EncodeF64},
 		{"EncodeQ8", benchsuite.EncodeQ8},
 		{"Serve", benchsuite.Serve},
-		{"ServeF32", benchsuite.ServeF32},
 		{"ServeNaive", benchsuite.ServeNaive},
 		{"ServeSubmitHit", benchsuite.ServeSubmitHit},
 		{"ServePredict", benchsuite.ServePredict},

@@ -72,8 +72,8 @@
 // parallel loop — op forwards, VJPs, the GEMM wrappers, Adam's update —
 // dispatches as a typed kernel with a by-value argument block
 // (tensor.ParallelKernel) instead of an escaping closure. Evaluation pools
-// too: Trainer.Loss and Foundation.StreamRep run on arena-backed,
-// non-recording inference tapes (tensor.NewInferenceTape). Recurrent cells
+// too: Trainer.Loss runs on arena-backed, non-recording inference tapes
+// (tensor.NewInferenceTape). Recurrent cells
 // run on fused gate kernels (LSTMGates, GRUGates, GateCombine) that collapse
 // each timestep's post-GEMM work into one or two tape records, the
 // transformer's attention-score scaling and row softmax fuse into one
@@ -86,8 +86,9 @@
 // inner, reduced through the typed kGradReduce kernel in worker-slot
 // groups), minibatch shards go to persistent per-worker goroutines, and the
 // worker pool resizes when GOMAXPROCS changes after first use. Inference
-// pools the same way: Foundation.InstructionReps borrows pooled inference
-// tapes per encode chunk and WindowsFor draws window tensors through them.
+// pools the same way: InstructionReps, ProgramRep, and StreamRep run the
+// forward-only float32 engine on the Foundation's pooled encoders
+// (perfvec.Encoder), whose arenas are recycled per encode chunk.
 // cmd/perfvec-bench records MatMul/Batch/TrainStep in BENCH_N.json (with
 // -tape-histogram printing one step's op-record kind histogram for graph
 // profiling), and CI fails any change whose training step or GEMM exceeds
@@ -147,7 +148,7 @@
 // # Serving
 //
 // internal/serve (cmd/perfvec-serve) is the batched inference service over
-// the pooled tapes: concurrent program submissions are coalesced into
+// the pooled encoders: concurrent program submissions are coalesced into
 // batched encoder passes through perfvec.Encoder (the encoder is row-wise
 // batch-invariant, so a coalesced result is bitwise the single-request
 // one), representations land in a bounded LRU keyed by content hash (reps
@@ -196,9 +197,11 @@
 // Precision (cmd/perfvec-serve -precision):
 //
 //   - The forward-only float32 fast path (the default): tensor.Slab32
-//     arenas, tensor's *32 entry points, and nn.ForwardSeq32 replay the
+//     arenas, tensor's *32 entry points, and nn.ForwardSeq32 run the
 //     inference graph without tape records, VJP scratch stores, or backward
-//     bookkeeping. Its kernels are twins of the tape kernels minus the
+//     bookkeeping. internal/nn writes each architecture's inference graph
+//     once, generic over a small kernel backend; the float32 and int8
+//     tiers are its two backends. Its kernels are twins of the tape kernels minus the
 //     backward-only stores, so its output is bitwise identical to the tape
 //     forward (pinned per-op, per-architecture, and end-to-end through
 //     perfvec.Encoder.EncodePrograms32) — switching the serving default to
@@ -239,6 +242,6 @@
 // FMA chain under any blocking — so runtime-sized blocks never perturb
 // training or serving results (pinned by TestBlockingValueInvariance).
 //
-// See README.md for a tour, DESIGN.md for the system inventory and
-// per-experiment index, and EXPERIMENTS.md for paper-vs-measured results.
+// perfbench/README.md describes the end-to-end benchmark: its workloads,
+// metrics, and how to run it.
 package repro

@@ -66,19 +66,6 @@ func Serve(b *testing.B) {
 	runServeFleet(b, s)
 }
 
-// ServeF32 is Serve with the float32 fast path selected explicitly: the
-// name pins the production serving configuration in bench_budget.json
-// independently of what the Config default happens to be.
-func ServeF32(b *testing.B) {
-	s := newServeService(b, func(c *serve.Config) {
-		c.MaxBatchRows = 32
-		c.BatchWindow = 100 * time.Microsecond
-		c.Precision = serve.PrecisionF32
-	})
-	defer s.Close()
-	runServeFleet(b, s)
-}
-
 // ServeNaive measures the degenerate one-request-per-GEMM configuration
 // (MaxBatchRows=1, no window) over the identical trace: the baseline the
 // batched number is compared against.

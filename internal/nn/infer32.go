@@ -1,17 +1,15 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/tensor"
 )
 
-// Forward-only float32 inference path. Each model's forwardSeq32 replays its
-// ForwardSeq graph on a Slab32 with the forward-only tensor twins: the same
-// GEMM entry points and the same per-element kernel expressions, with no
-// tape records, no gradient buffers, and no backward-only scratch. The
-// outputs are bitwise identical to ForwardSeq on an inference tape
-// (TestForwardSeq32Bitwise pins this per architecture), so serving can run
+// Float32 inference backend. f32Ops runs the inference graph (infer.go) on
+// a Slab32 with the forward-only tensor twins: the same GEMM entry points
+// and the same per-element kernel expressions as the tape ops, with no tape
+// records, no gradient buffers, and no backward-only scratch. The outputs
+// are bitwise identical to ForwardSeq on an inference tape
+// (TestForwardSeq32Bitwise pins this per architecture), so serving runs
 // this path by default without perturbing a single cached representation.
 //
 // Weights are shared, not copied: t32 wraps the trained float32 parameters
@@ -25,55 +23,50 @@ func t32(t *tensor.Tensor) tensor.Tensor32 {
 	return tensor.Tensor32{Data: t.Data, R: t.Rows(), C: t.Cols()}
 }
 
-// ForwardSeq32 encodes a sequence of [batch, features] tensors on the slab,
-// dispatching to the model's forward-only implementation. Every SeqEncoder
-// in this package is supported; an unknown implementation panics (the
-// serving layer validates the model kind at construction).
-//
-//perfvec:hotpath
-func ForwardSeq32(enc SeqEncoder, s *tensor.Slab32, xs []tensor.Tensor32) tensor.Tensor32 {
-	switch m := enc.(type) {
-	case *LSTM:
-		return m.forwardSeq32(s, xs)
-	case *GRU:
-		return m.forwardSeq32(s, xs)
-	case *Transformer:
-		return m.forwardSeq32(s, xs)
-	case *LinearSeq:
-		return m.Proj.Forward32(s, tensor.FlattenSeq32(s, xs))
-	case *MLPSeq:
-		return m.Net.Forward32(s, tensor.FlattenSeq32(s, xs))
-	}
-	panic("nn: encoder has no forward-only float32 path")
-}
+// f32Ops is the float32 inference backend.
+type f32Ops struct{ s *tensor.Slab32 }
 
-// Forward32 applies the layer on the slab; the bias broadcast runs in place
-// on the GEMM output, exactly as Forward does.
+func (o f32Ops) slab() *tensor.Slab32 { return o.s }
+
+// linear runs the bias broadcast in place on the GEMM output, exactly as
+// Linear.Forward does.
 //
 //perfvec:hotpath
-func (l *Linear) Forward32(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
-	y := tensor.MatMulBT32(s, x, t32(l.W))
-	if l.bias {
-		y = tensor.AddBiasInPlace32(y, l.B.Data)
+func (o f32Ops) linear(x tensor.Tensor32, w *tensor.Tensor, b []float32) tensor.Tensor32 {
+	y := tensor.MatMulBT32(o.s, x, t32(w))
+	if b != nil {
+		y = tensor.AddBiasInPlace32(y, b)
 	}
 	return y
 }
 
-// Forward32 applies all layers with the activation between them.
-//
 //perfvec:hotpath
-func (m *MLP) Forward32(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
-	for i, l := range m.Layers {
-		x = l.Forward32(s, x)
-		if i+1 < len(m.Layers) {
-			x = applyAct32(m.Act, x)
-		}
-	}
-	return x
+func (o f32Ops) linearCat(x, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32 {
+	return tensor.MatMulBTCat32(o.s, x, h, t32(w))
 }
 
 //perfvec:hotpath
-func applyAct32(a Activation, x tensor.Tensor32) tensor.Tensor32 {
+func (o f32Ops) lstmGates(pre tensor.Tensor32, b []float32, c tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
+	return tensor.LSTMGates32(o.s, pre, b, c)
+}
+
+//perfvec:hotpath
+func (o f32Ops) gruGates(pre tensor.Tensor32, b []float32, h tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
+	return tensor.GRUGates32(o.s, pre, b, h)
+}
+
+//perfvec:hotpath
+func (o f32Ops) gateCombine(z, pre tensor.Tensor32, b []float32, h tensor.Tensor32) tensor.Tensor32 {
+	return tensor.GateCombine32(o.s, z, pre, b, h)
+}
+
+//perfvec:hotpath
+func (o f32Ops) softmax(scores tensor.Tensor32, scale float32) tensor.Tensor32 {
+	return tensor.AttentionSoftmax32(o.s, scores, scale)
+}
+
+//perfvec:hotpath
+func (o f32Ops) act(a Activation, x tensor.Tensor32) tensor.Tensor32 {
 	switch a {
 	case ActReLU:
 		return tensor.ReLUInPlace32(x)
@@ -85,106 +78,27 @@ func applyAct32(a Activation, x tensor.Tensor32) tensor.Tensor32 {
 	panic("nn: unknown activation")
 }
 
-//perfvec:hotpath
-func (l *lstmLayer) runSeq32(s *tensor.Slab32, xs []tensor.Tensor32) []tensor.Tensor32 {
-	batch := xs[0].R
-	h := s.Mat(batch, l.hidden)
-	c := s.Mat(batch, l.hidden)
-	hs := s.Mats(len(xs))
-	for t, x := range xs {
-		h, c = tensor.LSTMGates32(s, tensor.MatMulBTCat32(s, x, h, t32(l.W)), l.B.Data, c)
-		hs[t] = h
-	}
-	return hs
-}
-
-//perfvec:hotpath
-func (m *LSTM) forwardSeq32(s *tensor.Slab32, xs []tensor.Tensor32) tensor.Tensor32 {
-	hs := xs
-	for _, l := range m.fwd {
-		hs = l.runSeq32(s, hs)
-	}
-	out := hs[len(hs)-1]
-	if m.bwd == nil {
-		return out
-	}
-	rev := s.Mats(len(xs))
-	for i, x := range xs {
-		rev[len(xs)-1-i] = x
-	}
-	for _, l := range m.bwd {
-		rev = l.runSeq32(s, rev)
-	}
-	return tensor.ConcatCols32(s, out, rev[len(rev)-1])
-}
-
-//perfvec:hotpath
-func (l *gruLayer) runSeq32(s *tensor.Slab32, xs []tensor.Tensor32) []tensor.Tensor32 {
-	batch := xs[0].R
-	h := s.Mat(batch, l.hidden)
-	hs := s.Mats(len(xs))
-	for t, x := range xs {
-		z, rh := tensor.GRUGates32(s, tensor.MatMulBTCat32(s, x, h, t32(l.Wzr)), l.Bzr.Data, h)
-		h = tensor.GateCombine32(s, z, tensor.MatMulBTCat32(s, x, rh, t32(l.Wn)), l.Bn.Data, h)
-		hs[t] = h
-	}
-	return hs
-}
-
-//perfvec:hotpath
-func (m *GRU) forwardSeq32(s *tensor.Slab32, xs []tensor.Tensor32) tensor.Tensor32 {
-	hs := xs
-	for _, l := range m.layers {
-		hs = l.runSeq32(s, hs)
-	}
-	return hs[len(hs)-1]
-}
-
-// forward32 processes one sample's sequence x[T, D]. The only structural
-// difference from forward: per-head outputs are written straight into their
-// column range of headsOut (AttentionValue32), which fuses the tape path's
-// SliceCols/MatMul/ConcatCols into leading-dimension-aware GEMM calls with
-// bitwise-identical values.
+// ForwardSeq32 encodes a sequence of [batch, features] tensors on the slab
+// through the float32 backend. Every SeqEncoder in this package is
+// supported; an unknown implementation panics (the serving layer validates
+// the model kind at construction).
 //
 //perfvec:hotpath
-func (b *encoderBlock) forward32(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
-	q := tensor.MatMulBT32(s, x, t32(b.Wq))
-	k := tensor.MatMulBT32(s, x, t32(b.Wk))
-	v := tensor.MatMulBT32(s, x, t32(b.Wv))
-	dk := b.dim / b.heads
-	scale := float32(1 / math.Sqrt(float64(dk)))
-	headsOut := s.Mat(x.R, b.dim)
-	for h := 0; h < b.heads; h++ {
-		att := tensor.AttentionSoftmax32(s, tensor.MatMulBTCols32(s, q, k, h*dk, (h+1)*dk), scale)
-		tensor.AttentionValue32(headsOut, att, v, h*dk, (h+1)*dk)
-	}
-	attOut := tensor.MatMulBT32(s, headsOut, t32(b.Wo))
-	x = tensor.LayerNorm32(s, tensor.Add32(s, x, attOut), b.G1.Data, b.B1.Data, 1e-5)
-	ff := b.FF2.Forward32(s, tensor.ReLUInPlace32(b.FF1.Forward32(s, x)))
-	return tensor.LayerNorm32(s, tensor.Add32(s, x, ff), b.G2.Data, b.B2.Data, 1e-5)
+func ForwardSeq32(enc SeqEncoder, s *tensor.Slab32, xs []tensor.Tensor32) tensor.Tensor32 {
+	return inferSeq(f32Ops{s}, enc, xs)
 }
 
+// Forward32 applies the layer on the slab; the bias broadcast runs in place
+// on the GEMM output, exactly as Forward does.
+//
 //perfvec:hotpath
-func (t *Transformer) forwardSeq32(s *tensor.Slab32, xs []tensor.Tensor32) tensor.Tensor32 {
-	if len(xs) > len(t.pos) {
-		panic("nn: transformer sequence longer than configured seqLen")
-	}
-	emb := s.Mats(len(xs))
-	for i, x := range xs {
-		// Embed's own bias and the positional encoding both run as in-place
-		// epilogues on the fresh GEMM output: the same additions in the same
-		// order as the tape path's AddBias, without its output tensor.
-		emb[i] = tensor.AddBiasInPlace32(t.Embed.Forward32(s, x), t.pos[i].Data)
-	}
-	batch := xs[0].R
-	T := len(xs)
-	out := s.Mat(batch, t.dim)
-	for smp := 0; smp < batch; smp++ {
-		seq := tensor.StackRows32(s, emb, smp)
-		for _, blk := range t.blocks {
-			seq = blk.forward32(s, seq)
-		}
-		copy(out.Row(smp), seq.Row(T-1))
-	}
-	return out
+func (l *Linear) Forward32(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
+	return inferLinear(f32Ops{s}, l, x)
+}
+
+// Forward32 applies all layers with the activation between them.
+//
+//perfvec:hotpath
+func (m *MLP) Forward32(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
+	return inferMLP(f32Ops{s}, m, x)
 }

@@ -1,24 +1,22 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/tensor"
 )
 
-// Int8 quantized inference path. NewQ8Encoder quantizes a trained float32
-// model's weight matrices once, at model load — per-output-channel symmetric
-// int8, pre-packed into the quantized GEMM engine's strip layout
-// (tensor.QuantizeWeightsBT) — and ForwardSeqQ8 replays the forward graph
-// with every large GEMM (input/recurrent projections, attention projections,
-// MLP layers) running through tensor.MatMulQ8* with dynamic per-row
-// activation quantization. Everything between the GEMMs stays float32: gate
-// nonlinearities, layernorm, softmax, and residual adds — using the fast
-// polynomial transcendentals (tensor.LSTMGatesFast32 and friends), whose
-// ~5e-7 relative error sits two orders of magnitude under the quantization
-// noise this tier already accepts. The int8 drift harness in
-// internal/perfvec holds the whole path to a pinned epsilon against the
-// float64 oracle.
+// Int8 inference backend. NewQ8Encoder quantizes a trained float32 model's
+// weight matrices once, at model load — per-output-channel symmetric int8,
+// pre-packed into the quantized GEMM engine's strip layout
+// (tensor.QuantizeWeightsBT) — and ForwardSeqQ8 runs the inference graph
+// (infer.go) with every large GEMM (input/recurrent projections, attention
+// projections, MLP layers) going through tensor.MatMulQ8* with dynamic
+// per-row activation quantization. Everything between the GEMMs stays
+// float32: gate nonlinearities, layernorm, softmax, and residual adds — the
+// backend uses the fast polynomial transcendentals (tensor.LSTMGatesFast32
+// and friends), whose ~5e-7 relative error sits two orders of magnitude
+// under the quantization noise this tier already accepts. The int8 drift
+// harness in internal/perfvec holds the whole path to a pinned epsilon
+// against the float64 oracle.
 //
 // The recurrent cells' fused [x|h] weights are quantized as two separate
 // operands (column ranges [0, in) and [in, in+H)): the x and h activation
@@ -30,32 +28,58 @@ import (
 // frozen afterwards and allocates freely; the forward path is hot and
 // allocation-free on warm slabs.
 
-// seqQ8 is the int8 twin of SeqEncoder's forward pass.
-type seqQ8 interface {
-	forward(s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) tensor.Tensor32
+// q8Weight is one trained weight matrix in quantized form: whole for a plain
+// linear map, or split at the input width into x and h operands for a
+// recurrent cell's fused weight.
+type q8Weight struct {
+	full, x, h *tensor.QuantizedWeights
 }
 
 // Q8Encoder is a quantized forward-only image of a SeqEncoder.
 type Q8Encoder struct {
-	enc    seqQ8
-	outDim int
+	enc SeqEncoder
+	w   map[*tensor.Tensor]q8Weight
 }
 
 // NewQ8Encoder quantizes enc's weights into an int8 inference image. Every
 // SeqEncoder in this package is supported; an unknown implementation panics.
 func NewQ8Encoder(enc SeqEncoder) *Q8Encoder {
-	o := &Q8Encoder{outDim: enc.OutDim()}
+	o := &Q8Encoder{enc: enc, w: map[*tensor.Tensor]q8Weight{}}
+	full := func(w *tensor.Tensor) {
+		o.w[w] = q8Weight{full: tensor.QuantizeWeightsBT(t32(w), 0, w.Cols())}
+	}
+	split := func(w *tensor.Tensor, hidden int) {
+		in := w.Cols() - hidden
+		o.w[w] = q8Weight{
+			x: tensor.QuantizeWeightsBT(t32(w), 0, in),
+			h: tensor.QuantizeWeightsBT(t32(w), in, w.Cols()),
+		}
+	}
 	switch m := enc.(type) {
 	case *LSTM:
-		o.enc = newLSTMQ8(m)
+		for _, ls := range [][]*lstmLayer{m.fwd, m.bwd} {
+			for _, l := range ls {
+				split(l.W, l.hidden)
+			}
+		}
 	case *GRU:
-		o.enc = newGRUQ8(m)
+		for _, l := range m.layers {
+			split(l.Wzr, l.hidden)
+			split(l.Wn, l.hidden)
+		}
 	case *Transformer:
-		o.enc = newTransformerQ8(m)
+		full(m.Embed.W)
+		for _, b := range m.blocks {
+			for _, w := range []*tensor.Tensor{b.Wq, b.Wk, b.Wv, b.Wo, b.FF1.W, b.FF2.W} {
+				full(w)
+			}
+		}
 	case *LinearSeq:
-		o.enc = &flatQ8{net: &mlpQ8{layers: []*LinearQ8{NewLinearQ8(m.Proj)}}}
+		full(m.Proj.W)
 	case *MLPSeq:
-		o.enc = &flatQ8{net: newMLPQ8(m.Net)}
+		for _, l := range m.Net.Layers {
+			full(l.W)
+		}
 	default:
 		panic("nn: encoder has no int8 path")
 	}
@@ -63,17 +87,74 @@ func NewQ8Encoder(enc SeqEncoder) *Q8Encoder {
 }
 
 // ForwardSeqQ8 encodes a sequence of [batch, features] tensors through the
-// quantized path. s supplies f32 activation scratch exactly as in
+// int8 backend. s supplies f32 activation scratch exactly as in
 // ForwardSeq32; q supplies the quantization scratch each MatMulQ8 call
 // owns transiently.
 //
 //perfvec:hotpath
 func ForwardSeqQ8(enc *Q8Encoder, s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) tensor.Tensor32 {
-	return enc.enc.forward(s, q, xs)
+	return inferSeq(q8Ops{s: s, q: q, w: enc.w}, enc.enc, xs)
 }
 
 // OutDim reports the width of the encoding.
-func (o *Q8Encoder) OutDim() int { return o.outDim }
+func (o *Q8Encoder) OutDim() int { return o.enc.OutDim() }
+
+// q8Ops is the int8 inference backend.
+type q8Ops struct {
+	s *tensor.Slab32
+	q *tensor.SlabI8
+	w map[*tensor.Tensor]q8Weight
+}
+
+func (o q8Ops) slab() *tensor.Slab32 { return o.s }
+
+// linear fuses the bias into the dequantization epilogue.
+//
+//perfvec:hotpath
+func (o q8Ops) linear(x tensor.Tensor32, w *tensor.Tensor, b []float32) tensor.Tensor32 {
+	return tensor.MatMulQ8(o.s, o.q, x, o.w[w].full, b)
+}
+
+//perfvec:hotpath
+func (o q8Ops) linearCat(x, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32 {
+	qw := o.w[w]
+	pre := tensor.MatMulQ8(o.s, o.q, x, qw.x, nil)
+	tensor.MatMulQ8Into(o.q, pre, h, qw.h, nil, true)
+	return pre
+}
+
+//perfvec:hotpath
+func (o q8Ops) lstmGates(pre tensor.Tensor32, b []float32, c tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
+	return tensor.LSTMGatesFast32(o.s, pre, b, c)
+}
+
+//perfvec:hotpath
+func (o q8Ops) gruGates(pre tensor.Tensor32, b []float32, h tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
+	return tensor.GRUGatesFast32(o.s, pre, b, h)
+}
+
+//perfvec:hotpath
+func (o q8Ops) gateCombine(z, pre tensor.Tensor32, b []float32, h tensor.Tensor32) tensor.Tensor32 {
+	return tensor.GateCombineFast32(o.s, z, pre, b, h)
+}
+
+//perfvec:hotpath
+func (o q8Ops) softmax(scores tensor.Tensor32, scale float32) tensor.Tensor32 {
+	return tensor.AttentionSoftmaxFast32(o.s, scores, scale)
+}
+
+//perfvec:hotpath
+func (o q8Ops) act(a Activation, x tensor.Tensor32) tensor.Tensor32 {
+	switch a {
+	case ActReLU:
+		return tensor.ReLUInPlace32(x)
+	case ActTanh:
+		return tensor.TanhFastInPlace32(x)
+	case ActSigmoid:
+		return tensor.SigmoidFastInPlace32(x)
+	}
+	panic("nn: unknown activation")
+}
 
 // LinearQ8 is a quantized Linear layer: int8 weights, f32 bias fused into
 // the dequantization epilogue.
@@ -85,11 +166,7 @@ type LinearQ8 struct {
 // NewLinearQ8 quantizes l's weights; the bias (if any) aliases the trained
 // parameters.
 func NewLinearQ8(l *Linear) *LinearQ8 {
-	o := &LinearQ8{w: tensor.QuantizeWeightsBT(t32(l.W), 0, l.W.Cols())}
-	if l.bias {
-		o.b = l.B.Data
-	}
-	return o
+	return &LinearQ8{w: tensor.QuantizeWeightsBT(t32(l.W), 0, l.W.Cols()), b: l.biasData()}
 }
 
 // Forward applies the layer through the quantized GEMM.
@@ -97,253 +174,4 @@ func NewLinearQ8(l *Linear) *LinearQ8 {
 //perfvec:hotpath
 func (l *LinearQ8) Forward(s *tensor.Slab32, q *tensor.SlabI8, x tensor.Tensor32) tensor.Tensor32 {
 	return tensor.MatMulQ8(s, q, x, l.w, l.b)
-}
-
-// mlpQ8 is a quantized MLP.
-type mlpQ8 struct {
-	layers []*LinearQ8
-	act    Activation
-}
-
-func newMLPQ8(m *MLP) *mlpQ8 {
-	o := &mlpQ8{act: m.Act}
-	for _, l := range m.Layers {
-		o.layers = append(o.layers, NewLinearQ8(l))
-	}
-	return o
-}
-
-//perfvec:hotpath
-func (m *mlpQ8) forwardMLP(s *tensor.Slab32, q *tensor.SlabI8, x tensor.Tensor32) tensor.Tensor32 {
-	for i, l := range m.layers {
-		x = l.Forward(s, q, x)
-		if i+1 < len(m.layers) {
-			switch m.act {
-			case ActReLU:
-				x = tensor.ReLUInPlace32(x)
-			case ActTanh:
-				x = tensor.TanhFastInPlace32(x)
-			case ActSigmoid:
-				x = tensor.SigmoidFastInPlace32(x)
-			default:
-				panic("nn: unknown activation")
-			}
-		}
-	}
-	return x
-}
-
-// flatQ8 handles the flattened-window baselines (LinearSeq, MLPSeq).
-type flatQ8 struct {
-	net *mlpQ8
-}
-
-//perfvec:hotpath
-func (f *flatQ8) forward(s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) tensor.Tensor32 {
-	return f.net.forwardMLP(s, q, tensor.FlattenSeq32(s, xs))
-}
-
-// lstmLayerQ8 holds one LSTM layer's fused weight split into separately
-// quantized x- and h-projection operands.
-type lstmLayerQ8 struct {
-	wx, wh *tensor.QuantizedWeights
-	b      []float32
-	hidden int
-}
-
-// lstmQ8 is a quantized LSTM.
-type lstmQ8 struct {
-	fwd, bwd []*lstmLayerQ8
-}
-
-func newLSTMQ8(m *LSTM) *lstmQ8 {
-	quant := func(ls []*lstmLayer) []*lstmLayerQ8 {
-		var out []*lstmLayerQ8
-		for _, l := range ls {
-			in := l.W.Cols() - l.hidden
-			out = append(out, &lstmLayerQ8{
-				wx:     tensor.QuantizeWeightsBT(t32(l.W), 0, in),
-				wh:     tensor.QuantizeWeightsBT(t32(l.W), in, l.W.Cols()),
-				b:      l.B.Data,
-				hidden: l.hidden,
-			})
-		}
-		return out
-	}
-	return &lstmQ8{fwd: quant(m.fwd), bwd: quant(m.bwd)}
-}
-
-//perfvec:hotpath
-func (l *lstmLayerQ8) runSeq(s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) []tensor.Tensor32 {
-	batch := xs[0].R
-	h := s.Mat(batch, l.hidden)
-	c := s.Mat(batch, l.hidden)
-	hs := s.Mats(len(xs))
-	for t, x := range xs {
-		pre := tensor.MatMulQ8(s, q, x, l.wx, nil)
-		tensor.MatMulQ8Into(q, pre, h, l.wh, nil, true)
-		h, c = tensor.LSTMGatesFast32(s, pre, l.b, c)
-		hs[t] = h
-	}
-	return hs
-}
-
-//perfvec:hotpath
-func (m *lstmQ8) forward(s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) tensor.Tensor32 {
-	hs := xs
-	for _, l := range m.fwd {
-		hs = l.runSeq(s, q, hs)
-	}
-	out := hs[len(hs)-1]
-	if m.bwd == nil {
-		return out
-	}
-	rev := s.Mats(len(xs))
-	for i, x := range xs {
-		rev[len(xs)-1-i] = x
-	}
-	for _, l := range m.bwd {
-		rev = l.runSeq(s, q, rev)
-	}
-	return tensor.ConcatCols32(s, out, rev[len(rev)-1])
-}
-
-// gruLayerQ8 holds one GRU layer's two fused weights, each split into
-// separately quantized x- and state-projection operands.
-type gruLayerQ8 struct {
-	wzrX, wzrH *tensor.QuantizedWeights
-	wnX, wnH   *tensor.QuantizedWeights
-	bzr, bn    []float32
-	hidden     int
-}
-
-// gruQ8 is a quantized GRU.
-type gruQ8 struct {
-	layers []*gruLayerQ8
-}
-
-func newGRUQ8(m *GRU) *gruQ8 {
-	o := &gruQ8{}
-	for _, l := range m.layers {
-		in := l.Wzr.Cols() - l.hidden
-		o.layers = append(o.layers, &gruLayerQ8{
-			wzrX:   tensor.QuantizeWeightsBT(t32(l.Wzr), 0, in),
-			wzrH:   tensor.QuantizeWeightsBT(t32(l.Wzr), in, l.Wzr.Cols()),
-			wnX:    tensor.QuantizeWeightsBT(t32(l.Wn), 0, in),
-			wnH:    tensor.QuantizeWeightsBT(t32(l.Wn), in, l.Wn.Cols()),
-			bzr:    l.Bzr.Data,
-			bn:     l.Bn.Data,
-			hidden: l.hidden,
-		})
-	}
-	return o
-}
-
-//perfvec:hotpath
-func (l *gruLayerQ8) runSeq(s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) []tensor.Tensor32 {
-	batch := xs[0].R
-	h := s.Mat(batch, l.hidden)
-	hs := s.Mats(len(xs))
-	for t, x := range xs {
-		zrPre := tensor.MatMulQ8(s, q, x, l.wzrX, nil)
-		tensor.MatMulQ8Into(q, zrPre, h, l.wzrH, nil, true)
-		z, rh := tensor.GRUGatesFast32(s, zrPre, l.bzr, h)
-		nPre := tensor.MatMulQ8(s, q, x, l.wnX, nil)
-		tensor.MatMulQ8Into(q, nPre, rh, l.wnH, nil, true)
-		h = tensor.GateCombineFast32(s, z, nPre, l.bn, h)
-		hs[t] = h
-	}
-	return hs
-}
-
-//perfvec:hotpath
-func (m *gruQ8) forward(s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) tensor.Tensor32 {
-	hs := xs
-	for _, l := range m.layers {
-		hs = l.runSeq(s, q, hs)
-	}
-	return hs[len(hs)-1]
-}
-
-// blockQ8 is a quantized encoder block: the four attention projections and
-// both feed-forward layers run int8; the attention scores, softmax, value
-// mixing, and layernorms stay float32 (scores and values multiply two
-// dynamic activations — there is no load-time-quantizable operand).
-type blockQ8 struct {
-	wq, wk, wv, wo *tensor.QuantizedWeights
-	ff1, ff2       *LinearQ8
-	g1, b1, g2, b2 []float32
-	heads, dim     int
-}
-
-// transformerQ8 is a quantized Transformer.
-type transformerQ8 struct {
-	embed  *LinearQ8
-	blocks []*blockQ8
-	pos    [][]float32
-	dim    int
-}
-
-func newTransformerQ8(t *Transformer) *transformerQ8 {
-	o := &transformerQ8{embed: NewLinearQ8(t.Embed), dim: t.dim}
-	for _, p := range t.pos {
-		o.pos = append(o.pos, p.Data)
-	}
-	for _, b := range t.blocks {
-		o.blocks = append(o.blocks, &blockQ8{
-			wq:    tensor.QuantizeWeightsBT(t32(b.Wq), 0, b.Wq.Cols()),
-			wk:    tensor.QuantizeWeightsBT(t32(b.Wk), 0, b.Wk.Cols()),
-			wv:    tensor.QuantizeWeightsBT(t32(b.Wv), 0, b.Wv.Cols()),
-			wo:    tensor.QuantizeWeightsBT(t32(b.Wo), 0, b.Wo.Cols()),
-			ff1:   NewLinearQ8(b.FF1),
-			ff2:   NewLinearQ8(b.FF2),
-			g1:    b.G1.Data,
-			b1:    b.B1.Data,
-			g2:    b.G2.Data,
-			b2:    b.B2.Data,
-			heads: b.heads,
-			dim:   b.dim,
-		})
-	}
-	return o
-}
-
-//perfvec:hotpath
-func (b *blockQ8) forwardBlock(s *tensor.Slab32, qs *tensor.SlabI8, x tensor.Tensor32) tensor.Tensor32 {
-	q := tensor.MatMulQ8(s, qs, x, b.wq, nil)
-	k := tensor.MatMulQ8(s, qs, x, b.wk, nil)
-	v := tensor.MatMulQ8(s, qs, x, b.wv, nil)
-	dk := b.dim / b.heads
-	scale := float32(1 / math.Sqrt(float64(dk)))
-	headsOut := s.Mat(x.R, b.dim)
-	for h := 0; h < b.heads; h++ {
-		att := tensor.AttentionSoftmaxFast32(s, tensor.MatMulBTCols32(s, q, k, h*dk, (h+1)*dk), scale)
-		tensor.AttentionValue32(headsOut, att, v, h*dk, (h+1)*dk)
-	}
-	attOut := tensor.MatMulQ8(s, qs, headsOut, b.wo, nil)
-	x = tensor.LayerNorm32(s, tensor.Add32(s, x, attOut), b.g1, b.b1, 1e-5)
-	ff := b.ff2.Forward(s, qs, tensor.ReLUInPlace32(b.ff1.Forward(s, qs, x)))
-	return tensor.LayerNorm32(s, tensor.Add32(s, x, ff), b.g2, b.b2, 1e-5)
-}
-
-//perfvec:hotpath
-func (t *transformerQ8) forward(s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) tensor.Tensor32 {
-	if len(xs) > len(t.pos) {
-		panic("nn: transformer sequence longer than configured seqLen")
-	}
-	emb := s.Mats(len(xs))
-	for i, x := range xs {
-		emb[i] = tensor.AddBiasInPlace32(t.embed.Forward(s, q, x), t.pos[i])
-	}
-	batch := xs[0].R
-	T := len(xs)
-	out := s.Mat(batch, t.dim)
-	for smp := 0; smp < batch; smp++ {
-		seq := tensor.StackRows32(s, emb, smp)
-		for _, blk := range t.blocks {
-			seq = blk.forwardBlock(s, q, seq)
-		}
-		copy(out.Row(smp), seq.Row(T-1))
-	}
-	return out
 }

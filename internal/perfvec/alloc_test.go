@@ -177,18 +177,18 @@ func TestLossSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestInstructionRepsSteadyStatePooled pins the pooled inference tapes of
+// TestInstructionRepsSteadyStatePooled pins the pooled encoders of
 // InstructionReps: after a warm-up pass, repeated representation generation
-// over the same program must stop missing the tape arenas — the WindowsFor
-// window tensors, the per-timestep window list, and every encoder
-// activation are reused — leaving only the output matrix (and parallel
-// dispatch bookkeeping) as per-call heap traffic. This is the analysis/eval
+// over the same program must stop growing the encoders' arenas — the window
+// matrices, the per-timestep window list, and every encoder activation are
+// reused — leaving only the output matrix (and parallel dispatch
+// bookkeeping) as per-call heap traffic. This is the analysis/eval
 // analogue of the training step's arena regression tests.
 func TestInstructionRepsSteadyStatePooled(t *testing.T) {
-	// Serial execution: how many tapes the chunk ranges borrow depends on
+	// Serial execution: how many encoders the chunk ranges borrow depends on
 	// scheduler-determined peak concurrency, so at GOMAXPROCS>1 a measured
 	// call could outgrow the warm-up's pool nondeterministically. One
-	// worker borrows exactly one tape; concurrency is covered by
+	// worker borrows exactly one encoder; concurrency is covered by
 	// TestInstructionRepsParallelMatchesSerial.
 	prev := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(prev)
@@ -199,12 +199,12 @@ func TestInstructionRepsSteadyStatePooled(t *testing.T) {
 	p := d.Programs[0]
 	f.InstructionReps(p)
 	f.InstructionReps(p)
-	warm := f.repTapes.misses()
+	_, warm := f.EncoderStats()
 	for i := 0; i < 3; i++ {
 		f.InstructionReps(p)
 	}
-	if after := f.repTapes.misses(); after != warm {
-		t.Errorf("rep tapes allocated %d tensors/slabs after warm-up; InstructionReps must run on pooled inference arenas", after-warm)
+	if _, after := f.EncoderStats(); after != warm {
+		t.Errorf("encoder arenas grew %d times after warm-up; InstructionReps must run on pooled inference arenas", after-warm)
 	}
 	if raceEnabled {
 		return // see TestStepReuseSteadyStateAllocFree

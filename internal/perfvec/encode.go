@@ -3,17 +3,20 @@ package perfvec
 import (
 	"sync"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
-// This file is the batch-inference entry point of the foundation model: the
+// This file is the batch-inference engine of the foundation model: the
 // machinery perfvec-serve uses to coalesce many clients' concurrent encode
-// requests into a small number of large encoder GEMM passes. The packed GEMM
-// engine only reaches its throughput on big batches, so a serving layer that
-// ran one Forward per request would waste almost all of it; EncodePrograms
-// concatenates the instruction rows of whole groups of programs and encodes
-// them together, chunked at streamChunk rows — the same chunk size
-// InstructionReps and StreamRep use, so all three inference paths drive the
+// requests into a small number of large encoder GEMM passes, and the pooled
+// workers every other inference path (InstructionReps, ProgramRep,
+// StreamRep) runs on. The packed GEMM engine only reaches its throughput on
+// big batches, so a serving layer that ran one forward per request would
+// waste almost all of it; EncodePrograms32 and EncodeProgramsQ8 concatenate
+// the instruction rows of whole groups of programs and encode them
+// together, chunked at streamChunk rows — the same chunk size
+// InstructionReps and StreamRep use, so every inference path drives the
 // encoder with identically shaped batches.
 //
 // Coalescing is invisible in the output because the encoder is row-wise
@@ -21,45 +24,41 @@ import (
 // recurrent cells, attention over window positions) depends only on that
 // sample's own window, and the GEMM engine computes each output row as the
 // same FMA chain over k regardless of how many other rows share the pass
-// (TestEncodeProgramsBitwise pins this). A program representation produced by
-// a coalesced pass is therefore bitwise identical to ProgramRep on the same
-// program alone.
+// (TestEncodePrograms32Bitwise pins this). A program representation
+// produced by a coalesced pass is therefore bitwise identical to ProgramRep
+// on the same program alone.
 
-// Encoder is a reusable batch-inference worker: one arena-backed inference
-// tape plus the float64 accumulation scratch a coalesced pass sums per-program
-// representations in. Encoders are pooled on the Foundation
-// (AcquireEncoder/ReleaseEncoder), and like every arena tape they follow the
-// pooled-tape lifetime rule: tensors drawn during a pass die at the next
-// Reset, so nothing produced inside EncodePrograms may escape it — results
-// leave through the caller-owned dst slices only. An Encoder is confined to
-// one goroutine between Acquire and Release.
+// Encoder is a reusable batch-inference worker: the float32 and int8
+// inference arenas a forward pass runs on, plus the float64 accumulation
+// scratch a coalesced pass sums per-program representations in. Encoders
+// are pooled on the Foundation (AcquireEncoder/ReleaseEncoder). Tensors
+// drawn from the arenas die at the next pass's Reset, so nothing produced
+// inside a pass may escape it — results leave through caller-owned slices
+// only. An Encoder is confined to one goroutine between Acquire and
+// Release.
 type Encoder struct {
 	f   *Foundation
-	tp  *tensor.Tape
 	acc []float64 // [len(ps) x RepDim] per-program accumulators, reused
 
-	// slab is the forward-only float32 arena EncodePrograms32 runs on
-	// (encode32.go); it follows the same lifetime rule as the tape — reset
-	// at the start of every chunk, nothing escapes a pass.
-	slab tensor.Slab32
-
-	// slabQ is the quantization arena EncodeProgramsQ8's int8 GEMMs run on
-	// (encodeq8.go); same lifetime rule as slab.
+	// slab is the forward-only float32 arena every pass runs on; slabQ is
+	// the quantization arena of the int8 GEMMs (EncodeProgramsQ8). Both
+	// are reset at the start of every chunk.
+	slab  tensor.Slab32
 	slabQ tensor.SlabI8
 }
 
-// encoderPool is the Foundation's free list of batch-inference encoders,
-// mirroring tapePool: concurrent borrowers are safe, each borrowed encoder is
-// goroutine-confined until released. built counts constructions — the
-// serving steady-state allocation tests watch it.
+// encoderPool is the Foundation's free list of inference encoders:
+// concurrent borrowers are safe, each borrowed encoder is goroutine-confined
+// until released. built counts constructions — the serving steady-state
+// allocation tests watch it.
 type encoderPool struct {
 	mu    sync.Mutex
 	es    []*Encoder
 	built int
 }
 
-// AcquireEncoder borrows a pooled batch-inference encoder, building one on
-// first use. Pair with ReleaseEncoder.
+// AcquireEncoder borrows a pooled inference encoder, building one on first
+// use. Pair with ReleaseEncoder.
 func (f *Foundation) AcquireEncoder() *Encoder {
 	p := &f.encoders
 	p.mu.Lock()
@@ -71,54 +70,48 @@ func (f *Foundation) AcquireEncoder() *Encoder {
 	}
 	p.built++
 	p.mu.Unlock()
-	return &Encoder{f: f, tp: tensor.NewInferenceTape()}
+	return &Encoder{f: f}
 }
 
-// ReleaseEncoder returns a borrowed encoder to the pool. The encoder's tape
-// is Reset on release, so any tensors handed out during the last pass are
-// recycled immediately.
+// ReleaseEncoder returns a borrowed encoder to the pool.
 func (f *Foundation) ReleaseEncoder(e *Encoder) {
-	e.tp.Reset()
 	p := &f.encoders
 	p.mu.Lock()
 	p.es = append(p.es, e)
 	p.mu.Unlock()
 }
 
-// EncoderStats reports how many encoders have been built and the total arena
-// misses across the pooled ones — the regression counters for the serving
-// hot path's "pooled tapes, reused buffers" promise.
-func (f *Foundation) EncoderStats() (built, arenaMisses int) {
+// EncoderStats reports how many encoders have been built and the total
+// arena growths (Slab32 plus SlabI8) across the pooled ones — the
+// regression counters for the inference paths' "pooled arenas, reused
+// buffers" promise.
+func (f *Foundation) EncoderStats() (built, slabGrows int) {
 	p := &f.encoders
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, e := range p.es {
-		_, m := e.tp.Arena().Stats()
-		arenaMisses += m
+		slabGrows += e.slab.Grows() + e.slabQ.Grows()
 	}
-	return p.built, arenaMisses
+	return p.built, slabGrows
 }
 
-// EncodePrograms runs coalesced encoder passes over the concatenated
+// encode is the one chunk/fill/accumulate loop behind EncodePrograms32 and
+// EncodeProgramsQ8: it runs coalesced forward passes over the concatenated
 // instruction rows of ps and writes each program's representation into the
 // caller-owned dst[i] (length RepDim). The concatenation is chunked at
-// streamChunk rows — chunks freely span program boundaries — and every chunk
-// is one Forward over window tensors drawn from the encoder's arena, so a
-// batch of many small programs costs a few large GEMM passes instead of one
-// small pass per program. Each dst[i] is bitwise identical to
-// ProgramRep(ps[i]): rows are computed batch-invariantly (see the file
-// comment) and summed per program in row order through the same float64
-// accumulation. Every ps[i].N must be >= 1.
+// streamChunk rows — chunks freely span program boundaries — so a batch of
+// many small programs costs a few large GEMM passes instead of one small
+// pass per program. Rows are summed per program in row order through
+// float64 accumulators, the same sum SumReps computes. Every ps[i].N must
+// be >= 1.
 //
 //perfvec:hotpath
-func (e *Encoder) EncodePrograms(ps []*ProgramData, dst [][]float32) {
-	f := e.f
-	d := f.Cfg.RepDim
-	window := f.Cfg.Window
+func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, q8 bool) {
+	d := e.f.Cfg.RepDim
 	total := 0
 	for _, p := range ps {
 		if p.N < 1 {
-			panic("perfvec: EncodePrograms requires non-empty programs")
+			panic("perfvec: batch encode requires non-empty programs")
 		}
 		total += p.N
 	}
@@ -134,15 +127,11 @@ func (e *Encoder) EncodePrograms(ps []*ProgramData, dst [][]float32) {
 	fpi, foff := 0, 0
 	for base := 0; base < total; base += streamChunk {
 		bsz := min(streamChunk, total-base)
-		e.tp.Reset()
-		xs := e.tp.Tensors(window)
-		for t := range xs {
-			xs[t] = tensor.Zeros(e.tp, bsz, f.Cfg.FeatDim)
-		}
+		xs := e.windows(bsz)
 		for row := 0; row < bsz; {
 			p := ps[fpi]
 			k := min(bsz-row, p.N-foff)
-			fillWindowRows(xs, p, foff, foff+k, window, row)
+			fillWindowRows(xs, p, foff, foff+k, row)
 			row += k
 			foff += k
 			if foff == p.N {
@@ -150,7 +139,7 @@ func (e *Encoder) EncodePrograms(ps []*ProgramData, dst [][]float32) {
 				foff = 0
 			}
 		}
-		reps := f.Forward(e.tp, xs)
+		reps := e.forward(xs, q8)
 		for row := 0; row < bsz; {
 			p := ps[pi]
 			k := min(bsz-row, p.N-off)
@@ -178,13 +167,43 @@ func (e *Encoder) EncodePrograms(ps []*ProgramData, dst [][]float32) {
 	}
 }
 
-// fillWindowRows copies the input windows of instructions [from, to) of p
-// into rows [rowOff, rowOff+(to-from)) of the window tensors xs, zero-padding
-// positions before the program start exactly like WindowsFor (the xs tensors
-// arrive zeroed from the arena, so padding is a skip, not a write).
+// windows starts a forward pass: it recycles both arenas and draws the
+// pass's zeroed [n x FeatDim] window matrices, one per window position.
 //
 //perfvec:hotpath
-func fillWindowRows(xs []*tensor.Tensor, p *ProgramData, from, to, window, rowOff int) {
+func (e *Encoder) windows(n int) []tensor.Tensor32 {
+	e.slab.Reset()
+	e.slabQ.Reset()
+	xs := e.slab.Mats(e.f.Cfg.Window)
+	for t := range xs {
+		xs[t] = e.slab.Mat(n, e.f.Cfg.FeatDim)
+	}
+	return xs
+}
+
+// forward runs encoder and head over the window matrices xs on the
+// encoder's arenas: the float32 engine (bitwise identical to Forward on an
+// inference tape) or, when q8 is set, the int8 engine. The result lives
+// until the next pass.
+//
+//perfvec:hotpath
+func (e *Encoder) forward(xs []tensor.Tensor32, q8 bool) tensor.Tensor32 {
+	f := e.f
+	if q8 {
+		enc, head := f.q8()
+		return head.Forward(&e.slab, &e.slabQ, nn.ForwardSeqQ8(enc, &e.slab, &e.slabQ, xs))
+	}
+	return f.Head.Forward32(&e.slab, nn.ForwardSeq32(f.Encoder, &e.slab, xs))
+}
+
+// fillWindowRows copies the input windows of instructions [from, to) of p
+// into rows [rowOff, rowOff+(to-from)) of the window matrices xs,
+// zero-padding positions before the program start exactly like WindowsFor
+// (slab matrices arrive zeroed, so padding is a skip, not a write).
+//
+//perfvec:hotpath
+func fillWindowRows(xs []tensor.Tensor32, p *ProgramData, from, to, rowOff int) {
+	window := len(xs)
 	for b := from; b < to; b++ {
 		row := rowOff + b - from
 		for t := 0; t < window; t++ {
@@ -195,18 +214,4 @@ func fillWindowRows(xs []*tensor.Tensor, p *ProgramData, from, to, window, rowOf
 			copy(xs[t].Row(row), p.Features[src*p.FeatDim:(src+1)*p.FeatDim])
 		}
 	}
-}
-
-// ProgramReps is the convenience form of EncodePrograms: it borrows a pooled
-// encoder, encodes ps in one coalesced pass, and returns freshly allocated
-// representations the caller owns.
-func (f *Foundation) ProgramReps(ps []*ProgramData) [][]float32 {
-	dst := make([][]float32, len(ps))
-	for i := range dst {
-		dst[i] = make([]float32, f.Cfg.RepDim)
-	}
-	e := f.AcquireEncoder()
-	e.EncodePrograms(ps, dst)
-	f.ReleaseEncoder(e)
-	return dst
 }

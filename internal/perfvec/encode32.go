@@ -7,108 +7,28 @@ import (
 )
 
 // Precision variants of the coalesced batch encode. EncodePrograms32 is the
-// serving fast path: the same algorithm as EncodePrograms — identical
-// chunking, window fill, and float64 per-program accumulation — run on the
-// forward-only float32 engine (nn.ForwardSeq32 on the encoder's Slab32)
-// instead of an inference tape. Because the forward-only path is bitwise
-// identical to the tape forward, EncodePrograms32's output is bitwise
-// identical to EncodePrograms's, and it inherits the row-wise
-// batch-invariance property (both re-pinned in encode32_test.go); what it
-// saves is the tape/arena bookkeeping and every backward-only scratch store.
+// serving fast path: the batch encode loop (encode.go) on the forward-only
+// float32 engine (nn.ForwardSeq32 on the encoder's Slab32). That engine is
+// bitwise identical to the training forward on an inference tape, so
+// EncodePrograms32's output is bitwise identical to ProgramRep for every
+// program in the batch, and it is row-wise batch-invariant (both pinned in
+// encode32_test.go).
 //
 // EncodePrograms64 is the float64 oracle form: the widened model
 // (nn.Oracle64) replays the same graph with every accumulation and
 // transcendental in float64. It exists for the epsilon drift harness and
-// the -precision=f64 audit serving mode, allocates freely, and is not a hot
-// path.
+// the -precision=f64 audit serving mode, keeps its own loop so the
+// reference never shares code with what it checks, allocates freely, and
+// is not a hot path.
 
-// EncodePrograms32 is EncodePrograms on the forward-only float32 engine;
-// see the file comment. Results are bitwise identical to EncodePrograms.
-// Every ps[i].N must be >= 1.
+// EncodePrograms32 encodes ps in coalesced passes on the forward-only
+// float32 engine and writes each program's representation into the
+// caller-owned dst[i] (length RepDim); see the file comment. Each dst[i] is
+// bitwise identical to ProgramRep(ps[i]). Every ps[i].N must be >= 1.
 //
 //perfvec:hotpath
 func (e *Encoder) EncodePrograms32(ps []*ProgramData, dst [][]float32) {
-	f := e.f
-	d := f.Cfg.RepDim
-	window := f.Cfg.Window
-	total := 0
-	for _, p := range ps {
-		if p.N < 1 {
-			panic("perfvec: EncodePrograms32 requires non-empty programs")
-		}
-		total += p.N
-	}
-	if cap(e.acc) < len(ps)*d {
-		e.acc = make([]float64, len(ps)*d) //perfvec:allow hotalloc -- scratch grows only when a batch carries more programs than any before; steady state reuses it
-	}
-	acc := e.acc[:len(ps)*d]
-	clear(acc)
-
-	// (pi, off): the next instruction to accumulate — program index and
-	// offset within it. The fill cursor (fpi, foff) runs one chunk ahead.
-	pi, off := 0, 0
-	fpi, foff := 0, 0
-	for base := 0; base < total; base += streamChunk {
-		bsz := min(streamChunk, total-base)
-		e.slab.Reset()
-		xs := e.slab.Mats(window)
-		for t := range xs {
-			xs[t] = e.slab.Mat(bsz, f.Cfg.FeatDim)
-		}
-		for row := 0; row < bsz; {
-			p := ps[fpi]
-			k := min(bsz-row, p.N-foff)
-			fillWindowRows32(xs, p, foff, foff+k, window, row)
-			row += k
-			foff += k
-			if foff == p.N {
-				fpi++
-				foff = 0
-			}
-		}
-		reps := f.Head.Forward32(&e.slab, nn.ForwardSeq32(f.Encoder, &e.slab, xs))
-		for row := 0; row < bsz; {
-			p := ps[pi]
-			k := min(bsz-row, p.N-off)
-			a := acc[pi*d : (pi+1)*d]
-			for i := 0; i < k; i++ {
-				r := reps.Row(row + i)
-				for j, v := range r {
-					a[j] += float64(v)
-				}
-			}
-			row += k
-			off += k
-			if off == p.N {
-				pi++
-				off = 0
-			}
-		}
-	}
-	for i := range ps {
-		a := acc[i*d : (i+1)*d]
-		out := dst[i]
-		for j, v := range a {
-			out[j] = float32(v)
-		}
-	}
-}
-
-// fillWindowRows32 is fillWindowRows on forward-only tensors: the same
-// copies, the same zero-padding-by-skip (slab matrices arrive zeroed).
-//
-//perfvec:hotpath
-func fillWindowRows32(xs []tensor.Tensor32, p *ProgramData, from, to, window, rowOff int) {
-	for b := from; b < to; b++ {
-		row := rowOff + b - from
-		for t := 0; t < window; t++ {
-			src := b - (window - 1) + t
-			if src < 0 {
-				continue
-			}
-			copy(xs[t].Row(row), p.Features[src*p.FeatDim:(src+1)*p.FeatDim])
-		}
-	}
+	e.encode(ps, dst, false)
 }
 
 // oracle64 returns the lazily built float64 image of the model. Safe for

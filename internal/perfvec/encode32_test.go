@@ -19,9 +19,12 @@ func reps32(f *Foundation, ps []*ProgramData) [][]float32 {
 }
 
 // TestEncodePrograms32Bitwise pins the serving fast path's central contract:
-// for every model kind, EncodePrograms32 produces bit-for-bit the output of
-// the tape-based EncodePrograms across batch compositions that exercise
-// every chunking remainder shape.
+// for every model kind, a coalesced EncodePrograms32 pass is bitwise
+// identical to the single-request path (ProgramRep) for every program in
+// the batch, across batch compositions that exercise every remainder shape:
+// programs smaller than, equal to, and larger than the streamChunk encode
+// chunk, chunk boundaries landing inside and exactly on program boundaries,
+// and single-program batches.
 func TestEncodePrograms32Bitwise(t *testing.T) {
 	kinds := []ModelKind{ModelLinear, ModelMLP, ModelLSTM, ModelBiLSTM, ModelGRU, ModelTransformer}
 	sizes := [][]int{
@@ -29,8 +32,12 @@ func TestEncodePrograms32Bitwise(t *testing.T) {
 		{5},
 		{256},
 		{257},
+		{300},
+		{1, 1, 1},
+		{16, 48, 64},         // total 128: one partial chunk
 		{100, 156},           // total 256: boundary exactly at chunk end
 		{100, 200, 300},      // chunks span program boundaries
+		{256, 256},           // program boundary == chunk boundary
 		{33, 1, 511, 7, 129}, // mixed remainders
 	}
 	for _, kind := range kinds {
@@ -44,13 +51,13 @@ func TestEncodePrograms32Bitwise(t *testing.T) {
 				for i, n := range mix {
 					ps[i] = encTestProgram(rng, "p", n, cfg.FeatDim)
 				}
-				want := f.ProgramReps(ps)
 				got := reps32(f, ps)
-				for i := range ps {
-					for j := range want[i] {
-						if got[i][j] != want[i][j] {
-							t.Fatalf("mix %v program %d col %d: f32 path %v != tape path %v (must be bitwise identical)",
-								mix, i, j, got[i][j], want[i][j])
+				for i, p := range ps {
+					want := f.ProgramRep(p)
+					for j := range want {
+						if got[i][j] != want[j] {
+							t.Fatalf("mix %v program %d col %d: coalesced %v != single-request %v (must be bitwise identical)",
+								mix, i, j, got[i][j], want[j])
 						}
 					}
 				}

@@ -57,48 +57,6 @@ func TestForwardRowwiseBatchInvariant(t *testing.T) {
 	}
 }
 
-// TestEncodeProgramsBitwise checks that a coalesced EncodePrograms pass is
-// bitwise identical to the single-request path (ProgramRep) for every
-// program in the batch, across batch compositions that exercise every
-// remainder shape: programs smaller than, equal to, and larger than the
-// streamChunk encode chunk, chunk boundaries landing inside and exactly on
-// program boundaries, and single-program batches.
-func TestEncodeProgramsBitwise(t *testing.T) {
-	cfg := DefaultConfig()
-	f := NewFoundation(cfg)
-	rng := rand.New(rand.NewSource(11))
-
-	sizes := [][]int{
-		{1},
-		{5},
-		{256},
-		{257},
-		{300},
-		{1, 1, 1},
-		{16, 48, 64},          // total 128: one partial chunk
-		{100, 156},            // total 256: boundary exactly at chunk end
-		{100, 200, 300},       // chunks span program boundaries
-		{256, 256},            // program boundary == chunk boundary
-		{33, 1, 511, 7, 129},  // mixed remainders
-	}
-	for _, mix := range sizes {
-		ps := make([]*ProgramData, len(mix))
-		for i, n := range mix {
-			ps[i] = encTestProgram(rng, "p", n, cfg.FeatDim)
-		}
-		got := f.ProgramReps(ps)
-		for i, p := range ps {
-			want := f.ProgramRep(p)
-			for j := range want {
-				if got[i][j] != want[j] {
-					t.Fatalf("mix %v program %d col %d: coalesced %v != single-request %v (must be bitwise identical)",
-						mix, i, j, got[i][j], want[j])
-				}
-			}
-		}
-	}
-}
-
 // TestEncodeProgramsBitwiseAcrossParallelism repeats one coalesced encode at
 // several GOMAXPROCS values: the GEMM chunking contract promises bitwise
 // invariance to pool parallelism, and the serving path inherits it.
@@ -114,7 +72,7 @@ func TestEncodeProgramsBitwiseAcrossParallelism(t *testing.T) {
 	run := func(procs int) [][]float32 {
 		prev := runtime.GOMAXPROCS(procs)
 		defer runtime.GOMAXPROCS(prev)
-		return f.ProgramReps(ps)
+		return reps32(f, ps)
 	}
 	ref := run(1)
 	for _, procs := range []int{2, 8} {
@@ -130,7 +88,7 @@ func TestEncodeProgramsBitwiseAcrossParallelism(t *testing.T) {
 }
 
 // TestEncoderPoolSteadyState pins the pooled-encoder promise: repeated
-// coalesced passes must stop building encoders and stop missing their tape
+// coalesced passes must stop building encoders and stop growing their
 // arenas once warm — the serving miss path reuses everything.
 func TestEncoderPoolSteadyState(t *testing.T) {
 	cfg := DefaultConfig()
@@ -143,27 +101,27 @@ func TestEncoderPoolSteadyState(t *testing.T) {
 	dst := [][]float32{make([]float32, cfg.RepDim), make([]float32, cfg.RepDim)}
 	pass := func() {
 		e := f.AcquireEncoder()
-		e.EncodePrograms(ps, dst)
+		e.EncodePrograms32(ps, dst)
 		f.ReleaseEncoder(e)
 	}
 	pass()
 	pass()
-	builtWarm, missWarm := f.EncoderStats()
+	builtWarm, growsWarm := f.EncoderStats()
 	for i := 0; i < 4; i++ {
 		pass()
 	}
-	built, miss := f.EncoderStats()
+	built, grows := f.EncoderStats()
 	if built != builtWarm {
 		t.Errorf("steady-state passes built %d new encoders; the pool must recycle them", built-builtWarm)
 	}
-	if miss != missWarm {
-		t.Errorf("steady-state passes missed the arena %d times; windows and activations must be pooled", miss-missWarm)
+	if grows != growsWarm {
+		t.Errorf("steady-state passes grew the arenas %d times; windows and activations must be pooled", grows-growsWarm)
 	}
 	if raceEnabled {
 		return // the race detector's own allocations break AllocsPerRun
 	}
 	avg := testing.AllocsPerRun(4, pass)
 	if avg != 0 {
-		t.Errorf("steady-state EncodePrograms performs %.0f heap allocations; the coalesced encode path must allocate zero", avg)
+		t.Errorf("steady-state EncodePrograms32 performs %.0f heap allocations; the coalesced encode path must allocate zero", avg)
 	}
 }

@@ -4,15 +4,15 @@ import (
 	"repro/internal/nn"
 )
 
-// EncodeProgramsQ8: the int8 serving tier's batch encode. Same algorithm as
-// EncodePrograms32 — identical chunking, window fill, and float64
-// per-program accumulation — with the forward pass routed through the
-// quantized engine (nn.ForwardSeqQ8): every large GEMM runs u8xi8 integer
-// dot products over weights quantized once at first use, gate
+// EncodeProgramsQ8: the int8 serving tier's batch encode. The same loop as
+// EncodePrograms32 (encode.go) — identical chunking, window fill, and
+// float64 per-program accumulation — with the forward pass routed through
+// the quantized engine (nn.ForwardSeqQ8): every large GEMM runs u8xi8
+// integer dot products over weights quantized once at first use, gate
 // transcendentals run the fast float32 polynomial kernels, and everything
 // else stays float32. Unlike the f32 tier this path is NOT bitwise equal to
-// the tape forward — dynamic activation quantization injects bounded noise —
-// so its contract is the pinned epsilon of the int8 drift harness
+// the float32 forward — dynamic activation quantization injects bounded
+// noise — so its contract is the pinned epsilon of the int8 drift harness
 // (drift_q8_test.go) rather than bit equality. It keeps the f32 tier's
 // batch-invariance and determinism properties: quantization is a pure
 // per-row function of the inputs, so a program's representation is
@@ -33,68 +33,5 @@ func (f *Foundation) q8() (*nn.Q8Encoder, *nn.LinearQ8) {
 //
 //perfvec:hotpath
 func (e *Encoder) EncodeProgramsQ8(ps []*ProgramData, dst [][]float32) {
-	f := e.f
-	enc, head := f.q8()
-	d := f.Cfg.RepDim
-	window := f.Cfg.Window
-	total := 0
-	for _, p := range ps {
-		if p.N < 1 {
-			panic("perfvec: EncodeProgramsQ8 requires non-empty programs")
-		}
-		total += p.N
-	}
-	if cap(e.acc) < len(ps)*d {
-		e.acc = make([]float64, len(ps)*d) //perfvec:allow hotalloc -- scratch grows only when a batch carries more programs than any before; steady state reuses it
-	}
-	acc := e.acc[:len(ps)*d]
-	clear(acc)
-
-	pi, off := 0, 0
-	fpi, foff := 0, 0
-	for base := 0; base < total; base += streamChunk {
-		bsz := min(streamChunk, total-base)
-		e.slab.Reset()
-		e.slabQ.Reset()
-		xs := e.slab.Mats(window)
-		for t := range xs {
-			xs[t] = e.slab.Mat(bsz, f.Cfg.FeatDim)
-		}
-		for row := 0; row < bsz; {
-			p := ps[fpi]
-			k := min(bsz-row, p.N-foff)
-			fillWindowRows32(xs, p, foff, foff+k, window, row)
-			row += k
-			foff += k
-			if foff == p.N {
-				fpi++
-				foff = 0
-			}
-		}
-		reps := head.Forward(&e.slab, &e.slabQ, nn.ForwardSeqQ8(enc, &e.slab, &e.slabQ, xs))
-		for row := 0; row < bsz; {
-			p := ps[pi]
-			k := min(bsz-row, p.N-off)
-			a := acc[pi*d : (pi+1)*d]
-			for i := 0; i < k; i++ {
-				r := reps.Row(row + i)
-				for j, v := range r {
-					a[j] += float64(v)
-				}
-			}
-			row += k
-			off += k
-			if off == p.N {
-				pi++
-				off = 0
-			}
-		}
-	}
-	for i := range ps {
-		a := acc[i*d : (i+1)*d]
-		out := dst[i]
-		for j, v := range a {
-			out[j] = float32(v)
-		}
-	}
+	e.encode(ps, dst, true)
 }

@@ -21,14 +21,9 @@ type Foundation struct {
 	Encoder nn.SeqEncoder
 	Head    *nn.Linear
 
-	// repTapes pools the inference tapes InstructionReps' encode chunks
-	// borrow across calls, so steady-state representation generation
-	// (analysis, fine-tuning, eval) stops allocating window slices and
-	// activations per chunk; see tapePool.
-	repTapes tapePool
-
-	// encoders pools the batch-inference workers perfvec-serve's coalesced
-	// encode passes borrow; see Encoder and encoderPool in encode.go.
+	// encoders pools the inference workers every forward-only pass
+	// borrows: perfvec-serve's coalesced batch encodes, InstructionReps'
+	// chunks, and StreamRep; see Encoder and encoderPool in encode.go.
 	encoders encoderPool
 
 	// The float64 oracle image of the model (widened weights, float64
@@ -93,25 +88,24 @@ func (f *Foundation) Forward(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tenso
 // encoded concurrently through the tensor worker pool (the model is
 // read-only during inference). The result is an [N x RepDim] matrix.
 func (f *Foundation) InstructionReps(p *ProgramData) *tensor.Tensor {
-	out := tensor.New(p.N, f.Cfg.RepDim)
+	d := f.Cfg.RepDim
+	out := tensor.New(p.N, d)
 	// Chunking at streamChunk keeps these batches identical to the ones
-	// StreamRep encodes, so the two inference paths agree bitwise.
-	const chunk = streamChunk
-	nChunks := (p.N + chunk - 1) / chunk
+	// StreamRep and the batch encode run, so the inference paths agree
+	// bitwise.
+	nChunks := (p.N + streamChunk - 1) / streamChunk
 	tensor.Parallel(nChunks, func(c0, c1 int) {
-		// Each chunk range runs on a pooled inference tape: windows,
-		// activations, and the per-timestep window list come out of its
-		// arena, and Reset recycles them between chunks, so steady-state
-		// representation generation allocates only the output matrix.
-		tp := f.repTapes.get()
-		defer f.repTapes.put(tp)
+		// Each chunk range runs the float32 forward on a pooled encoder's
+		// arenas, recycled between chunks, so steady-state representation
+		// generation allocates only the output matrix.
+		e := f.AcquireEncoder()
+		defer f.ReleaseEncoder(e)
 		for c := c0; c < c1; c++ {
-			tp.Reset()
-			from := c * chunk
-			to := min(from+chunk, p.N)
-			xs := WindowsFor(tp, p, from, to, f.Cfg.Window)
-			reps := f.Forward(tp, xs)
-			copy(out.Data[from*f.Cfg.RepDim:to*f.Cfg.RepDim], reps.Data)
+			from := c * streamChunk
+			to := min(from+streamChunk, p.N)
+			xs := e.windows(to - from)
+			fillWindowRows(xs, p, from, to, 0)
+			copy(out.Data[from*d:to*d], e.forward(xs, false).Data)
 		}
 	})
 	return out

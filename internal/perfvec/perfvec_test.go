@@ -197,18 +197,29 @@ func TestTrainedModelPredictsTotalTime(t *testing.T) {
 	}
 }
 
+// TestInstructionRepsParallelMatchesSerial pins the inference paths'
+// encoder + head against the tape forward for every model kind: the
+// parallel, chunked float32 InstructionReps must be bitwise identical to
+// one Forward on an inference tape over the whole program's windows.
 func TestInstructionRepsParallelMatchesSerial(t *testing.T) {
 	pds, _ := tinyData(t, 800)
-	model := NewFoundation(tinyConfig())
 	p := pds[0]
-	par := model.InstructionReps(p)
-	// Serial reference via WindowsFor over the whole program.
-	xs := WindowsFor(nil, p, 0, p.N, model.Cfg.Window)
-	ser := model.Forward(nil, xs)
-	for i := range par.Data {
-		if math.Abs(float64(par.Data[i]-ser.Data[i])) > 1e-5 {
-			t.Fatalf("rep %d differs: %v vs %v", i, par.Data[i], ser.Data[i])
-		}
+	kinds := []ModelKind{ModelLinear, ModelMLP, ModelLSTM, ModelBiLSTM, ModelGRU, ModelTransformer}
+	for _, kind := range kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.Model = kind
+			model := NewFoundation(cfg)
+			par := model.InstructionReps(p)
+			// Serial reference via WindowsFor over the whole program.
+			tp := tensor.NewInferenceTape()
+			ser := model.Forward(tp, WindowsFor(tp, p, 0, p.N, model.Cfg.Window))
+			for i := range par.Data {
+				if par.Data[i] != ser.Data[i] {
+					t.Fatalf("rep %d differs: %v vs %v (must be bitwise identical)", i, par.Data[i], ser.Data[i])
+				}
+			}
+		})
 	}
 }
 

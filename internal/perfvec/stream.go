@@ -279,8 +279,8 @@ func (w *WindowStream) NextBatch(maxB int) (xs []*tensor.Tensor, n int, err erro
 // are produced. Peak memory is O(window + streamChunk) feature rows — the
 // trace's length never enters the footprint — and because the batches match
 // InstructionReps' chunking, the result is bitwise identical to
-// ProgramRep over the materialized ProgramData. Each batch's activations
-// come from one inference tape's arena (Reset between chunks) and the window
+// ProgramRep over the materialized ProgramData. Each batch runs the float32
+// forward on a pooled encoder's arena (Reset between chunks) and the window
 // buffers are reused by the stream, so the per-chunk encode loop allocates
 // nothing after the first batch. It returns the program representation and
 // the number of instructions consumed.
@@ -288,7 +288,8 @@ func (w *WindowStream) NextBatch(maxB int) (xs []*tensor.Tensor, n int, err erro
 //perfvec:hotpath
 func (f *Foundation) StreamRep(rows RowStream) ([]float32, int, error) {
 	ws := NewWindowStream(rows, f.Cfg.Window, f.Cfg.FeatDim)
-	tp := tensor.NewInferenceTape()
+	e := f.AcquireEncoder()
+	defer f.ReleaseEncoder(e)
 	acc := make([]float64, f.Cfg.RepDim) //perfvec:allow hotalloc -- per-call accumulator setup; the per-chunk encode loop below allocates nothing
 	total := 0
 	for {
@@ -299,8 +300,12 @@ func (f *Foundation) StreamRep(rows RowStream) ([]float32, int, error) {
 		if n == 0 {
 			break
 		}
-		tp.Reset()
-		reps := f.Forward(tp, xs)
+		e.slab.Reset()
+		xs32 := e.slab.Mats(len(xs))
+		for t, x := range xs {
+			xs32[t] = tensor.Tensor32{Data: x.Data, R: x.Rows(), C: x.Cols()}
+		}
+		reps := e.forward(xs32, false)
 		for i := 0; i < n; i++ {
 			for j, v := range reps.Row(i) {
 				acc[j] += float64(v)

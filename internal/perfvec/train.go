@@ -41,9 +41,9 @@ type Trainer struct {
 }
 
 // tapePool is a mutex-guarded free list of arena-backed, non-recording
-// inference tapes, shared by the evaluation path (Trainer.Loss) and the
-// representation path (Foundation.InstructionReps). Concurrent borrowers
-// are safe: each borrowed tape is confined to one goroutine until put back.
+// inference tapes for the evaluation path (Trainer.Loss). Concurrent
+// borrowers are safe: each borrowed tape is confined to one goroutine until
+// put back.
 type tapePool struct {
 	mu    sync.Mutex
 	tapes []*tensor.Tape

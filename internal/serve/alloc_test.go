@@ -31,7 +31,7 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		}
 	}
 	reqs0, batches0 := s.PoolStats()
-	_, arena0 := f.EncoderStats()
+	_, grows0 := f.EncoderStats()
 
 	// Steady state: more of the same traffic.
 	var lastKey uint64
@@ -45,8 +45,8 @@ func TestServeSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("pools kept building in steady state: reqs %d->%d, batches %d->%d",
 			reqs0, reqs, batches0, batches)
 	}
-	if _, arena := f.EncoderStats(); arena != arena0 {
-		t.Fatalf("encoder arena missed in steady state: %d -> %d", arena0, arena)
+	if _, grows := f.EncoderStats(); grows != grows0 {
+		t.Fatalf("encoder arenas grew in steady state: %d -> %d", grows0, grows)
 	}
 
 	if raceEnabled {

@@ -11,7 +11,7 @@ import (
 // and reused wholesale — the ProgramData header, the rep buffer, and the
 // completion channel — so the steady-state miss path allocates nothing. The
 // feature slice is the submitter's and is only borrowed until completion
-// (see the pooled-tape lifetime rule in the package comment).
+// (see the pooled-arena lifetime rule in the package comment).
 type encodeReq struct {
 	pd    perfvec.ProgramData
 	key   uint64
@@ -22,7 +22,7 @@ type encodeReq struct {
 }
 
 // batch is one coalesced encoder pass: the requests it serves plus the
-// program list and destination slices handed to EncodePrograms. Duplicate
+// program list and destination slices handed to the batch encode. Duplicate
 // keys share one ps entry (psIdx), so a program submitted by several clients
 // in the same window is encoded once. Batches are pooled like requests.
 type batch struct {
@@ -197,7 +197,8 @@ func (b *batcher) add(bt *batch, r *encodeReq) int {
 // coalesced pass per batch — then fills the cache for every unique program
 // and signals each submitter with its representation. PrecisionF32 is the
 // hot path: the forward-only float32 engine on a pooled encoder, bitwise
-// identical to the tape encode. PrecisionF64 runs the float64 oracle into
+// identical to the training forward and to Foundation.ProgramRep.
+// PrecisionF64 runs the float64 oracle into
 // the batch's dst64 scratch and converts at the batch boundary, so
 // everything downstream (cache, request reps) sees float32 either way.
 // PrecisionInt8 runs the quantized engine on a pooled encoder; it writes

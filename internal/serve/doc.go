@@ -60,8 +60,9 @@
 // # Batching window semantics
 //
 // The batcher coalesces concurrent cache-miss submissions into batched
-// encoder passes (perfvec.Encoder.EncodePrograms). A batch opens when the
-// first queued request is dequeued and closes when either bound is hit:
+// encoder passes (perfvec.Encoder.EncodePrograms32 and its precision
+// twins). A batch opens when the first queued request is dequeued and
+// closes when either bound is hit:
 //
 //   - size: the batch's total instruction rows reach Config.MaxBatchRows
 //     (requests already queued are drained greedily first — "natural
@@ -105,11 +106,11 @@
 // stable across processes and restarts (no per-process seed) so clients may
 // persist them.
 //
-// # Pooled-tape lifetime rule in request handling
+// # Pooled-arena lifetime rule in request handling
 //
-// Encode passes run on pooled inference tapes (perfvec.Encoder); every
-// tensor drawn during a pass is recycled by the tape's Reset when the
-// encoder is released. Request handling therefore never retains anything
+// Encode passes run on pooled encoders (perfvec.Encoder); every tensor
+// drawn during a pass comes from the encoder's arenas and is recycled by
+// their Reset at the start of the encoder's next pass. Request handling therefore never retains anything
 // produced inside a pass: representations leave the encoder only by being
 // copied into per-request buffers (req.rep), into the cache's own entry
 // storage, and finally into the caller's dst. The request's feature slice is
@@ -129,8 +130,8 @@
 //   - PrecisionF32 (default): the forward-only float32 engine
 //     (perfvec.Encoder.EncodePrograms32) — packed f32 GEMM on pooled
 //     Slab32 arenas, no tape bookkeeping, zero steady-state allocations.
-//     Its output is bitwise identical to the tape-based encode, so
-//     everything the paragraphs above promise about cached representations
+//     Its output is bitwise identical to the training forward pass and to
+//     perfvec.Foundation.ProgramRep, so everything the paragraphs above promise about cached representations
 //     ("bitwise the one a fresh encode would produce") holds unchanged.
 //   - PrecisionInt8: the quantized engine
 //     (perfvec.Encoder.EncodeProgramsQ8) — per-channel symmetric int8

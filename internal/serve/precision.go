@@ -11,7 +11,7 @@ const (
 	// PrecisionF32 routes batches through the forward-only float32 engine
 	// (perfvec.Encoder.EncodePrograms32): the production serving path —
 	// packed f32 GEMM, pooled slabs, zero steady-state allocations — whose
-	// output is bitwise identical to the tape-based encode.
+	// output is bitwise identical to the training forward pass.
 	PrecisionF32 Precision = iota
 	// PrecisionF64 routes batches through the float64 oracle
 	// (perfvec.Foundation.EncodePrograms64) and converts each

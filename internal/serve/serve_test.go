@@ -2,6 +2,7 @@ package serve
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -304,4 +305,46 @@ func TestBadRequests(t *testing.T) {
 	if _, err := s.Submit("c", fs, 3, dst[:1]); err != ErrBadRequest {
 		t.Fatalf("short dst returned %v", err)
 	}
+}
+
+// TestDuplicateKeysSurviveBatchRecycle is a targeted stress test: many
+// goroutines submit the SAME program (so batches carry duplicate keys)
+// while the cache is continuously flushed (so submissions keep missing and
+// re-entering the batcher). A unique request's rep buffer is the batch's
+// dst; if it is recycled and re-encoded by another worker while the first
+// worker is still copying it out to duplicate requests, -race fires (CI
+// runs this package under -race).
+func TestDuplicateKeysSurviveBatchRecycle(t *testing.T) {
+	s := newTestService(t, 0, func(c *Config) {
+		c.EncodeWorkers = 4
+		c.BatchWindow = 200 * time.Microsecond
+		c.MaxBatchRows = 1024
+		c.QueueDepth = 1024
+	})
+	fd := s.f.Cfg.FeatDim
+	feats := make([]float32, 1*fd)
+	for i := range feats {
+		feats[i] = float32(i%7) * 0.25
+	}
+	var stop atomic.Bool
+	go func() {
+		for !stop.Load() {
+			s.Cache().Flush()
+		}
+	}()
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			dst := make([]float32, s.f.Cfg.RepDim)
+			for i := 0; i < 300; i++ {
+				if _, err := s.Submit("c", feats, 1, dst); err != nil {
+					i--
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
 }
