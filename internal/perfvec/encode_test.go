@@ -57,6 +57,51 @@ func TestForwardRowwiseBatchInvariant(t *testing.T) {
 	}
 }
 
+// TestEncodeProgramsBitwise checks that a coalesced encode pass is bitwise
+// identical to the tape graph's forward (an inference tape over the whole
+// program, summed by SumReps) for every program in the batch, across batch
+// compositions that exercise every remainder shape: programs smaller than,
+// equal to, and larger than the streamChunk encode chunk, chunk boundaries
+// landing inside and exactly on program boundaries, and single-program
+// batches. It ties the serving path to the graph training uses, not only to
+// the single-request path that shares its kernels.
+func TestEncodeProgramsBitwise(t *testing.T) {
+	cfg := DefaultConfig()
+	f := NewFoundation(cfg)
+	rng := rand.New(rand.NewSource(11))
+
+	sizes := [][]int{
+		{1},
+		{5},
+		{256},
+		{257},
+		{300},
+		{1, 1, 1},
+		{16, 48, 64},         // total 128: one partial chunk
+		{100, 156},           // total 256: boundary exactly at chunk end
+		{100, 200, 300},      // chunks span program boundaries
+		{256, 256},           // program boundary == chunk boundary
+		{33, 1, 511, 7, 129}, // mixed remainders
+	}
+	for _, mix := range sizes {
+		ps := make([]*ProgramData, len(mix))
+		for i, n := range mix {
+			ps[i] = encTestProgram(rng, "p", n, cfg.FeatDim)
+		}
+		got := reps32(f, ps)
+		for i, p := range ps {
+			tp := tensor.NewInferenceTape()
+			want := SumReps(f.Forward(tp, WindowsFor(tp, p, 0, p.N, cfg.Window)))
+			for j := range want {
+				if got[i][j] != want[j] {
+					t.Fatalf("mix %v program %d col %d: coalesced %v != tape forward %v (must be bitwise identical)",
+						mix, i, j, got[i][j], want[j])
+				}
+			}
+		}
+	}
+}
+
 // TestEncodeProgramsBitwiseAcrossParallelism repeats one coalesced encode at
 // several GOMAXPROCS values: the GEMM chunking contract promises bitwise
 // invariance to pool parallelism, and the serving path inherits it.

@@ -206,6 +206,11 @@ func (b *batcher) add(bt *batch, r *encodeReq) int {
 // tier.
 func (b *batcher) encodeWorker() {
 	defer b.wg.Done()
+	// woken holds the batch's requests while the batch itself is recycled:
+	// the batch goes back to the pool before any submitter is signalled, so
+	// a submitter's next request never finds the pool empty because this
+	// worker has not yet returned the batch that served its last one.
+	var woken []*encodeReq
 	for bt := range b.batches {
 		switch b.precision {
 		case PrecisionF64:
@@ -233,9 +238,13 @@ func (b *batcher) encodeWorker() {
 		}
 		for _, r := range bt.reqs {
 			copy(r.rep, bt.dst[r.psIdx])
+		}
+		woken = append(woken[:0], bt.reqs...)
+		b.putBatch(bt)
+		for _, r := range woken {
 			r.done <- struct{}{}
 		}
-		b.putBatch(bt)
+		clear(woken)
 	}
 }
 
