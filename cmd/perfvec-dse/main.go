@@ -6,11 +6,11 @@
 //
 // After the paper's 36-design study it runs a fleet-scale sweep: a generated
 // candidate space of -space-size configurations ranked with the batched
-// predictor across -workers workers, reporting configs/s.
+// predictor across GOMAXPROCS workers, reporting configs/s.
 //
 // Usage:
 //
-//	perfvec-dse -epochs 8 -maxinsts 15000 -space-size 4096 -workers 8
+//	perfvec-dse -epochs 8 -maxinsts 15000 -space-size 4096
 package main
 
 import (
@@ -35,7 +35,6 @@ func main() {
 		tuneN    = flag.Int("tune-designs", 18, "designs simulated for tuning (paper: 18 of 36)")
 		seed     = flag.Int64("seed", 1, "seed")
 		spaceN   = flag.Int("space-size", 2048, "generated candidate configs for the fleet-scale sweep (0: skip)")
-		workers  = flag.Int("workers", 0, "sweep workers (0: GOMAXPROCS)")
 	)
 	flag.Parse()
 
@@ -73,7 +72,7 @@ func main() {
 		targets = append(targets, pd)
 	}
 	start := time.Now()
-	res, err := dse.RunPerfVecWorkers(f, space, bench.Training()[:3], targets, *tuneN, 1, *maxInsts, *seed, *workers)
+	res, err := dse.RunPerfVec(f, space, bench.Training()[:3], targets, *tuneN, 1, *maxInsts, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -117,7 +116,7 @@ func main() {
 		e.EncodePrograms32(targets, progReps)
 		f.ReleaseEncoder(e)
 		start = time.Now()
-		n := dse.SweepPrograms(sw, progReps, out, *workers)
+		n := dse.SweepPrograms(sw, progReps, out, 0)
 		el := time.Since(start)
 		fmt.Printf("fleet sweep: %d candidate configs x %d programs = %d predictions in %s (%s configs/s)\n",
 			sw.K(), len(targets), n, el.Round(time.Microsecond), configsPerSec(n, el))

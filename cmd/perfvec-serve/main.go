@@ -100,7 +100,7 @@ func main() {
 		fatal(err)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s.Handler()}
+	srv := newServer(*addr, s.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "perfvec-serve: listening on %s (%s-%d-%d, %d uarchs)\n",
@@ -122,6 +122,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, "perfvec-serve: shutdown:", err)
 	}
 	s.Close()
+}
+
+// Connection timeouts. A client that trickles its headers or body, or parks
+// an idle keep-alive connection, is cut off instead of holding a connection
+// forever. ReadTimeout leaves room for a maximum-size submission body on a
+// slow link. There is no write timeout: /v1/sweep streams its response, and
+// a large sweep may legitimately outlast any fixed bound.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 60 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newServer builds the HTTP server for handler on addr with the connection
+// timeouts above.
+func newServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }
 
 func loadInto(path string, load func(io.Reader) error) error {

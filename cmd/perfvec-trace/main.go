@@ -3,26 +3,24 @@
 // instructions, and the per-microarchitecture timing summary — useful when
 // debugging new kernels or configurations.
 //
-// With -stream the same report is produced in one streaming pass: records
-// are featurized and fed to every predefined microarchitecture's simulator
-// as the emulator produces them, so the trace is never materialized and
-// memory stays bounded regardless of -maxinsts. The output is identical to
-// the materialized path.
+// The report comes from one streaming pass: records are featurized and fed
+// to every predefined microarchitecture's simulator as the emulator produces
+// them, so the trace is never materialized and memory stays bounded
+// regardless of -maxinsts.
 //
 // Usage:
 //
 //	perfvec-trace -bench 505.mcf -maxinsts 5000 -show 5
-//	perfvec-trace -bench 505.mcf -maxinsts 5000000 -stream
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/features"
-	"repro/internal/isa"
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -58,7 +56,6 @@ func main() {
 		name     = flag.String("bench", "999.specrand", "benchmark name")
 		maxInsts = flag.Int("maxinsts", 10000, "dynamic instruction budget")
 		show     = flag.Int("show", 3, "feature vectors to print")
-		stream   = flag.Bool("stream", false, "one streaming pass: featurize and simulate without materializing the trace")
 	)
 	flag.Parse()
 
@@ -66,55 +63,18 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *stream {
-		streamInspect(b, *maxInsts, *show)
-		return
-	}
-
-	recs, err := b.Trace(1, *maxInsts)
-	if err != nil {
-		fatal(err)
-	}
-	if len(recs) == 0 {
-		fatal(fmt.Errorf("%s produced an empty trace", b.Name))
-	}
-
-	var ts traceStats
-	for i := range recs {
-		ts.observe(&recs[i])
-	}
-	printStats(b.Name, &ts)
-
-	feats := features.ExtractAll(recs)
-	fmt.Printf("\nfirst %d feature vectors (%d features each, Table I):\n", *show, features.NumFeatures)
-	for i := 0; i < *show && i < len(recs); i++ {
-		printFeatureRow(i, recs[i].Op, feats[i*features.NumFeatures:(i+1)*features.NumFeatures])
-	}
-
-	fmt.Println("\ntiming across the predefined microarchitectures:")
-	tb := newTimingTable()
-	for _, cfg := range uarch.Predefined() {
-		res := sim.Simulate(cfg, recs, false)
-		addTimingRow(tb, cfg.Name, res.TotalNs, res.Stats)
-	}
-	fmt.Print(tb.String())
-}
-
-// streamInspect produces the same report from a single streaming pass.
-func streamInspect(b bench.Benchmark, maxInsts, show int) {
 	cfgs := uarch.Predefined()
 	cpus := make([]*sim.CPU, len(cfgs))
 	for j, cfg := range cfgs {
 		cpus[j] = sim.New(cfg)
 	}
-	src := b.Stream(1, maxInsts)
+	src := b.Stream(1, *maxInsts)
 	ext := features.NewExtractor(4096)
 	row := make([]float32, features.NumFeatures)
 	var (
-		ts       traceStats
-		rec      trace.Record
-		shown    [][]float32
-		shownOps []isa.Op
+		ts    traceStats
+		rec   trace.Record
+		shown strings.Builder
 	)
 	for {
 		ok, err := src.Next(&rec)
@@ -124,15 +84,18 @@ func streamInspect(b bench.Benchmark, maxInsts, show int) {
 		if !ok {
 			break
 		}
-		ts.observe(&rec)
 		// The first show rows depend only on the first show records, so
 		// extraction (and its per-record history bookkeeping) can stop once
 		// they are captured.
-		if len(shown) < show {
+		if ts.n < *show {
 			ext.Extract(&rec, row)
-			shown = append(shown, append([]float32(nil), row...))
-			shownOps = append(shownOps, rec.Op)
+			fmt.Fprintf(&shown, "  inst %d (%v): ", ts.n, rec.Op)
+			for _, v := range row {
+				fmt.Fprintf(&shown, "%.2g ", v)
+			}
+			shown.WriteByte('\n')
 		}
+		ts.observe(&rec)
 		for _, cpu := range cpus {
 			cpu.Feed(&rec)
 		}
@@ -140,63 +103,28 @@ func streamInspect(b bench.Benchmark, maxInsts, show int) {
 	if ts.n == 0 {
 		fatal(fmt.Errorf("%s produced an empty trace", b.Name))
 	}
-	printStats(b.Name, &ts)
-
-	fmt.Printf("\nfirst %d feature vectors (%d features each, Table I):\n", show, features.NumFeatures)
-	for i, fr := range shown {
-		printFeatureRow(i, shownOps[i], fr)
-	}
-
-	fmt.Println("\ntiming across the predefined microarchitectures:")
-	tb := newTimingTable()
-	for j, cfg := range cfgs {
-		addTimingRow(tb, cfg.Name, cpus[j].TotalNs(), cpus[j].Stats())
-	}
-	fmt.Print(tb.String())
-}
-
-func printStats(name string, ts *traceStats) {
 	fmt.Printf("%s: %d instructions (%.1f%% loads, %.1f%% stores, %.1f%% branches [%.1f%% taken], %d faults)\n",
-		name, ts.n,
+		b.Name, ts.n,
 		100*float64(ts.loads)/float64(ts.n),
 		100*float64(ts.stores)/float64(ts.n),
 		100*float64(ts.branches)/float64(ts.n),
 		100*float64(ts.taken)/float64(max(ts.branches, 1)),
 		ts.faults)
-}
 
-func printFeatureRow(i int, op isa.Op, row []float32) {
-	fmt.Printf("  inst %d (%v): ", i, op)
-	for _, v := range row {
-		fmt.Printf("%.2g ", v)
+	fmt.Printf("\nfirst %d feature vectors (%d features each, Table I):\n", *show, features.NumFeatures)
+	fmt.Print(shown.String())
+
+	fmt.Println("\ntiming across the predefined microarchitectures:")
+	tb := &stats.Table{Header: []string{"config", "time (us)", "IPC", "L1D miss%", "mispredict%"}}
+	for j, cfg := range cfgs {
+		st := cpus[j].Stats()
+		missPct := 100 * float64(st.Mem.L1DMisses) / float64(max(st.Mem.L1DAccesses, 1))
+		mispPct := 100 * float64(st.Mispredicts) / float64(max(st.Branches, 1))
+		tb.Add(cfg.Name, fmt.Sprintf("%.1f", cpus[j].TotalNs()/1000),
+			fmt.Sprintf("%.2f", st.IPC()),
+			fmt.Sprintf("%.1f", missPct), fmt.Sprintf("%.1f", mispPct))
 	}
-	fmt.Println()
-}
-
-func newTimingTable() *stats.Table {
-	return &stats.Table{Header: []string{"config", "time (us)", "IPC", "L1D miss%", "mispredict%"}}
-}
-
-func addTimingRow(tb *stats.Table, name string, totalNs float64, st sim.Stats) {
-	missPct := 100 * float64(st.Mem.L1DMisses) / float64(max64(st.Mem.L1DAccesses, 1))
-	mispPct := 100 * float64(st.Mispredicts) / float64(max64(st.Branches, 1))
-	tb.Add(name, fmt.Sprintf("%.1f", totalNs/1000),
-		fmt.Sprintf("%.2f", st.IPC()),
-		fmt.Sprintf("%.1f", missPct), fmt.Sprintf("%.1f", mispPct))
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
+	fmt.Print(tb.String())
 }
 
 func fatal(err error) {

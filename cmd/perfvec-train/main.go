@@ -32,8 +32,6 @@ func main() {
 		model    = flag.String("model", "lstm", "architecture: linear|mlp|lstm|bilstm|gru|transformer")
 		seed     = flag.Int64("seed", 1, "seed")
 		workers  = flag.Int("workers", 0, "data-parallel gradient workers (0 = GOMAXPROCS, 1 = serial)")
-		stream   = flag.Bool("stream", false, "streaming featurization: one emulator pass per benchmark, records never materialized")
-		batchW   = flag.Int("batch-workers", 0, "window-assembly shards per minibatch (0 = GOMAXPROCS, 1 = serial; output identical at any count)")
 	)
 	flag.Parse()
 
@@ -46,19 +44,14 @@ func main() {
 	cfg.EpochSamples = *samples
 	cfg.Seed = *seed
 	cfg.GradWorkers = *workers
-	cfg.BatchWorkers = *batchW
 	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
 
 	cfgs := uarch.TrainingSet(*seed, *sampled)
-	pipe := "materialized"
-	if *stream {
-		pipe = "streaming"
-	}
-	fmt.Printf("collecting %d training benchmarks x %d microarchitectures (%s pipeline)...\n",
-		len(bench.Training()), len(cfgs), pipe)
-	pds, err := perfvec.Collector{Stream: *stream}.All(bench.Training(), cfgs, 1, *maxInsts)
+	fmt.Printf("collecting %d training benchmarks x %d microarchitectures...\n",
+		len(bench.Training()), len(cfgs))
+	pds, err := perfvec.CollectAll(bench.Training(), cfgs, 1, *maxInsts)
 	if err != nil {
 		fatal(err)
 	}

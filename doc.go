@@ -96,19 +96,18 @@
 // steady-state step measures 0 — and MatMul 0: pack panels come from the
 // pool and the output tensor from a reused inference tape's arena).
 //
-// The data path is streaming end to end: emu.Stepper executes programs one
-// pulled instruction at a time (trace.Stream), features.StreamExtractor
-// featurizes records as they arrive, and a ring-buffered
-// features.WindowAssembler yields encoder input windows from an O(window)
-// working set — a trace is never materialized unless a consumer asks for it.
-// perfvec.Collector selects between the streaming and materialized
-// collection pipelines behind one interface (both produce bitwise-identical
-// ProgramData; the streaming one buffers only 256-record chunks), and
-// Dataset.batch shards window assembly across the worker pool with
-// deterministic shard order, so batches are bitwise identical to the serial
-// path at any worker count. The perfvec-train, perfvec-eval, and
-// perfvec-trace commands expose the pipeline through -stream and
-// -batch-workers flags.
+// Each data-path job has one collection path. Training data is
+// materialized: perfvec.CollectAll traces each program once, featurizes it,
+// and simulates the trace on every sampled configuration (the training
+// corpus is held whole anyway), and Dataset.Batch shards window assembly
+// across GOMAXPROCS workers in a fixed shard order, so batches are bitwise
+// identical to the serial path. Inspection and prediction stream:
+// emu.Stepper executes programs one pulled instruction at a time
+// (trace.Stream), features.StreamExtractor featurizes records as they
+// arrive, and a ring-buffered features.WindowAssembler yields encoder input
+// windows from an O(window) working set. perfvec-trace builds its report in
+// one such pass, and perfvec-eval -stream scores a program through
+// perfvec.StreamProgramErrors without materializing its trace.
 //
 // # Invariants and static enforcement
 //
@@ -184,7 +183,7 @@
 // 10x at >= 1024 configs). dse.RunPerfVec encodes each target program once
 // through the f32 fast path and sweeps the paper's §VI-A space through the
 // same engine; cmd/perfvec-dse adds a generated fleet-scale space on top
-// (-space-size, -workers), and serve exposes the whole path as the
+// (-space-size), and serve exposes the whole path as the
 // POST /v1/sweep batch endpoint, where a cached program representation
 // makes a thousands-of-candidates sweep cost zero encoder passes.
 //

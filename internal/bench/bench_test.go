@@ -6,6 +6,7 @@ import (
 	"repro/internal/features"
 	"repro/internal/isa"
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/uarch"
 )
 
@@ -192,5 +193,40 @@ func TestPerlbenchUsesIndirectBranches(t *testing.T) {
 	}
 	if ind < 100 {
 		t.Fatalf("perlbench indirect branches = %d, want >= 100 (interpreter dispatch)", ind)
+	}
+}
+
+// TestStreamMatchesTrace pins the two ways of running a benchmark to each
+// other: for every registered benchmark, Stream must yield exactly the
+// records of Trace at the same budget — truncated at the budget, or ending
+// with the program (548.exchange2 retires fewer than 20000 instructions).
+func TestStreamMatchesTrace(t *testing.T) {
+	for _, b := range All() {
+		for _, budget := range []int{1, 700, 20000} {
+			ref, err := b.Trace(1, budget)
+			if err != nil {
+				t.Fatalf("%s/%d: trace: %v", b.Name, budget, err)
+			}
+			if len(ref) > budget || (budget <= 700 && len(ref) != budget) {
+				t.Fatalf("%s/%d: trace has %d records", b.Name, budget, len(ref))
+			}
+			src := b.Stream(1, budget)
+			var rec trace.Record
+			for i := 0; ; i++ {
+				ok, err := src.Next(&rec)
+				if err != nil {
+					t.Fatalf("%s/%d: stream record %d: %v", b.Name, budget, i, err)
+				}
+				if !ok {
+					if i != len(ref) {
+						t.Fatalf("%s/%d: stream ended after %d records, trace has %d", b.Name, budget, i, len(ref))
+					}
+					break
+				}
+				if i >= len(ref) || rec != ref[i] {
+					t.Fatalf("%s/%d: stream record %d differs from trace", b.Name, budget, i)
+				}
+			}
+		}
 	}
 }

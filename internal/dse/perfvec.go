@@ -39,28 +39,12 @@ type PerfVecResult struct {
 //  3. predict every (program, design) pair and select the
 //     objective-minimizing design per program.
 //
-// The prediction phase runs the batched sweep engine at GOMAXPROCS; see
-// RunPerfVecWorkers for explicit worker control.
+// The prediction phase is the fleet-scale path: the design space is embedded
+// once as a candidate matrix, every target program is encoded once through
+// the coalesced float32 encoder, and each program's predictions come from a
+// single batched GEMM over the candidate matrix, fanned across GOMAXPROCS
+// workers. Results are identical at any worker count.
 func RunPerfVec(
-	f *perfvec.Foundation,
-	space []Design,
-	tuneBenches []bench.Benchmark,
-	targets []*perfvec.ProgramData,
-	sampleDesigns int,
-	scale, maxInsts int,
-	seed int64,
-) (*PerfVecResult, error) {
-	return RunPerfVecWorkers(f, space, tuneBenches, targets, sampleDesigns, scale, maxInsts, seed, 0)
-}
-
-// RunPerfVecWorkers is RunPerfVec with an explicit sweep worker count
-// (workers <= 0 means GOMAXPROCS). Tuning (steps 1-2) is unchanged; the
-// prediction phase is the fleet-scale path: the design space is embedded once
-// as a candidate matrix, every target program is encoded once through the
-// coalesced float32 encoder, and each program's predictions come from a
-// single batched GEMM over the candidate matrix, fanned across workers.
-// Results are identical at any worker count.
-func RunPerfVecWorkers(
 	f *perfvec.Foundation,
 	space []Design,
 	tuneBenches []bench.Benchmark, // programs used for tuning data (§VI-A: "not necessarily the target programs")
@@ -68,7 +52,6 @@ func RunPerfVecWorkers(
 	sampleDesigns int, // how many designs to simulate for tuning (paper: 18 of 36)
 	scale, maxInsts int,
 	seed int64,
-	workers int,
 ) (*PerfVecResult, error) {
 	rng := rand.New(rand.NewSource(seed))
 
@@ -114,7 +97,7 @@ func RunPerfVecWorkers(
 	for pi := range targets {
 		res.PredictedNs[pi] = make([]float64, len(space))
 	}
-	res.SweepConfigs = SweepPrograms(sw, progReps, res.PredictedNs, workers)
+	res.SweepConfigs = SweepPrograms(sw, progReps, res.PredictedNs, 0)
 	res.SweepTime = time.Since(sweepStart)
 
 	for pi := range targets {

@@ -78,17 +78,9 @@ func CollectFeatures(b bench.Benchmark, scale, maxInsts int) (*ProgramData, erro
 	}, nil
 }
 
-// CollectAll gathers ProgramData for several benchmarks concurrently through
-// the materialized pipeline; Collector.All selects the pipeline.
+// CollectAll gathers ProgramData for several benchmarks concurrently
+// through CollectProgramData, bounded by GOMAXPROCS.
 func CollectAll(benches []bench.Benchmark, cfgs []*uarch.Config, scale, maxInsts int) ([]*ProgramData, error) {
-	return collectAll(benches, func(b bench.Benchmark) (*ProgramData, error) {
-		return CollectProgramData(b, cfgs, scale, maxInsts)
-	})
-}
-
-// collectAll runs collect over every benchmark concurrently, bounded by
-// GOMAXPROCS.
-func collectAll(benches []bench.Benchmark, collect func(bench.Benchmark) (*ProgramData, error)) ([]*ProgramData, error) {
 	out := make([]*ProgramData, len(benches))
 	errs := make([]error, len(benches))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
@@ -99,7 +91,7 @@ func collectAll(benches []bench.Benchmark, collect func(bench.Benchmark) (*Progr
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			out[i], errs[i] = collect(b)
+			out[i], errs[i] = CollectProgramData(b, cfgs, scale, maxInsts)
 		}(i, b)
 	}
 	wg.Wait()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/features"
 	"repro/internal/sim"
+	"repro/internal/tensor"
 	"repro/internal/trace"
 	"repro/internal/uarch"
 )
@@ -64,9 +65,22 @@ func (s *simFeedRows) Next(out []float32) (bool, error) {
 
 func (s *simFeedRows) flush() {
 	if len(s.recs) > 0 {
-		feedAll(s.cpus, s.recs, nil)
+		feedAll(s.cpus, s.recs)
 		s.recs = s.recs[:0]
 	}
+}
+
+// feedAll replays one chunk of records into every CPU, parallel across
+// configurations through the tensor worker pool (each CPU remains strictly
+// sequential over the trace).
+func feedAll(cpus []*sim.CPU, recs []trace.Record) {
+	tensor.Parallel(len(cpus), func(from, to int) {
+		for j := from; j < to; j++ {
+			for i := range recs {
+				cpus[j].Feed(&recs[i])
+			}
+		}
+	})
 }
 
 // StreamProgramErrors evaluates b end to end in one streaming pass: the

@@ -1,185 +1,16 @@
 package perfvec
 
 import (
-	"fmt"
-
-	"repro/internal/bench"
 	"repro/internal/features"
-	"repro/internal/sim"
 	"repro/internal/tensor"
-	"repro/internal/trace"
-	"repro/internal/uarch"
 )
 
-// streamChunk is the number of records a streaming pass buffers before
-// flushing them through featurization, window assembly, and the timing
-// simulators. It bounds the pipeline's record working set and doubles as the
-// inference batch size: InstructionReps chunks at the same constant, so the
-// streaming and materialized paths run the encoder over identical batches
-// and their outputs agree bitwise.
+// streamChunk is the encoder batch size of every inference path:
+// InstructionReps, the coalesced encode passes and StreamRep all chunk at it,
+// so streaming and materialized encodes run the encoder over identical
+// batches and their outputs agree bitwise. simFeedRows also flushes records
+// to the timing simulators at this cadence.
 const streamChunk = 256
-
-// Collector selects the data-collection pipeline behind a single interface.
-// The zero value is the materialized pipeline (capture the whole trace, then
-// featurize and simulate it); setting Stream switches to the streaming
-// pipeline, which runs ONE emulator pass whose records are featurized and
-// fed to all K timing simulators in bounded chunks of streamChunk records —
-// the trace itself is never materialized, so peak overhead beyond the
-// returned ProgramData is O(streamChunk) records instead of O(trace length).
-// Both pipelines produce bitwise-identical ProgramData: the extractor sees
-// the same record sequence, and each simulator Feeds the same records in the
-// same order.
-type Collector struct {
-	Stream bool
-}
-
-// Program collects one benchmark's ProgramData through the configured
-// pipeline; see CollectProgramData for the semantics.
-func (c Collector) Program(b bench.Benchmark, cfgs []*uarch.Config, scale, maxInsts int) (*ProgramData, error) {
-	if c.Stream {
-		return streamProgram(b, cfgs, scale, maxInsts)
-	}
-	return CollectProgramData(b, cfgs, scale, maxInsts)
-}
-
-// Features collects one benchmark's featurized trace without simulating any
-// microarchitecture; see CollectFeatures for the semantics.
-func (c Collector) Features(b bench.Benchmark, scale, maxInsts int) (*ProgramData, error) {
-	if c.Stream {
-		return streamFeatures(b, scale, maxInsts)
-	}
-	return CollectFeatures(b, scale, maxInsts)
-}
-
-// All collects ProgramData for several benchmarks concurrently through the
-// configured pipeline.
-func (c Collector) All(benches []bench.Benchmark, cfgs []*uarch.Config, scale, maxInsts int) ([]*ProgramData, error) {
-	return collectAll(benches, func(b bench.Benchmark) (*ProgramData, error) {
-		return c.Program(b, cfgs, scale, maxInsts)
-	})
-}
-
-// streamPass drives one streaming featurization pass: it pulls records from
-// src in chunks of streamChunk, featurizes each chunk in trace order, and
-// hands (records, feature rows) to onChunk. Both buffers are reused across
-// chunks — onChunk must copy anything it keeps. It returns the number of
-// records processed.
-func streamPass(src trace.Stream, onChunk func(recs []trace.Record, rows []float32) error) (int, error) {
-	ext := features.NewExtractor(streamChunk)
-	recs := make([]trace.Record, 0, streamChunk)
-	rows := make([]float32, streamChunk*features.NumFeatures)
-	n := 0
-	for {
-		var rec trace.Record
-		ok, err := src.Next(&rec)
-		if err != nil {
-			return n, err
-		}
-		if ok {
-			recs = append(recs, rec)
-		}
-		if len(recs) == streamChunk || (!ok && len(recs) > 0) {
-			block := rows[:len(recs)*features.NumFeatures]
-			for i := range recs {
-				ext.Extract(&recs[i], block[i*features.NumFeatures:(i+1)*features.NumFeatures])
-			}
-			if err := onChunk(recs, block); err != nil {
-				return n, err
-			}
-			n += len(recs)
-			recs = recs[:0]
-		}
-		if !ok {
-			return n, nil
-		}
-	}
-}
-
-// feedAll replays one chunk of records into every CPU, parallel across
-// configurations through the tensor worker pool (each CPU remains strictly
-// sequential over the trace). When inc is non-nil, inc[j][i] receives the
-// incremental latency of record i on configuration j.
-func feedAll(cpus []*sim.CPU, recs []trace.Record, inc [][]float32) {
-	tensor.Parallel(len(cpus), func(from, to int) {
-		for j := from; j < to; j++ {
-			if inc != nil {
-				for i := range recs {
-					inc[j][i] = float32(cpus[j].Feed(&recs[i]))
-				}
-			} else {
-				for i := range recs {
-					cpus[j].Feed(&recs[i])
-				}
-			}
-		}
-	})
-}
-
-// streamProgram is the streaming form of CollectProgramData: one emulator
-// pass, chunk-wise featurization, and chunk-wise parallel simulation on all
-// K configurations.
-func streamProgram(b bench.Benchmark, cfgs []*uarch.Config, scale, maxInsts int) (*ProgramData, error) {
-	k := len(cfgs)
-	cpus := make([]*sim.CPU, k)
-	for j, cfg := range cfgs {
-		cpus[j] = sim.New(cfg)
-	}
-	inc := make([][]float32, k)
-	for j := range inc {
-		inc[j] = make([]float32, streamChunk)
-	}
-	var feats, targets []float32
-	n, err := streamPass(b.Stream(scale, maxInsts), func(recs []trace.Record, rows []float32) error {
-		feats = append(feats, rows...)
-		for j := range inc {
-			inc[j] = inc[j][:len(recs)]
-		}
-		feedAll(cpus, recs, inc)
-		base := len(targets)
-		targets = append(targets, make([]float32, len(recs)*k)...)
-		for i := range recs {
-			for j := 0; j < k; j++ {
-				targets[base+i*k+j] = inc[j][i]
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("perfvec: %s produced an empty trace", b.Name)
-	}
-	pd := &ProgramData{
-		Name: b.Name, N: n, FeatDim: features.NumFeatures, K: k,
-		Features: feats,
-		Targets:  targets,
-		TotalNs:  make([]float64, k),
-	}
-	for j, cpu := range cpus {
-		pd.TotalNs[j] = cpu.TotalNs()
-	}
-	return pd, nil
-}
-
-// streamFeatures is the streaming form of CollectFeatures.
-func streamFeatures(b bench.Benchmark, scale, maxInsts int) (*ProgramData, error) {
-	var feats []float32
-	n, err := streamPass(b.Stream(scale, maxInsts), func(_ []trace.Record, rows []float32) error {
-		feats = append(feats, rows...)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if n == 0 {
-		return nil, fmt.Errorf("perfvec: %s produced an empty trace", b.Name)
-	}
-	return &ProgramData{
-		Name: b.Name, N: n, FeatDim: features.NumFeatures,
-		Features: feats,
-	}, nil
-}
 
 // RowStream is a pull-based stream of per-instruction feature rows;
 // features.StreamExtractor is the canonical implementation.

@@ -23,68 +23,6 @@ func (r *rowsStream) Next(out []float32) (bool, error) {
 	return true, nil
 }
 
-// TestStreamCollectMatchesMaterialized is the central equivalence check of
-// the streaming pipeline: for EVERY registered benchmark, one-pass streaming
-// collection must produce bitwise-identical features, targets, and totals to
-// the materialized capture-then-featurize-then-simulate path.
-func TestStreamCollectMatchesMaterialized(t *testing.T) {
-	cfgs := uarch.Predefined()[:2]
-	for _, b := range bench.All() {
-		mat, err := Collector{}.Program(b, cfgs, 1, 700)
-		if err != nil {
-			t.Fatalf("%s materialized: %v", b.Name, err)
-		}
-		str, err := Collector{Stream: true}.Program(b, cfgs, 1, 700)
-		if err != nil {
-			t.Fatalf("%s streaming: %v", b.Name, err)
-		}
-		if str.N != mat.N || str.K != mat.K || str.FeatDim != mat.FeatDim {
-			t.Fatalf("%s: shape (%d,%d,%d) != (%d,%d,%d)", b.Name,
-				str.N, str.K, str.FeatDim, mat.N, mat.K, mat.FeatDim)
-		}
-		for i, v := range mat.Features {
-			if str.Features[i] != v {
-				t.Fatalf("%s: feature %d differs: %v != %v", b.Name, i, str.Features[i], v)
-			}
-		}
-		for i, v := range mat.Targets {
-			if str.Targets[i] != v {
-				t.Fatalf("%s: target %d differs: %v != %v", b.Name, i, str.Targets[i], v)
-			}
-		}
-		for j, v := range mat.TotalNs {
-			if str.TotalNs[j] != v {
-				t.Fatalf("%s: TotalNs[%d] differs: %v != %v", b.Name, j, str.TotalNs[j], v)
-			}
-		}
-	}
-}
-
-func TestStreamFeaturesMatchesMaterialized(t *testing.T) {
-	for _, name := range []string{"999.specrand", "505.mcf"} {
-		b, err := bench.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mat, err := Collector{}.Features(b, 1, 1200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		str, err := Collector{Stream: true}.Features(b, 1, 1200)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if str.N != mat.N {
-			t.Fatalf("%s: N %d != %d", name, str.N, mat.N)
-		}
-		for i, v := range mat.Features {
-			if str.Features[i] != v {
-				t.Fatalf("%s: feature %d differs", name, i)
-			}
-		}
-	}
-}
-
 // TestWindowStreamMatchesWindowsFor checks the ring-buffered assembler
 // against the materialized window builder at odd window sizes, including a
 // window longer than the whole trace, and across batch boundaries.
@@ -226,29 +164,6 @@ func TestStreamProgramErrorsMatchesMaterialized(t *testing.T) {
 	for j, v := range want {
 		if got[j] != v {
 			t.Fatalf("uarch %d: streaming error %v != materialized %v", j, got[j], v)
-		}
-	}
-}
-
-func TestCollectorAllStreamMatches(t *testing.T) {
-	cfgs := uarch.Predefined()[:2]
-	benches := bench.Training()[:3]
-	mat, err := Collector{}.All(benches, cfgs, 1, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	str, err := Collector{Stream: true}.All(benches, cfgs, 1, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range mat {
-		if str[i].N != mat[i].N {
-			t.Fatalf("%s: N differs", mat[i].Name)
-		}
-		for j, v := range mat[i].Targets {
-			if str[i].Targets[j] != v {
-				t.Fatalf("%s: target %d differs", mat[i].Name, j)
-			}
 		}
 	}
 }

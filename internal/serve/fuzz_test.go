@@ -1,0 +1,33 @@
+package serve
+
+import (
+	"bytes"
+	"testing"
+)
+
+// FuzzDecodeProgram drives the /v1/submit body decoder with arbitrary bytes.
+// It must never panic, and it must either reject the body with a message or
+// accept n >= 1 rows whose n*featDim floats re-encode to exactly the body.
+// One scratch is shared across inputs, so a short body decoded after a long
+// one also checks that stale rows never leak into the result. The seed
+// corpus lives in testdata/fuzz/FuzzDecodeProgram.
+func FuzzDecodeProgram(f *testing.F) {
+	s := newTestService(f, 0, nil)
+	fd := s.f.Cfg.FeatDim
+	sc := &httpScratch{}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		n, msg := s.decodeProgram(body, sc)
+		if msg != "" {
+			if n != 0 {
+				t.Fatalf("rejected body %q but returned n=%d", msg, n)
+			}
+			return
+		}
+		if n < 1 {
+			t.Fatalf("accepted body with n=%d rows", n)
+		}
+		if got := submitBody(sc.feats[:n*fd], n, fd); !bytes.Equal(got, body) {
+			t.Fatalf("accepted %d rows that do not round-trip the %d-byte body", n, len(body))
+		}
+	})
+}
