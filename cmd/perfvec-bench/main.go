@@ -65,42 +65,6 @@ type report struct {
 	GoMaxProcs  int               `json:"go_max_procs"`
 	Machine     machine           `json:"machine"`
 	Results     map[string]result `json:"results"`
-	// Baseline carries reference numbers for comparison across PRs; this
-	// binary embeds the pre-arena training step (PR 2 code, before the
-	// arena/fused-kernel rewrite) and the closure-tape step (PR 3 code,
-	// before the typed op-record tape), both at GOMAXPROCS=1.
-	Baseline map[string]result `json:"baseline,omitempty"`
-}
-
-// preArenaTrainStep is BenchmarkTrainStep measured on the PR 2 tree
-// (per-call tensor allocation, unfused cells).
-var preArenaTrainStep = result{
-	Iterations:  30,
-	NsPerOp:     33900073,
-	BytesPerOp:  23481225,
-	AllocsPerOp: 1840,
-}
-
-// closureTapeTrainStep is BenchmarkTrainStep measured on the PR 3 tree
-// (arena-pooled tensors, but a backward closure and loop closures allocated
-// per op): the reference the typed op-record tape is judged against. The
-// recorded allocs/op amortizes the warm-up step; steady state was ~300.
-var closureTapeTrainStep = result{
-	Iterations:  39,
-	NsPerOp:     25982496,
-	BytesPerOp:  404171,
-	AllocsPerOp: 312,
-}
-
-// unpackedMatMul is BenchmarkMatMul measured on the PR 4 tree (unpacked
-// 4x4-tile kernels, saxpy/dot assembly) at GOMAXPROCS=1 on the same box as
-// BENCH_5.json: the reference the packed BLIS-style engine is judged
-// against (the acceptance bar is >= 1.8x).
-var unpackedMatMul = result{
-	Iterations:  1562,
-	NsPerOp:     1454473,
-	BytesPerOp:  262256,
-	AllocsPerOp: 3,
 }
 
 // budget is the schema of bench_budget.json: per-benchmark ceilings.
@@ -160,11 +124,6 @@ func main() {
 		GoMaxProcs:  runtime.GOMAXPROCS(0),
 		Machine:     mach,
 		Results:     make(map[string]result, len(benches)),
-		Baseline: map[string]result{
-			"TrainStep_preArena":    preArenaTrainStep,
-			"TrainStep_closureTape": closureTapeTrainStep,
-			"MatMul_unpacked":       unpackedMatMul,
-		},
 	}
 	for _, b := range benches {
 		r := testing.Benchmark(b.fn)

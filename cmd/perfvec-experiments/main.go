@@ -1,7 +1,8 @@
 // Command perfvec-experiments regenerates the paper's evaluation: one
 // subcommand per table/figure (fig3 fig4 fig5 fig6 fig7 fig8 table3 table4
-// volume features reuse), or "all". See DESIGN.md for the experiment index
-// and EXPERIMENTS.md for recorded results.
+// volume features reuse), or "all". Each experiment's function in
+// internal/experiments documents the artifact it regenerates; the printed
+// renditions are the paper-vs-measured record.
 //
 // Usage:
 //

@@ -72,8 +72,8 @@
 // parallel loop — op forwards, VJPs, the GEMM wrappers, Adam's update —
 // dispatches as a typed kernel with a by-value argument block
 // (tensor.ParallelKernel) instead of an escaping closure. Evaluation pools
-// too: Trainer.Loss runs on arena-backed, non-recording inference tapes
-// (tensor.NewInferenceTape). Recurrent cells
+// too: Trainer.Loss runs each batch on a pooled perfvec.Encoder through the
+// float32 inference graph, bitwise equal to the tape loss. Recurrent cells
 // run on fused gate kernels (LSTMGates, GRUGates, GateCombine) that collapse
 // each timestep's post-GEMM work into one or two tape records, the
 // transformer's attention-score scaling and row softmax fuse into one
@@ -94,7 +94,7 @@
 // profiling), and CI fails any change whose training step or GEMM exceeds
 // the allocation budgets in bench_budget.json (TrainStep 10 allocs/op — the
 // steady-state step measures 0 — and MatMul 0: pack panels come from the
-// pool and the output tensor from a reused inference tape's arena).
+// pool and the output tensor from a reused arena tape).
 //
 // Each data-path job has one collection path. Training data is
 // materialized: perfvec.CollectAll traces each program once, featurizes it,
@@ -199,8 +199,10 @@
 //     arenas, tensor's *32 entry points, and nn.ForwardSeq32 run the
 //     inference graph without tape records, VJP scratch stores, or backward
 //     bookkeeping. internal/nn writes each architecture's inference graph
-//     once, generic over a small kernel backend; the float32 and int8
-//     tiers are its two backends. Its kernels are twins of the tape kernels minus the
+//     once, generic over the activation type and a kernel backend; the
+//     float32, int8 and float64 tiers are its three backends, and the
+//     trainer's validation loss runs on the float32 one. Its kernels are
+//     twins of the tape kernels minus the
 //     backward-only stores, so its output is bitwise identical to the tape
 //     forward (pinned per-op, per-architecture, and end-to-end through
 //     perfvec.Encoder.EncodePrograms32) — switching the serving default to
@@ -223,7 +225,8 @@
 //     the range, so the bound is stated against it. Deterministic and
 //     batch-invariant within the tier.
 //   - The float64 oracle (serve.PrecisionF64): nn.Oracle64 widens the
-//     frozen weights exactly and replays the graph with every GEMM
+//     frozen weights exactly and runs the same inference graph
+//     (internal/nn/infer.go) on a float64 backend, with every GEMM
 //     accumulation, transcendental, and reduction in float64 (gemm64 uses
 //     deterministic math.FMA chains, invariant to blocking and
 //     parallelism). It is the audit mode and the reference of both epsilon

@@ -18,8 +18,8 @@ import (
 // MatMul measures the tensor GEMM backend on a 256x256x256 product. The
 // kernels are branch-free in the data, so inputs are filled with nonzero
 // values and the result depends only on shape. The output tensor is drawn
-// from a reused inference tape's arena — the steady-state form every caller
-// in the repo uses — so the measured number is the kernel, not the
+// from a reused arena tape, Reset every iteration — the steady-state form
+// the training step runs in — so the measured number is the kernel, not the
 // per-iteration allocation of a 256x256 result.
 func MatMul(b *testing.B) {
 	x := tensor.New(256, 256)
@@ -30,7 +30,7 @@ func MatMul(b *testing.B) {
 	for i := range w.Data {
 		w.Data[i] = float32(i%5) + 0.5
 	}
-	tp := tensor.NewInferenceTape()
+	tp := tensor.NewTapeArena()
 	tensor.MatMul(tp, x, w) // warm the arena
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -3,8 +3,8 @@
 // function writes a plain-text rendition of the corresponding artifact and
 // returns the underlying numbers for programmatic checks.
 //
-// The per-experiment index lives in DESIGN.md; EXPERIMENTS.md records
-// paper-vs-measured outcomes.
+// cmd/perfvec-experiments maps one subcommand to each function, and each
+// function's doc comment names the artifact it reproduces.
 package experiments
 
 import (

@@ -7,62 +7,89 @@ import (
 )
 
 // Forward-only inference graph. Each architecture's inference forward pass
-// is written once below, generic over a small backend (inferOps) that owns
-// the kernels: the linear maps, the recurrent gate blocks, the attention
-// softmax and the MLP activation. Everything else — slab scratch, flatten,
-// stacking, attention scores and value mixing, residual adds, layernorm —
-// is shared float32 code. Two backends exist:
+// is written once below, generic over the activation matrix type and a
+// backend (inferOps) that owns every operation on it: the arena, the linear
+// maps, the recurrent gate blocks, flatten/concat/stack, attention scores,
+// softmax and value mixing, residual adds, layernorm and the activations.
+// Three backends exist:
 //
 //   - f32Ops (infer32.go) runs the packed float32 GEMMs and the exact gate
-//     kernels, bitwise identical to ForwardSeq on an inference tape
-//     (TestForwardSeq32Bitwise pins this per architecture);
+//     kernels, bitwise identical to the tape forward (TestForwardSeq32Bitwise
+//     pins this per architecture). Serving, representation generation and
+//     the trainer's validation loss all run on it;
 //   - q8Ops (inferq8.go) runs the int8 GEMMs over weights quantized once at
 //     load and the fast polynomial gate/softmax/activation kernels, held to
-//     a pinned epsilon against the float64 oracle.
+//     a pinned epsilon against the float64 oracle;
+//   - f64Ops (oracle64.go) widens the weights once and runs every kernel in
+//     float64: the oracle both drift harnesses compare the other two against.
+//
+// f32Ops and q8Ops share one float32 implementation of everything but the
+// GEMMs and transcendentals (slabOps, embedded in both). The oracle's
+// independence is in its arithmetic, not its wiring: the graph it runs is
+// the one pinned bitwise to the tape forward, an independently written
+// graph.
 //
 // The graphs are instantiated per backend (type parameters, not interface
 // values), so a backend carrying several pointers is passed by value and a
-// pass stays allocation-free on warm slabs.
-//
-// The float64 oracle (oracle64.go) keeps its own graph on purpose: it is the
-// independent reference both drift harnesses compare these backends against.
+// float32 pass stays allocation-free on warm slabs.
 
-// inferOps is the kernel set an inference backend supplies. Weights are
-// named by the trained parameter tensor; a backend maps them to whatever
-// operand form its GEMMs consume.
-type inferOps interface {
-	// slab is the float32 activation arena of the pass.
-	slab() *tensor.Slab32
-	// linear returns x·wᵀ, with b broadcast over rows when b is non-nil.
-	linear(x tensor.Tensor32, w *tensor.Tensor, b []float32) tensor.Tensor32
+// matrix is the activation type an inference graph runs on.
+type matrix interface {
+	Rows() int
+}
+
+// lnEps is the layernorm epsilon of every transformer block; each backend
+// converts it to its own precision, exactly as the tape forward does.
+const lnEps = 1e-5
+
+// inferOps is the operation set an inference backend supplies. Parameters —
+// weights, biases, layernorm gains and positional encodings — are named by
+// the trained tensor; a backend maps them to whatever operand form its
+// kernels consume. A nil bias means the layer is bias-free.
+type inferOps[T matrix] interface {
+	// mat returns a zeroed r x c matrix; mats a list of n matrix headers.
+	mat(r, c int) T
+	mats(n int) []T
+	// flatten lays the timesteps of xs side by side per row.
+	flatten(xs []T) T
+	// concat returns [a|b].
+	concat(a, b T) T
+	// stack gathers row `row` of each of xs into one [len(xs), C] matrix.
+	stack(xs []T, row int) T
+	// scores returns q[:, from:to]·k[:, from:to]ᵀ.
+	scores(q, k T, from, to int) T
+	// attentionValue writes att·v[:, from:to] into columns [from, to) of dst.
+	attentionValue(dst, att, v T, from, to int)
+	// add returns a + b.
+	add(a, b T) T
+	// addBias adds b to every row of x in place.
+	addBias(x T, b *tensor.Tensor) T
+	// layerNorm normalizes each row of x, then applies gain g and bias b.
+	layerNorm(x T, g, b *tensor.Tensor) T
+	// relu applies max(·, 0) in place.
+	relu(x T) T
+	// linear returns x·wᵀ, with b broadcast over rows when non-nil.
+	linear(x T, w, b *tensor.Tensor) T
 	// linearCat returns [x|h]·wᵀ for a recurrent cell's fused weight.
-	linearCat(x, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32
+	linearCat(x, h T, w *tensor.Tensor) T
 	// lstmGates applies the LSTM cell to its pre-activations: (h', c').
-	lstmGates(pre tensor.Tensor32, b []float32, c tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32)
+	lstmGates(pre T, b *tensor.Tensor, c T) (T, T)
 	// gruGates applies the update/reset block: (z, r∘h).
-	gruGates(pre tensor.Tensor32, b []float32, h tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32)
+	gruGates(pre T, b *tensor.Tensor, h T) (T, T)
 	// gateCombine applies the candidate block and interpolates the state.
-	gateCombine(z, pre tensor.Tensor32, b []float32, h tensor.Tensor32) tensor.Tensor32
-	// softmax applies the scaled row softmax to attention scores in place.
-	softmax(scores tensor.Tensor32, scale float32) tensor.Tensor32
+	gateCombine(z, pre T, b *tensor.Tensor, h T) T
+	// softmax applies the scaled row softmax to attention scores.
+	softmax(scores T, scale float64) T
 	// act applies an MLP activation in place.
-	act(a Activation, x tensor.Tensor32) tensor.Tensor32
+	act(a Activation, x T) T
 }
 
-// biasData returns the layer's bias, or nil when it is bias-free.
-func (l *Linear) biasData() []float32 {
-	if l.bias {
-		return l.B.Data
-	}
-	return nil
-}
-
-// inferSeq encodes a sequence of [batch, features] tensors. Every
+// inferSeq encodes a sequence of [batch, features] matrices. Every
 // SeqEncoder in this package is supported; an unknown implementation panics
-// (the backends validate the model kind at construction).
+// (the serving layer validates the model kind at construction).
 //
 //perfvec:hotpath
-func inferSeq[O inferOps](o O, enc SeqEncoder, xs []tensor.Tensor32) tensor.Tensor32 {
+func inferSeq[T matrix, O inferOps[T]](o O, enc SeqEncoder, xs []T) T {
 	switch m := enc.(type) {
 	case *LSTM:
 		return inferLSTM(o, m, xs)
@@ -71,20 +98,20 @@ func inferSeq[O inferOps](o O, enc SeqEncoder, xs []tensor.Tensor32) tensor.Tens
 	case *Transformer:
 		return inferTransformer(o, m, xs)
 	case *LinearSeq:
-		return inferLinear(o, m.Proj, tensor.FlattenSeq32(o.slab(), xs))
+		return inferLinear(o, m.Proj, o.flatten(xs))
 	case *MLPSeq:
-		return inferMLP(o, m.Net, tensor.FlattenSeq32(o.slab(), xs))
+		return inferMLP(o, m.Net, o.flatten(xs))
 	}
 	panic("nn: encoder has no forward-only inference path")
 }
 
 //perfvec:hotpath
-func inferLinear[O inferOps](o O, l *Linear, x tensor.Tensor32) tensor.Tensor32 {
-	return o.linear(x, l.W, l.biasData())
+func inferLinear[T matrix, O inferOps[T]](o O, l *Linear, x T) T {
+	return o.linear(x, l.W, l.B)
 }
 
 //perfvec:hotpath
-func inferMLP[O inferOps](o O, m *MLP, x tensor.Tensor32) tensor.Tensor32 {
+func inferMLP[T matrix, O inferOps[T]](o O, m *MLP, x T) T {
 	for i, l := range m.Layers {
 		x = inferLinear(o, l, x)
 		if i+1 < len(m.Layers) {
@@ -95,22 +122,20 @@ func inferMLP[O inferOps](o O, m *MLP, x tensor.Tensor32) tensor.Tensor32 {
 }
 
 //perfvec:hotpath
-func inferLSTMLayer[O inferOps](o O, l *lstmLayer, xs []tensor.Tensor32) []tensor.Tensor32 {
-	s := o.slab()
-	batch := xs[0].R
-	h := s.Mat(batch, l.hidden)
-	c := s.Mat(batch, l.hidden)
-	hs := s.Mats(len(xs))
+func inferLSTMLayer[T matrix, O inferOps[T]](o O, l *lstmLayer, xs []T) []T {
+	batch := xs[0].Rows()
+	h := o.mat(batch, l.hidden)
+	c := o.mat(batch, l.hidden)
+	hs := o.mats(len(xs))
 	for t, x := range xs {
-		h, c = o.lstmGates(o.linearCat(x, h, l.W), l.B.Data, c)
+		h, c = o.lstmGates(o.linearCat(x, h, l.W), l.B, c)
 		hs[t] = h
 	}
 	return hs
 }
 
 //perfvec:hotpath
-func inferLSTM[O inferOps](o O, m *LSTM, xs []tensor.Tensor32) tensor.Tensor32 {
-	s := o.slab()
+func inferLSTM[T matrix, O inferOps[T]](o O, m *LSTM, xs []T) T {
 	hs := xs
 	for _, l := range m.fwd {
 		hs = inferLSTMLayer(o, l, hs)
@@ -119,26 +144,25 @@ func inferLSTM[O inferOps](o O, m *LSTM, xs []tensor.Tensor32) tensor.Tensor32 {
 	if m.bwd == nil {
 		return out
 	}
-	rev := s.Mats(len(xs))
+	rev := o.mats(len(xs))
 	for i, x := range xs {
 		rev[len(xs)-1-i] = x
 	}
 	for _, l := range m.bwd {
 		rev = inferLSTMLayer(o, l, rev)
 	}
-	return tensor.ConcatCols32(s, out, rev[len(rev)-1])
+	return o.concat(out, rev[len(rev)-1])
 }
 
 //perfvec:hotpath
-func inferGRU[O inferOps](o O, m *GRU, xs []tensor.Tensor32) tensor.Tensor32 {
-	s := o.slab()
+func inferGRU[T matrix, O inferOps[T]](o O, m *GRU, xs []T) T {
 	hs := xs
 	for _, l := range m.layers {
-		h := s.Mat(hs[0].R, l.hidden)
-		next := s.Mats(len(hs))
+		h := o.mat(hs[0].Rows(), l.hidden)
+		next := o.mats(len(hs))
 		for t, x := range hs {
-			z, rh := o.gruGates(o.linearCat(x, h, l.Wzr), l.Bzr.Data, h)
-			h = o.gateCombine(z, o.linearCat(x, rh, l.Wn), l.Bn.Data, h)
+			z, rh := o.gruGates(o.linearCat(x, h, l.Wzr), l.Bzr, h)
+			h = o.gateCombine(z, o.linearCat(x, rh, l.Wn), l.Bn, h)
 			next[t] = h
 		}
 		hs = next
@@ -148,52 +172,49 @@ func inferGRU[O inferOps](o O, m *GRU, xs []tensor.Tensor32) tensor.Tensor32 {
 
 // inferBlock processes one sample's sequence x[T, D]. The only structural
 // difference from the tape forward: per-head outputs are written straight
-// into their column range of headsOut (AttentionValue32), which fuses the
+// into their column range of headsOut (attentionValue), which fuses the
 // tape path's SliceCols/MatMul/ConcatCols into leading-dimension-aware GEMM
-// calls with bitwise-identical values. Scores and value mixing multiply two
-// dynamic activations, so they stay float32 on every backend.
+// calls with bitwise-identical values.
 //
 //perfvec:hotpath
-func inferBlock[O inferOps](o O, b *encoderBlock, x tensor.Tensor32) tensor.Tensor32 {
-	s := o.slab()
+func inferBlock[T matrix, O inferOps[T]](o O, b *encoderBlock, x T) T {
 	q := o.linear(x, b.Wq, nil)
 	k := o.linear(x, b.Wk, nil)
 	v := o.linear(x, b.Wv, nil)
 	dk := b.dim / b.heads
-	scale := float32(1 / math.Sqrt(float64(dk)))
-	headsOut := s.Mat(x.R, b.dim)
+	scale := 1 / math.Sqrt(float64(dk))
+	headsOut := o.mat(x.Rows(), b.dim)
 	for h := 0; h < b.heads; h++ {
-		att := o.softmax(tensor.MatMulBTCols32(s, q, k, h*dk, (h+1)*dk), scale)
-		tensor.AttentionValue32(headsOut, att, v, h*dk, (h+1)*dk)
+		att := o.softmax(o.scores(q, k, h*dk, (h+1)*dk), scale)
+		o.attentionValue(headsOut, att, v, h*dk, (h+1)*dk)
 	}
 	attOut := o.linear(headsOut, b.Wo, nil)
-	x = tensor.LayerNorm32(s, tensor.Add32(s, x, attOut), b.G1.Data, b.B1.Data, 1e-5)
-	ff := inferLinear(o, b.FF2, tensor.ReLUInPlace32(inferLinear(o, b.FF1, x)))
-	return tensor.LayerNorm32(s, tensor.Add32(s, x, ff), b.G2.Data, b.B2.Data, 1e-5)
+	x = o.layerNorm(o.add(x, attOut), b.G1, b.B1)
+	ff := inferLinear(o, b.FF2, o.relu(inferLinear(o, b.FF1, x)))
+	return o.layerNorm(o.add(x, ff), b.G2, b.B2)
 }
 
 //perfvec:hotpath
-func inferTransformer[O inferOps](o O, t *Transformer, xs []tensor.Tensor32) tensor.Tensor32 {
+func inferTransformer[T matrix, O inferOps[T]](o O, t *Transformer, xs []T) T {
 	if len(xs) > len(t.pos) {
 		panic("nn: transformer sequence longer than configured seqLen")
 	}
-	s := o.slab()
-	emb := s.Mats(len(xs))
+	emb := o.mats(len(xs))
 	for i, x := range xs {
 		// The positional encoding runs as an in-place epilogue on the fresh
 		// embedding: the same addition, in the same order, as the tape
 		// path's AddBias, without its output tensor.
-		emb[i] = tensor.AddBiasInPlace32(inferLinear(o, t.Embed, x), t.pos[i].Data)
+		emb[i] = o.addBias(inferLinear(o, t.Embed, x), t.pos[i])
 	}
-	batch := xs[0].R
-	T := len(xs)
-	out := s.Mat(batch, t.dim)
-	for smp := 0; smp < batch; smp++ {
-		seq := tensor.StackRows32(s, emb, smp)
+	batch := xs[0].Rows()
+	seqs := o.mats(batch)
+	for smp := range seqs {
+		seq := o.stack(emb, smp)
 		for _, blk := range t.blocks {
 			seq = inferBlock(o, blk, seq)
 		}
-		copy(out.Row(smp), seq.Row(T-1))
+		seqs[smp] = seq
 	}
-	return out
+	// Each sample's encoding is the last position of its sequence.
+	return o.stack(seqs, len(xs)-1)
 }

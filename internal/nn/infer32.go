@@ -8,13 +8,15 @@ import (
 // a Slab32 with the forward-only tensor twins: the same GEMM entry points
 // and the same per-element kernel expressions as the tape ops, with no tape
 // records, no gradient buffers, and no backward-only scratch. The outputs
-// are bitwise identical to ForwardSeq on an inference tape
-// (TestForwardSeq32Bitwise pins this per architecture), so serving runs
-// this path by default without perturbing a single cached representation.
+// are bitwise identical to ForwardSeq on a tape (TestForwardSeq32Bitwise
+// pins this per architecture), so serving runs this path by default without
+// perturbing a single cached representation, and the trainer's validation
+// loss runs on it without changing a bit of the training trajectory.
 //
 // Weights are shared, not copied: t32 wraps the trained float32 parameters
-// in Tensor32 headers in place. The path assumes weights are frozen while
-// inference runs — the same assumption the serving layer already makes.
+// in Tensor32 headers in place, so a pass always reads the current weights
+// — the trainer evaluates between epochs on the weights it just updated.
+// A pass must not overlap a weight update.
 
 // t32 wraps a trained parameter tensor as a forward-only view.
 //
@@ -23,19 +25,72 @@ func t32(t *tensor.Tensor) tensor.Tensor32 {
 	return tensor.Tensor32{Data: t.Data, R: t.Rows(), C: t.Cols()}
 }
 
-// f32Ops is the float32 inference backend.
-type f32Ops struct{ s *tensor.Slab32 }
+// slabOps is the float32 part every float32 backend shares: the slab arena
+// and the operations that are not GEMMs or transcendentals. f32Ops and q8Ops
+// embed it.
+type slabOps struct{ s *tensor.Slab32 }
 
-func (o f32Ops) slab() *tensor.Slab32 { return o.s }
+//perfvec:hotpath
+func (o slabOps) mat(r, c int) tensor.Tensor32 { return o.s.Mat(r, c) }
+
+//perfvec:hotpath
+func (o slabOps) mats(n int) []tensor.Tensor32 { return o.s.Mats(n) }
+
+//perfvec:hotpath
+func (o slabOps) flatten(xs []tensor.Tensor32) tensor.Tensor32 {
+	return tensor.FlattenSeq32(o.s, xs)
+}
+
+//perfvec:hotpath
+func (o slabOps) concat(a, b tensor.Tensor32) tensor.Tensor32 {
+	return tensor.ConcatCols32(o.s, a, b)
+}
+
+//perfvec:hotpath
+func (o slabOps) stack(xs []tensor.Tensor32, row int) tensor.Tensor32 {
+	return tensor.StackRows32(o.s, xs, row)
+}
+
+// scores and attentionValue multiply two dynamic activations, so they stay
+// float32 GEMMs on every float32 backend.
+//
+//perfvec:hotpath
+func (o slabOps) scores(q, k tensor.Tensor32, from, to int) tensor.Tensor32 {
+	return tensor.MatMulBTCols32(o.s, q, k, from, to)
+}
+
+//perfvec:hotpath
+func (o slabOps) attentionValue(dst, att, v tensor.Tensor32, from, to int) {
+	tensor.AttentionValue32(dst, att, v, from, to)
+}
+
+//perfvec:hotpath
+func (o slabOps) add(a, b tensor.Tensor32) tensor.Tensor32 { return tensor.Add32(o.s, a, b) }
+
+//perfvec:hotpath
+func (o slabOps) addBias(x tensor.Tensor32, b *tensor.Tensor) tensor.Tensor32 {
+	return tensor.AddBiasInPlace32(x, b.Data)
+}
+
+//perfvec:hotpath
+func (o slabOps) layerNorm(x tensor.Tensor32, g, b *tensor.Tensor) tensor.Tensor32 {
+	return tensor.LayerNorm32(o.s, x, g.Data, b.Data, lnEps)
+}
+
+//perfvec:hotpath
+func (o slabOps) relu(x tensor.Tensor32) tensor.Tensor32 { return tensor.ReLUInPlace32(x) }
+
+// f32Ops is the float32 inference backend.
+type f32Ops struct{ slabOps }
 
 // linear runs the bias broadcast in place on the GEMM output, exactly as
 // Linear.Forward does.
 //
 //perfvec:hotpath
-func (o f32Ops) linear(x tensor.Tensor32, w *tensor.Tensor, b []float32) tensor.Tensor32 {
+func (o f32Ops) linear(x tensor.Tensor32, w, b *tensor.Tensor) tensor.Tensor32 {
 	y := tensor.MatMulBT32(o.s, x, t32(w))
 	if b != nil {
-		y = tensor.AddBiasInPlace32(y, b)
+		y = tensor.AddBiasInPlace32(y, b.Data)
 	}
 	return y
 }
@@ -46,23 +101,23 @@ func (o f32Ops) linearCat(x, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor3
 }
 
 //perfvec:hotpath
-func (o f32Ops) lstmGates(pre tensor.Tensor32, b []float32, c tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
-	return tensor.LSTMGates32(o.s, pre, b, c)
+func (o f32Ops) lstmGates(pre tensor.Tensor32, b *tensor.Tensor, c tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
+	return tensor.LSTMGates32(o.s, pre, b.Data, c)
 }
 
 //perfvec:hotpath
-func (o f32Ops) gruGates(pre tensor.Tensor32, b []float32, h tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
-	return tensor.GRUGates32(o.s, pre, b, h)
+func (o f32Ops) gruGates(pre tensor.Tensor32, b *tensor.Tensor, h tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
+	return tensor.GRUGates32(o.s, pre, b.Data, h)
 }
 
 //perfvec:hotpath
-func (o f32Ops) gateCombine(z, pre tensor.Tensor32, b []float32, h tensor.Tensor32) tensor.Tensor32 {
-	return tensor.GateCombine32(o.s, z, pre, b, h)
+func (o f32Ops) gateCombine(z, pre tensor.Tensor32, b *tensor.Tensor, h tensor.Tensor32) tensor.Tensor32 {
+	return tensor.GateCombine32(o.s, z, pre, b.Data, h)
 }
 
 //perfvec:hotpath
-func (o f32Ops) softmax(scores tensor.Tensor32, scale float32) tensor.Tensor32 {
-	return tensor.AttentionSoftmax32(o.s, scores, scale)
+func (o f32Ops) softmax(scores tensor.Tensor32, scale float64) tensor.Tensor32 {
+	return tensor.AttentionSoftmax32(o.s, scores, float32(scale))
 }
 
 //perfvec:hotpath
@@ -85,7 +140,7 @@ func (o f32Ops) act(a Activation, x tensor.Tensor32) tensor.Tensor32 {
 //
 //perfvec:hotpath
 func ForwardSeq32(enc SeqEncoder, s *tensor.Slab32, xs []tensor.Tensor32) tensor.Tensor32 {
-	return inferSeq(f32Ops{s}, enc, xs)
+	return inferSeq(f32Ops{slabOps{s}}, enc, xs)
 }
 
 // Forward32 applies the layer on the slab; the bias broadcast runs in place
@@ -93,12 +148,12 @@ func ForwardSeq32(enc SeqEncoder, s *tensor.Slab32, xs []tensor.Tensor32) tensor
 //
 //perfvec:hotpath
 func (l *Linear) Forward32(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
-	return inferLinear(f32Ops{s}, l, x)
+	return inferLinear(f32Ops{slabOps{s}}, l, x)
 }
 
 // Forward32 applies all layers with the activation between them.
 //
 //perfvec:hotpath
 func (m *MLP) Forward32(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
-	return inferMLP(f32Ops{s}, m, x)
+	return inferMLP(f32Ops{slabOps{s}}, m, x)
 }

@@ -37,13 +37,13 @@ func seqInputs(rng *rand.Rand, T, batch, featDim int) ([]*tensor.Tensor, []tenso
 
 // TestForwardSeq32Bitwise pins the central contract of the fast path: for
 // every architecture, the forward-only float32 encode is bitwise identical
-// to ForwardSeq on an inference tape.
+// to the tape ForwardSeq.
 func TestForwardSeq32Bitwise(t *testing.T) {
 	const featDim, T, batch = 13, 8, 9
 	for name, enc := range encoders(rand.New(rand.NewSource(5)), featDim) {
 		t.Run(name, func(t *testing.T) {
 			xs, xs32, _ := seqInputs(rand.New(rand.NewSource(17)), T, batch, featDim)
-			want := enc.ForwardSeq(tensor.NewInferenceTape(), xs)
+			want := enc.ForwardSeq(nil, xs)
 			s := &tensor.Slab32{}
 			for pass := 0; pass < 2; pass++ { // second pass runs on recycled slab memory
 				s.Reset()

@@ -93,7 +93,7 @@ func NewQ8Encoder(enc SeqEncoder) *Q8Encoder {
 //
 //perfvec:hotpath
 func ForwardSeqQ8(enc *Q8Encoder, s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) tensor.Tensor32 {
-	return inferSeq(q8Ops{s: s, q: q, w: enc.w}, enc.enc, xs)
+	return inferSeq(q8Ops{slabOps: slabOps{s}, q: q, w: enc.w}, enc.enc, xs)
 }
 
 // OutDim reports the width of the encoding.
@@ -101,18 +101,26 @@ func (o *Q8Encoder) OutDim() int { return o.enc.OutDim() }
 
 // q8Ops is the int8 inference backend.
 type q8Ops struct {
-	s *tensor.Slab32
+	slabOps
 	q *tensor.SlabI8
 	w map[*tensor.Tensor]q8Weight
 }
 
-func (o q8Ops) slab() *tensor.Slab32 { return o.s }
+// data returns a parameter's values, or nil for an absent (nil) one.
+//
+//perfvec:hotpath
+func data(t *tensor.Tensor) []float32 {
+	if t == nil {
+		return nil
+	}
+	return t.Data
+}
 
 // linear fuses the bias into the dequantization epilogue.
 //
 //perfvec:hotpath
-func (o q8Ops) linear(x tensor.Tensor32, w *tensor.Tensor, b []float32) tensor.Tensor32 {
-	return tensor.MatMulQ8(o.s, o.q, x, o.w[w].full, b)
+func (o q8Ops) linear(x tensor.Tensor32, w, b *tensor.Tensor) tensor.Tensor32 {
+	return tensor.MatMulQ8(o.s, o.q, x, o.w[w].full, data(b))
 }
 
 //perfvec:hotpath
@@ -124,23 +132,23 @@ func (o q8Ops) linearCat(x, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32
 }
 
 //perfvec:hotpath
-func (o q8Ops) lstmGates(pre tensor.Tensor32, b []float32, c tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
-	return tensor.LSTMGatesFast32(o.s, pre, b, c)
+func (o q8Ops) lstmGates(pre tensor.Tensor32, b *tensor.Tensor, c tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
+	return tensor.LSTMGatesFast32(o.s, pre, b.Data, c)
 }
 
 //perfvec:hotpath
-func (o q8Ops) gruGates(pre tensor.Tensor32, b []float32, h tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
-	return tensor.GRUGatesFast32(o.s, pre, b, h)
+func (o q8Ops) gruGates(pre tensor.Tensor32, b *tensor.Tensor, h tensor.Tensor32) (tensor.Tensor32, tensor.Tensor32) {
+	return tensor.GRUGatesFast32(o.s, pre, b.Data, h)
 }
 
 //perfvec:hotpath
-func (o q8Ops) gateCombine(z, pre tensor.Tensor32, b []float32, h tensor.Tensor32) tensor.Tensor32 {
-	return tensor.GateCombineFast32(o.s, z, pre, b, h)
+func (o q8Ops) gateCombine(z, pre tensor.Tensor32, b *tensor.Tensor, h tensor.Tensor32) tensor.Tensor32 {
+	return tensor.GateCombineFast32(o.s, z, pre, b.Data, h)
 }
 
 //perfvec:hotpath
-func (o q8Ops) softmax(scores tensor.Tensor32, scale float32) tensor.Tensor32 {
-	return tensor.AttentionSoftmaxFast32(o.s, scores, scale)
+func (o q8Ops) softmax(scores tensor.Tensor32, scale float64) tensor.Tensor32 {
+	return tensor.AttentionSoftmaxFast32(o.s, scores, float32(scale))
 }
 
 //perfvec:hotpath
@@ -166,7 +174,7 @@ type LinearQ8 struct {
 // NewLinearQ8 quantizes l's weights; the bias (if any) aliases the trained
 // parameters.
 func NewLinearQ8(l *Linear) *LinearQ8 {
-	return &LinearQ8{w: tensor.QuantizeWeightsBT(t32(l.W), 0, l.W.Cols()), b: l.biasData()}
+	return &LinearQ8{w: tensor.QuantizeWeightsBT(t32(l.W), 0, l.W.Cols()), b: data(l.B)}
 }
 
 // Forward applies the layer through the quantized GEMM.

@@ -1,289 +1,136 @@
 package nn
 
 import (
-	"math"
-
 	"repro/internal/tensor"
 )
 
 // Float64 forward oracle. NewOracle64 widens a trained float32 model's
-// weights to float64 once (widening is exact, so the oracle sees
-// bit-for-bit the same parameters) and replays the forward graph with every
-// GEMM accumulation, transcendental, and reduction computed directly in
-// float64. The epsilon drift harness holds the float32 fast path to
-// rel err <= 1e-4 against this oracle, and -precision=f64 serving routes
-// encodes through it for audit runs. The oracle assumes the source model's
-// weights are frozen after construction; it allocates freely (it is the
-// reference, not a hot path).
-
-// seqOracle is the float64 twin of SeqEncoder's forward pass.
-type seqOracle interface {
-	forward(xs []tensor.Tensor64) tensor.Tensor64
-}
+// parameters to float64 once (widening is exact, so the oracle sees
+// bit-for-bit the same parameters) and runs the inference graph (infer.go)
+// on f64Ops, whose kernels (tensor/infer64.go) compute every GEMM
+// accumulation, transcendental, and reduction directly in float64. The
+// epsilon drift harnesses hold the float32 and int8 paths against this
+// oracle, and -precision=f64 serving routes encodes through it for audit
+// runs. The oracle assumes the source model's weights are frozen after
+// construction; it allocates freely (it is the reference, not a hot path).
 
 // Oracle64 is a float64 forward-only image of a SeqEncoder.
 type Oracle64 struct {
-	enc    seqOracle
-	outDim int
+	enc SeqEncoder
+	ops f64Ops
 }
 
-// NewOracle64 widens enc's weights into a float64 oracle. Every SeqEncoder
-// in this package is supported; an unknown implementation panics.
-func NewOracle64(enc SeqEncoder) *Oracle64 {
-	o := &Oracle64{outDim: enc.OutDim()}
-	switch m := enc.(type) {
-	case *LSTM:
-		o.enc = newLSTMOracle(m)
-	case *GRU:
-		o.enc = newGRUOracle(m)
-	case *Transformer:
-		o.enc = newTransformerOracle(m)
-	case *LinearSeq:
-		o.enc = &flatOracle{net: &MLP64{layers: []*Linear64{NewLinear64(m.Proj)}}}
-	case *MLPSeq:
-		o.enc = &flatOracle{net: NewMLP64(m.Net)}
-	default:
-		panic("nn: encoder has no float64 oracle")
+// NewOracle64 widens the parameters of enc — and of any extra layers the
+// caller runs through Linear, such as a projection head — into a float64
+// oracle. Every SeqEncoder in this package is supported.
+func NewOracle64(enc SeqEncoder, layers ...*Linear) *Oracle64 {
+	o := &Oracle64{enc: enc, ops: f64Ops{w: map[*tensor.Tensor]tensor.Tensor64{}}}
+	params := enc.Params()
+	for _, l := range layers {
+		params = append(params, l.Params()...)
+	}
+	for _, p := range params {
+		o.ops.w[p] = tensor.Widen(p)
 	}
 	return o
 }
 
 // ForwardSeq encodes a sequence of [batch, features] float64 tensors.
 func (o *Oracle64) ForwardSeq(xs []tensor.Tensor64) tensor.Tensor64 {
-	return o.enc.forward(xs)
+	return inferSeq(o.ops, o.enc, xs)
+}
+
+// Linear applies l, one of the layers passed to NewOracle64, in float64.
+func (o *Oracle64) Linear(l *Linear, x tensor.Tensor64) tensor.Tensor64 {
+	return inferLinear(o.ops, l, x)
 }
 
 // OutDim reports the width of the encoding.
-func (o *Oracle64) OutDim() int { return o.outDim }
+func (o *Oracle64) OutDim() int { return o.enc.OutDim() }
 
-// Linear64 is a widened Linear layer.
-type Linear64 struct {
-	W tensor.Tensor64
-	B []float64 // nil when bias-free
+// f64Ops is the float64 inference backend. w holds the widened parameters;
+// a tensor outside it (the transformer's fixed positional encodings) is
+// widened on use — exactly, so the result is the same either way.
+type f64Ops struct {
+	w map[*tensor.Tensor]tensor.Tensor64
 }
 
-// NewLinear64 widens l's weights.
-func NewLinear64(l *Linear) *Linear64 {
-	o := &Linear64{W: tensor.Widen(l.W)}
-	if l.bias {
-		o.B = tensor.WidenSlice(l.B.Data)
+// p returns the float64 image of a parameter.
+func (o f64Ops) p(t *tensor.Tensor) tensor.Tensor64 {
+	if w, ok := o.w[t]; ok {
+		return w
 	}
-	return o
+	return tensor.Widen(t)
 }
 
-// Forward applies the layer.
-func (l *Linear64) Forward(x tensor.Tensor64) tensor.Tensor64 {
-	y := tensor.MatMulBT64(x, l.W)
-	if l.B != nil {
-		y = tensor.AddBiasInPlace64(y, l.B)
+func (o f64Ops) mat(r, c int) tensor.Tensor64 { return tensor.NewTensor64(r, c) }
+
+func (o f64Ops) mats(n int) []tensor.Tensor64 { return make([]tensor.Tensor64, n) }
+
+func (o f64Ops) flatten(xs []tensor.Tensor64) tensor.Tensor64 { return tensor.FlattenSeq64(xs) }
+
+func (o f64Ops) concat(a, b tensor.Tensor64) tensor.Tensor64 { return tensor.ConcatCols64(a, b) }
+
+func (o f64Ops) stack(xs []tensor.Tensor64, row int) tensor.Tensor64 {
+	return tensor.StackRows64(xs, row)
+}
+
+func (o f64Ops) scores(q, k tensor.Tensor64, from, to int) tensor.Tensor64 {
+	return tensor.MatMulBTCols64(q, k, from, to)
+}
+
+func (o f64Ops) attentionValue(dst, att, v tensor.Tensor64, from, to int) {
+	tensor.AttentionValue64(dst, att, v, from, to)
+}
+
+func (o f64Ops) add(a, b tensor.Tensor64) tensor.Tensor64 { return tensor.Add64(a, b) }
+
+func (o f64Ops) addBias(x tensor.Tensor64, b *tensor.Tensor) tensor.Tensor64 {
+	return tensor.AddBiasInPlace64(x, o.p(b).Data)
+}
+
+func (o f64Ops) layerNorm(x tensor.Tensor64, g, b *tensor.Tensor) tensor.Tensor64 {
+	return tensor.LayerNorm64(x, o.p(g).Data, o.p(b).Data, lnEps)
+}
+
+func (o f64Ops) relu(x tensor.Tensor64) tensor.Tensor64 { return tensor.ReLUInPlace64(x) }
+
+func (o f64Ops) linear(x tensor.Tensor64, w, b *tensor.Tensor) tensor.Tensor64 {
+	y := tensor.MatMulBT64(x, o.p(w))
+	if b != nil {
+		y = o.addBias(y, b)
 	}
 	return y
 }
 
-// MLP64 is a widened MLP.
-type MLP64 struct {
-	layers []*Linear64
-	act    Activation
+func (o f64Ops) linearCat(x, h tensor.Tensor64, w *tensor.Tensor) tensor.Tensor64 {
+	return tensor.MatMulBTCat64(x, h, o.p(w))
 }
 
-// NewMLP64 widens m's layers.
-func NewMLP64(m *MLP) *MLP64 {
-	o := &MLP64{act: m.Act}
-	for _, l := range m.Layers {
-		o.layers = append(o.layers, NewLinear64(l))
+func (o f64Ops) lstmGates(pre tensor.Tensor64, b *tensor.Tensor, c tensor.Tensor64) (tensor.Tensor64, tensor.Tensor64) {
+	return tensor.LSTMGates64(pre, o.p(b).Data, c)
+}
+
+func (o f64Ops) gruGates(pre tensor.Tensor64, b *tensor.Tensor, h tensor.Tensor64) (tensor.Tensor64, tensor.Tensor64) {
+	return tensor.GRUGates64(pre, o.p(b).Data, h)
+}
+
+func (o f64Ops) gateCombine(z, pre tensor.Tensor64, b *tensor.Tensor, h tensor.Tensor64) tensor.Tensor64 {
+	return tensor.GateCombine64(z, pre, o.p(b).Data, h)
+}
+
+func (o f64Ops) softmax(scores tensor.Tensor64, scale float64) tensor.Tensor64 {
+	return tensor.AttentionSoftmax64(scores, scale)
+}
+
+func (o f64Ops) act(a Activation, x tensor.Tensor64) tensor.Tensor64 {
+	switch a {
+	case ActReLU:
+		return tensor.ReLUInPlace64(x)
+	case ActTanh:
+		return tensor.TanhInPlace64(x)
+	case ActSigmoid:
+		return tensor.SigmoidInPlace64(x)
 	}
-	return o
-}
-
-// Forward applies all layers with the activation between them.
-func (m *MLP64) Forward(x tensor.Tensor64) tensor.Tensor64 {
-	for i, l := range m.layers {
-		x = l.Forward(x)
-		if i+1 < len(m.layers) {
-			switch m.act {
-			case ActReLU:
-				x = tensor.ReLUInPlace64(x)
-			case ActTanh:
-				x = tensor.TanhInPlace64(x)
-			case ActSigmoid:
-				x = tensor.SigmoidInPlace64(x)
-			default:
-				panic("nn: unknown activation")
-			}
-		}
-	}
-	return x
-}
-
-// flatOracle handles the flattened-window baselines (LinearSeq, MLPSeq).
-type flatOracle struct {
-	net *MLP64
-}
-
-func (f *flatOracle) forward(xs []tensor.Tensor64) tensor.Tensor64 {
-	return f.net.Forward(tensor.FlattenSeq64(xs))
-}
-
-type lstmLayer64 struct {
-	W      tensor.Tensor64
-	B      []float64
-	hidden int
-}
-
-func (l *lstmLayer64) runSeq(xs []tensor.Tensor64) []tensor.Tensor64 {
-	batch := xs[0].R
-	h := tensor.NewTensor64(batch, l.hidden)
-	c := tensor.NewTensor64(batch, l.hidden)
-	hs := make([]tensor.Tensor64, len(xs))
-	for t, x := range xs {
-		h, c = tensor.LSTMGates64(tensor.MatMulBTCat64(x, h, l.W), l.B, c)
-		hs[t] = h
-	}
-	return hs
-}
-
-type lstmOracle struct {
-	fwd, bwd []*lstmLayer64
-}
-
-func newLSTMOracle(m *LSTM) *lstmOracle {
-	o := &lstmOracle{}
-	for _, l := range m.fwd {
-		o.fwd = append(o.fwd, &lstmLayer64{W: tensor.Widen(l.W), B: tensor.WidenSlice(l.B.Data), hidden: l.hidden})
-	}
-	for _, l := range m.bwd {
-		o.bwd = append(o.bwd, &lstmLayer64{W: tensor.Widen(l.W), B: tensor.WidenSlice(l.B.Data), hidden: l.hidden})
-	}
-	return o
-}
-
-func (m *lstmOracle) forward(xs []tensor.Tensor64) tensor.Tensor64 {
-	hs := xs
-	for _, l := range m.fwd {
-		hs = l.runSeq(hs)
-	}
-	out := hs[len(hs)-1]
-	if m.bwd == nil {
-		return out
-	}
-	rev := make([]tensor.Tensor64, len(xs))
-	for i, x := range xs {
-		rev[len(xs)-1-i] = x
-	}
-	for _, l := range m.bwd {
-		rev = l.runSeq(rev)
-	}
-	return tensor.ConcatCols64(out, rev[len(rev)-1])
-}
-
-type gruLayer64 struct {
-	Wzr, Wn tensor.Tensor64
-	Bzr, Bn []float64
-	hidden  int
-}
-
-func (l *gruLayer64) runSeq(xs []tensor.Tensor64) []tensor.Tensor64 {
-	batch := xs[0].R
-	h := tensor.NewTensor64(batch, l.hidden)
-	hs := make([]tensor.Tensor64, len(xs))
-	for t, x := range xs {
-		z, rh := tensor.GRUGates64(tensor.MatMulBTCat64(x, h, l.Wzr), l.Bzr, h)
-		h = tensor.GateCombine64(z, tensor.MatMulBTCat64(x, rh, l.Wn), l.Bn, h)
-		hs[t] = h
-	}
-	return hs
-}
-
-type gruOracle struct {
-	layers []*gruLayer64
-}
-
-func newGRUOracle(m *GRU) *gruOracle {
-	o := &gruOracle{}
-	for _, l := range m.layers {
-		o.layers = append(o.layers, &gruLayer64{
-			Wzr: tensor.Widen(l.Wzr), Bzr: tensor.WidenSlice(l.Bzr.Data),
-			Wn: tensor.Widen(l.Wn), Bn: tensor.WidenSlice(l.Bn.Data),
-			hidden: l.hidden,
-		})
-	}
-	return o
-}
-
-func (m *gruOracle) forward(xs []tensor.Tensor64) tensor.Tensor64 {
-	hs := xs
-	for _, l := range m.layers {
-		hs = l.runSeq(hs)
-	}
-	return hs[len(hs)-1]
-}
-
-type encoderBlock64 struct {
-	Wq, Wk, Wv, Wo tensor.Tensor64
-	FF1, FF2       *Linear64
-	G1, B1, G2, B2 []float64
-	heads, dim     int
-}
-
-func (b *encoderBlock64) forward(x tensor.Tensor64) tensor.Tensor64 {
-	q := tensor.MatMulBT64(x, b.Wq)
-	k := tensor.MatMulBT64(x, b.Wk)
-	v := tensor.MatMulBT64(x, b.Wv)
-	dkh := b.dim / b.heads
-	scale := 1 / math.Sqrt(float64(dkh))
-	headsOut := tensor.NewTensor64(x.R, b.dim)
-	for h := 0; h < b.heads; h++ {
-		att := tensor.AttentionSoftmax64(tensor.MatMulBTCols64(q, k, h*dkh, (h+1)*dkh), scale)
-		tensor.AttentionValue64(headsOut, att, v, h*dkh, (h+1)*dkh)
-	}
-	attOut := tensor.MatMulBT64(headsOut, b.Wo)
-	x = tensor.LayerNorm64(tensor.Add64(x, attOut), b.G1, b.B1, 1e-5)
-	ff := b.FF2.Forward(tensor.ReLUInPlace64(b.FF1.Forward(x)))
-	return tensor.LayerNorm64(tensor.Add64(x, ff), b.G2, b.B2, 1e-5)
-}
-
-type transformerOracle struct {
-	embed  *Linear64
-	blocks []*encoderBlock64
-	pos    [][]float64
-	dim    int
-}
-
-func newTransformerOracle(t *Transformer) *transformerOracle {
-	o := &transformerOracle{embed: NewLinear64(t.Embed), dim: t.dim}
-	for _, b := range t.blocks {
-		o.blocks = append(o.blocks, &encoderBlock64{
-			Wq: tensor.Widen(b.Wq), Wk: tensor.Widen(b.Wk),
-			Wv: tensor.Widen(b.Wv), Wo: tensor.Widen(b.Wo),
-			FF1: NewLinear64(b.FF1), FF2: NewLinear64(b.FF2),
-			G1: tensor.WidenSlice(b.G1.Data), B1: tensor.WidenSlice(b.B1.Data),
-			G2: tensor.WidenSlice(b.G2.Data), B2: tensor.WidenSlice(b.B2.Data),
-			heads: b.heads, dim: b.dim,
-		})
-	}
-	for _, pe := range t.pos {
-		o.pos = append(o.pos, tensor.WidenSlice(pe.Data))
-	}
-	return o
-}
-
-func (t *transformerOracle) forward(xs []tensor.Tensor64) tensor.Tensor64 {
-	if len(xs) > len(t.pos) {
-		panic("nn: transformer sequence longer than configured seqLen")
-	}
-	emb := make([]tensor.Tensor64, len(xs))
-	for i, x := range xs {
-		emb[i] = tensor.AddBiasInPlace64(t.embed.Forward(x), t.pos[i])
-	}
-	batch := xs[0].R
-	T := len(xs)
-	out := tensor.NewTensor64(batch, t.dim)
-	for smp := 0; smp < batch; smp++ {
-		seq := tensor.StackRows64(emb, smp)
-		for _, blk := range t.blocks {
-			seq = blk.forward(seq)
-		}
-		copy(out.Row(smp), seq.Row(T-1))
-	}
-	return out
+	panic("nn: unknown activation")
 }

@@ -147,9 +147,9 @@ func TestTapeHistogramSerialStep(t *testing.T) {
 	}
 }
 
-// TestLossSteadyStateAllocFree pins the arena'd inference path: Trainer.Loss
-// runs its eval shards on pooled inference tapes, so repeated evaluations
-// over the same ids must stop allocating once the tape pool is warm.
+// TestLossSteadyStateAllocFree pins the pooled evaluation path: Trainer.Loss
+// runs its eval shards on pooled inference encoders, so repeated evaluations
+// over the same ids must stop growing their slabs once the pool is warm.
 func TestLossSteadyStateAllocFree(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epochs = 1
@@ -157,14 +157,14 @@ func TestLossSteadyStateAllocFree(t *testing.T) {
 	ids := d.train[:600] // multiple eval chunks
 	tr.Loss(d, ids)
 	tr.Loss(d, ids)
-	warm := tr.evalTapes.misses()
+	_, warm := tr.Model.EncoderStats()
 	for i := 0; i < 3; i++ {
 		tr.Loss(d, ids)
 	}
-	if after := tr.evalTapes.misses(); after != warm {
-		t.Errorf("eval tapes allocated %d tensors after warm-up; Loss must run on pooled inference arenas", after-warm)
+	if _, after := tr.Model.EncoderStats(); after != warm {
+		t.Errorf("eval encoders grew their slabs %d times after warm-up; Loss must run on pooled inference arenas", after-warm)
 	}
-	// The residual per-call overhead (shard dispatch, tape pool handoff) must
+	// The residual per-call overhead (shard dispatch, encoder pool handoff) must
 	// stay tiny — far below one allocation per evaluated batch.
 	if raceEnabled {
 		return // see TestStepReuseSteadyStateAllocFree

@@ -34,9 +34,9 @@ const (
 )
 
 // Config holds the model and training hyperparameters. The defaults are the
-// paper's choices scaled for CPU-only training (see DESIGN.md): the paper's
-// LSTM-2-256 with a 256-instruction context becomes LSTM-2-32 with an
-// 8-instruction context; both are configurable.
+// paper's choices scaled for CPU-only training: the paper's LSTM-2-256
+// with a 256-instruction context becomes LSTM-2-32 with an 8-instruction
+// context; both are configurable.
 type Config struct {
 	Model   ModelKind
 	Layers  int // encoder depth (paper: 2)

@@ -181,8 +181,6 @@ func (d *Dataset) Subsample(frac float64) *Dataset {
 //
 //perfvec:hotpath
 func (d *Dataset) Batch(tp *tensor.Tape, ids []int, window int, targetScale float32, workers int) ([]*tensor.Tensor, *tensor.Tensor) {
-	// Locals, not named results: a closure capturing named result variables
-	// forces them into heap boxes on every call, even on the serial path.
 	bsz := len(ids)
 	xs := tp.Tensors(window)
 	for t := range xs {
@@ -192,47 +190,89 @@ func (d *Dataset) Batch(tp *tensor.Tape, ids []int, window int, targetScale floa
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > bsz {
-		workers = bsz
+	workers = max(1, min(workers, bsz))
+	// The shards dispatch as a typed kernel, not a closure: the call's
+	// arguments travel in a recycled batchFill, so assembly allocates
+	// nothing beyond the tensors at any worker count. One worker runs
+	// inline.
+	var j *batchFill
+	select {
+	case j = <-batchFills:
+	default:
+		j = new(batchFill) //perfvec:allow hotalloc -- first use per concurrent Batch call; recycled below
 	}
-	if workers <= 1 {
-		// Direct call, no closure: the serial batch path is part of the
-		// allocation-free training step.
-		d.fillWindows(xs, targets, ids, window, targetScale, 0, bsz)
-		return xs, targets
-	}
+	*j = batchFill{d: d, xs: xs, targets: targets, ids: ids, scale: targetScale}
 	shard := (bsz + workers - 1) / workers
-	tensor.Parallel(workers, func(w0, w1 int) { //perfvec:allow hotalloc -- sharded path only; the serial batch path above is the allocation-free one (see the locals comment)
-		for w := w0; w < w1; w++ {
-			from := w * shard
-			to := min(from+shard, bsz)
-			if from < to {
-				d.fillWindows(xs, targets, ids, window, targetScale, from, to)
-			}
-		}
-	})
+	tensor.ParallelKernel(workers, bsz*window*d.FeatDim, kFillBatch,
+		tensor.KernelArgs{I: [6]int{shard, bsz}, X: j})
+	*j = batchFill{} // drop the references to this call's data
+	select {
+	case batchFills <- j:
+	default: // more concurrent calls than free slots
+	}
 	return xs, targets
 }
 
-// fillWindows assembles output rows [b0, b1) of a Batch call: one window of
-// feature rows per sample (zero-padded before program start) plus the scaled
-// target row.
-func (d *Dataset) fillWindows(xs []*tensor.Tensor, targets *tensor.Tensor, ids []int, window int, targetScale float32, b0, b1 int) {
+// batchFill is the argument block of one Batch call (kFillBatch's
+// KernelArgs.X).
+type batchFill struct {
+	d       *Dataset
+	xs      []*tensor.Tensor
+	targets *tensor.Tensor
+	ids     []int
+	scale   float32
+}
+
+// batchFills is the free list of batchFill blocks, in place of a
+// sync.Pool: a pool drops its contents at every GC, and Batch's fresh
+// tensors (nil tape) make GCs frequent enough that refilling one would cost
+// an allocation every few calls. One block is live per concurrent Batch
+// call (one per gradient worker in training); 64 slots cover any worker
+// count in use, and a call beyond them allocates a block and drops it.
+var batchFills = make(chan *batchFill, 64)
+
+// kFillBatch assembles the rows of Batch shards [s, e): every window
+// position of each sample plus its scaled target row. X=*batchFill,
+// I0=shard size in rows, I1=batch size.
+//
+//perfvec:hotpath
+func kFillBatch(s, e int, ka tensor.KernelArgs) {
+	j := ka.X.(*batchFill)
+	d := j.d
+	b0, b1 := s*ka.I[0], min(e*ka.I[0], ka.I[1])
+	for t, x := range j.xs {
+		d.fillWindow(x.Data, j.ids, t, len(j.xs), b0, b1)
+	}
 	for b := b0; b < b1; b++ {
-		id := ids[b]
-		p := d.Programs[d.progOf[id]]
-		i := int(d.instOf[id])
-		for t := 0; t < window; t++ {
-			src := i - (window - 1) + t
-			if src < 0 {
-				continue // zero padding before program start
-			}
-			copy(xs[t].Row(b), p.Features[src*d.FeatDim:(src+1)*d.FeatDim])
-		}
-		for j := 0; j < d.K; j++ {
-			targets.Set(b, j, p.Targets[i*d.K+j]*targetScale)
+		p, i := d.sample(j.ids[b])
+		for k := 0; k < d.K; k++ {
+			j.targets.Set(b, k, p.Targets[i*d.K+k]*j.scale)
 		}
 	}
+}
+
+// fillWindow writes window position t (of `window`, oldest first) for
+// samples ids[b0:b1] into rows [b0, b1) of x, the row-major
+// [len(ids) x FeatDim] matrix of that position. Positions before program
+// start are skipped: x arrives zeroed, so that is the zero padding. Batch
+// and Trainer.Loss both assemble their windows through it.
+//
+//perfvec:hotpath
+func (d *Dataset) fillWindow(x []float32, ids []int, t, window, b0, b1 int) {
+	f := d.FeatDim
+	for b := b0; b < b1; b++ {
+		p, i := d.sample(ids[b])
+		if src := i - (window - 1) + t; src >= 0 {
+			copy(x[b*f:(b+1)*f], p.Features[src*f:(src+1)*f])
+		}
+	}
+}
+
+// sample maps a flat sample id to its program and instruction index.
+//
+//perfvec:hotpath
+func (d *Dataset) sample(id int) (*ProgramData, int) {
+	return d.Programs[d.progOf[id]], int(d.instOf[id])
 }
 
 // WindowsFor materializes input windows for instructions [from, to) of a

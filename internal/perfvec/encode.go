@@ -182,9 +182,9 @@ func (e *Encoder) windows(n int) []tensor.Tensor32 {
 }
 
 // forward runs encoder and head over the window matrices xs on the
-// encoder's arenas: the float32 engine (bitwise identical to Forward on an
-// inference tape) or, when q8 is set, the int8 engine. The result lives
-// until the next pass.
+// encoder's arenas: the float32 engine (bitwise identical to the tape
+// Forward) or, when q8 is set, the int8 engine. The result lives until the
+// next pass.
 //
 //perfvec:hotpath
 func (e *Encoder) forward(xs []tensor.Tensor32, q8 bool) tensor.Tensor32 {

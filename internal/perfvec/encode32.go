@@ -9,17 +9,16 @@ import (
 // Precision variants of the coalesced batch encode. EncodePrograms32 is the
 // serving fast path: the batch encode loop (encode.go) on the forward-only
 // float32 engine (nn.ForwardSeq32 on the encoder's Slab32). That engine is
-// bitwise identical to the training forward on an inference tape, so
+// bitwise identical to the training (tape) forward, so
 // EncodePrograms32's output is bitwise identical to ProgramRep for every
 // program in the batch, and it is row-wise batch-invariant (both pinned in
 // encode32_test.go).
 //
 // EncodePrograms64 is the float64 oracle form: the widened model
-// (nn.Oracle64) replays the same graph with every accumulation and
-// transcendental in float64. It exists for the epsilon drift harness and
-// the -precision=f64 audit serving mode, keeps its own loop so the
-// reference never shares code with what it checks, allocates freely, and
-// is not a hot path.
+// (nn.Oracle64) runs the same inference graph on the float64 backend, with
+// every accumulation and transcendental in float64. It exists for the
+// epsilon drift harnesses and the -precision=f64 audit serving mode,
+// allocates freely, and is not a hot path.
 
 // EncodePrograms32 encodes ps in coalesced passes on the forward-only
 // float32 engine and writes each program's representation into the
@@ -34,12 +33,11 @@ func (e *Encoder) EncodePrograms32(ps []*ProgramData, dst [][]float32) {
 // oracle64 returns the lazily built float64 image of the model. Safe for
 // concurrent use once built; the model's weights must be frozen (serving
 // guarantees this — training and serving never share a Foundation).
-func (f *Foundation) oracle64() (*nn.Oracle64, *nn.Linear64) {
+func (f *Foundation) oracle64() *nn.Oracle64 {
 	f.oracleOnce.Do(func() {
-		f.oracleEnc = nn.NewOracle64(f.Encoder)
-		f.oracleHead = nn.NewLinear64(f.Head)
+		f.oracle = nn.NewOracle64(f.Encoder, f.Head)
 	})
-	return f.oracleEnc, f.oracleHead
+	return f.oracle
 }
 
 // EncodePrograms64 runs the coalesced batch encode through the float64
@@ -47,7 +45,7 @@ func (f *Foundation) oracle64() (*nn.Oracle64, *nn.Linear64) {
 // with features widened exactly and the whole forward graph computed in
 // float64. dst[i] must have length RepDim; every ps[i].N must be >= 1.
 func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
-	enc, head := f.oracle64()
+	o := f.oracle64()
 	window := f.Cfg.Window
 	total := 0
 	for _, p := range ps {
@@ -62,16 +60,19 @@ func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
 
 	pi, off := 0, 0
 	fpi, foff := 0, 0
+	var slab tensor.Slab32 // float32 windows, filled as encode fills them
 	xs := make([]tensor.Tensor64, window)
 	for base := 0; base < total; base += streamChunk {
 		bsz := min(streamChunk, total-base)
-		for t := range xs {
-			xs[t] = tensor.NewTensor64(bsz, f.Cfg.FeatDim)
+		slab.Reset()
+		xs32 := slab.Mats(window)
+		for t := range xs32 {
+			xs32[t] = slab.Mat(bsz, f.Cfg.FeatDim)
 		}
 		for row := 0; row < bsz; {
 			p := ps[fpi]
 			k := min(bsz-row, p.N-foff)
-			fillWindowRows64(xs, p, foff, foff+k, window, row)
+			fillWindowRows(xs32, p, foff, foff+k, row)
 			row += k
 			foff += k
 			if foff == p.N {
@@ -79,7 +80,13 @@ func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
 				foff = 0
 			}
 		}
-		reps := head.Forward(enc.ForwardSeq(xs))
+		for t, x := range xs32 { // widening is exact
+			xs[t] = tensor.NewTensor64(bsz, f.Cfg.FeatDim)
+			for i, v := range x.Data {
+				xs[t].Data[i] = float64(v)
+			}
+		}
+		reps := o.Linear(f.Head, o.ForwardSeq(xs))
 		for row := 0; row < bsz; {
 			p := ps[pi]
 			k := min(bsz-row, p.N-off)
@@ -95,25 +102,6 @@ func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
 			if off == p.N {
 				pi++
 				off = 0
-			}
-		}
-	}
-}
-
-// fillWindowRows64 widens the feature rows exactly into the float64 window
-// tensors, with the same zero-padding-by-skip as fillWindowRows.
-func fillWindowRows64(xs []tensor.Tensor64, p *ProgramData, from, to, window, rowOff int) {
-	for b := from; b < to; b++ {
-		row := rowOff + b - from
-		for t := 0; t < window; t++ {
-			src := b - (window - 1) + t
-			if src < 0 {
-				continue
-			}
-			dstRow := xs[t].Row(row)
-			srcRow := p.Features[src*p.FeatDim : (src+1)*p.FeatDim]
-			for j, v := range srcRow {
-				dstRow[j] = float64(v)
 			}
 		}
 	}

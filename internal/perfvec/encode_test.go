@@ -34,11 +34,11 @@ func TestForwardRowwiseBatchInvariant(t *testing.T) {
 			const n = 300
 			p := encTestProgram(rng, "p", n, cfg.FeatDim)
 
-			tp := tensor.NewInferenceTape()
+			tp := tensor.NewTapeArena()
 			ref := append([]float32(nil), f.Forward(tp, WindowsFor(tp, p, 0, n, cfg.Window)).Data...)
 
 			for _, bsz := range []int{1, 3, 17, 64, 256, 299} {
-				tp2 := tensor.NewInferenceTape()
+				tp2 := tensor.NewTapeArena()
 				for from := 0; from < n; from += bsz {
 					to := min(from+bsz, n)
 					tp2.Reset()
@@ -58,7 +58,7 @@ func TestForwardRowwiseBatchInvariant(t *testing.T) {
 }
 
 // TestEncodeProgramsBitwise checks that a coalesced encode pass is bitwise
-// identical to the tape graph's forward (an inference tape over the whole
+// identical to the tape graph's forward (an arena tape over the whole
 // program, summed by SumReps) for every program in the batch, across batch
 // compositions that exercise every remainder shape: programs smaller than,
 // equal to, and larger than the streamChunk encode chunk, chunk boundaries
@@ -90,7 +90,7 @@ func TestEncodeProgramsBitwise(t *testing.T) {
 		}
 		got := reps32(f, ps)
 		for i, p := range ps {
-			tp := tensor.NewInferenceTape()
+			tp := tensor.NewTapeArena()
 			want := SumReps(f.Forward(tp, WindowsFor(tp, p, 0, p.N, cfg.Window)))
 			for j := range want {
 				if got[i][j] != want[j] {

@@ -27,11 +27,10 @@ type Foundation struct {
 	encoders encoderPool
 
 	// The float64 oracle image of the model (widened weights, float64
-	// forward graph) is built lazily on first use — it assumes frozen
-	// weights, the assumption serving already makes; see encode32.go.
+	// backend) is built lazily on first use — it assumes frozen weights,
+	// the assumption serving already makes; see encode32.go.
 	oracleOnce sync.Once
-	oracleEnc  *nn.Oracle64
-	oracleHead *nn.Linear64
+	oracle     *nn.Oracle64
 
 	// The int8 image (per-channel quantized, pre-packed weights) is built
 	// lazily under the same frozen-weights assumption; see encodeq8.go.

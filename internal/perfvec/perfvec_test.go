@@ -200,7 +200,7 @@ func TestTrainedModelPredictsTotalTime(t *testing.T) {
 // TestInstructionRepsParallelMatchesSerial pins the inference paths'
 // encoder + head against the tape forward for every model kind: the
 // parallel, chunked float32 InstructionReps must be bitwise identical to
-// one Forward on an inference tape over the whole program's windows.
+// one tape Forward over the whole program's windows.
 func TestInstructionRepsParallelMatchesSerial(t *testing.T) {
 	pds, _ := tinyData(t, 800)
 	p := pds[0]
@@ -212,7 +212,7 @@ func TestInstructionRepsParallelMatchesSerial(t *testing.T) {
 			model := NewFoundation(cfg)
 			par := model.InstructionReps(p)
 			// Serial reference via WindowsFor over the whole program.
-			tp := tensor.NewInferenceTape()
+			tp := tensor.NewTapeArena()
 			ser := model.Forward(tp, WindowsFor(tp, p, 0, p.N, model.Cfg.Window))
 			for i := range par.Data {
 				if par.Data[i] != ser.Data[i] {

@@ -34,50 +34,6 @@ type Trainer struct {
 	tape    *tensor.Tape     // arena tape for the serial step paths
 	params_ []*tensor.Tensor // cached master parameter list
 	stepWG  sync.WaitGroup   // reused across sharded steps (no per-step alloc)
-
-	// evalTapes pools the inference tapes Loss's eval shards borrow, so
-	// steady-state evaluation stops allocating activations; see tapePool.
-	evalTapes tapePool
-}
-
-// tapePool is a mutex-guarded free list of arena-backed, non-recording
-// inference tapes for the evaluation path (Trainer.Loss). Concurrent
-// borrowers are safe: each borrowed tape is confined to one goroutine until
-// put back.
-type tapePool struct {
-	mu    sync.Mutex
-	tapes []*tensor.Tape
-}
-
-// get pops a pooled inference tape, building one on first use.
-func (p *tapePool) get() *tensor.Tape {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.tapes); n > 0 {
-		tp := p.tapes[n-1]
-		p.tapes = p.tapes[:n-1]
-		return tp
-	}
-	return tensor.NewInferenceTape()
-}
-
-func (p *tapePool) put(tp *tensor.Tape) {
-	p.mu.Lock()
-	p.tapes = append(p.tapes, tp)
-	p.mu.Unlock()
-}
-
-// misses sums the arena misses of every pooled tape — the regression
-// counter the steady-state allocation tests watch.
-func (p *tapePool) misses() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	total := 0
-	for _, tp := range p.tapes {
-		_, m := tp.Arena().Stats()
-		total += m
-	}
-	return total
 }
 
 // shardJob is one minibatch shard handed to a gradWorker's persistent
@@ -412,45 +368,83 @@ func (t *Trainer) stepNaive(d *Dataset, batch []int, opt nn.Optimizer, rng *rand
 	return float64(loss.Data[0])
 }
 
+// evalBatch is the number of samples Loss evaluates per forward pass.
+const evalBatch = 256
+
 // Loss evaluates the (reuse-form) MSE over the given sample ids without
-// updating parameters. Evaluation batches are sharded across the tensor
-// worker pool — the model is read-only during inference, every shard
-// computes exactly the batches the serial loop would, and the per-batch
-// losses are reduced in ascending batch order, so the result is bitwise
-// identical to the serial evaluation at any worker count. Each shard runs on
-// a pooled inference tape (see evalTape), Reset between chunks: peak memory
-// is bounded at up to GOMAXPROCS chunks of pooled activations, and the
-// steady-state evaluation pass — like the training step — allocates nothing.
+// updating parameters. Evaluation batches run on the float32 inference
+// graph (see batchLoss), sharded across the tensor worker pool — the model
+// is read-only during evaluation, every shard computes exactly the batches
+// the serial loop would, and the per-batch losses are reduced in ascending
+// batch order, so the result is bitwise identical to the serial evaluation
+// at any worker count, and to the tape-forward loss of the same batches.
+//
+// Each shard runs on a pooled Encoder, borrowed up front and returned in
+// reverse order: which encoder serves which shard, and so how many encoders
+// a call builds, depends only on GOMAXPROCS and len(ids), never on
+// scheduling. Once the encoders' slabs are warm, evaluation allocates no
+// activations.
 //
 //perfvec:hotpath
 func (t *Trainer) Loss(d *Dataset, ids []int) float64 {
 	if len(ids) == 0 {
 		return 0
 	}
-	cfg := t.Model.Cfg
-	const evalBatch = 256
 	nChunks := (len(ids) + evalBatch - 1) / evalBatch
-	// Local, not a reused Trainer field: Loss stays safe to call from
-	// concurrent goroutines, at the cost of one small slice per call.
+	shards := min(runtime.GOMAXPROCS(0), nChunks)
+	// Locals, not reused Trainer fields: Loss stays safe to call from
+	// concurrent goroutines, at the cost of two small slices per call.
 	losses := make([]float64, nChunks) //perfvec:allow hotalloc -- per-call shard sums, sized by ids, kept local for concurrent Loss calls
-	tensor.Parallel(nChunks, func(c0, c1 int) { //perfvec:allow hotalloc -- one closure per Loss call, not per chunk; chunk loop inside is allocation-free
-		tp := t.evalTapes.get()
-		defer t.evalTapes.put(tp)
-		for c := c0; c < c1; c++ {
-			tp.Reset()
-			from := c * evalBatch
-			to := min(from+evalBatch, len(ids))
-			xs, targets := d.Batch(tp, ids[from:to], cfg.Window, cfg.TargetScale, cfg.BatchWorkers)
-			reps := t.Model.Forward(tp, xs)
-			preds := tensor.MatMulBT(tp, reps, t.Table.M)
-			losses[c] = float64(nn.MSE(tp, preds, targets).Data[0]) * float64(to-from)
+	encs := make([]*Encoder, shards)   //perfvec:allow hotalloc -- per-call shard encoders, kept local for concurrent Loss calls
+	for i := range encs {
+		encs[i] = t.Model.AcquireEncoder()
+	}
+	tensor.Parallel(shards, func(w0, w1 int) { //perfvec:allow hotalloc -- one closure per Loss call, not per batch; the batch loop inside is allocation-free
+		for w := w0; w < w1; w++ {
+			for c := w; c < nChunks; c += shards {
+				from := c * evalBatch
+				to := min(from+evalBatch, len(ids))
+				losses[c] = encs[w].batchLoss(d, ids[from:to], t.Table.M) * float64(to-from)
+			}
 		}
 	})
+	for i := len(encs) - 1; i >= 0; i-- {
+		t.Model.ReleaseEncoder(encs[i])
+	}
 	var sum float64
 	for _, l := range losses {
 		sum += l
 	}
 	return sum / float64(len(ids))
+}
+
+// batchLoss returns the reuse-form MSE of one evaluation batch, bitwise
+// equal to a training step's tape loss on the same batch: the windows are
+// filled by the loop Dataset.Batch uses, the forward is the float32
+// inference graph (pinned bitwise to the tape forward), the predictions are
+// a MatMulBT32 against the table, and the loop below is nn.MSE's Sub, Mul,
+// float64-accumulated Sum and Scale(1/n). The explicit float32 conversions
+// round every product where the tape ops store theirs, so no compiler may
+// fuse them.
+//
+//perfvec:hotpath
+func (e *Encoder) batchLoss(d *Dataset, ids []int, table *tensor.Tensor) float64 {
+	targetScale := e.f.Cfg.TargetScale
+	xs := e.windows(len(ids))
+	for t, x := range xs {
+		d.fillWindow(x.Data, ids, t, len(xs), 0, len(ids))
+	}
+	table32 := tensor.Tensor32{Data: table.Data, R: table.Rows(), C: table.Cols()}
+	preds := tensor.MatMulBT32(&e.slab, e.forward(xs, false), table32)
+	var sum float64
+	for b, id := range ids {
+		p, i := d.sample(id)
+		for j, y := range preds.Row(b) {
+			diff := y - float32(p.Targets[i*d.K+j]*targetScale)
+			sum += float64(float32(diff * diff))
+		}
+	}
+	return float64(float32(sum) * (1 / float32(len(ids)*d.K)))
 }
 
 // snapshot returns a fresh deep copy of the parameters' Data slices.

@@ -4,6 +4,9 @@ import (
 	"math"
 	"runtime"
 	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // TestDataParallelTrainingMatchesSerial shards minibatches across gradient
@@ -76,5 +79,58 @@ func TestDataParallelDeterministicAtFixedWorkerCount(t *testing.T) {
 		if first[e] != second[e] {
 			t.Fatalf("epoch %d: %v vs %v — parallel training is nondeterministic", e, first[e], second[e])
 		}
+	}
+}
+
+// tapeLoss is the reference validation loss: the training step's own graph
+// (Foundation.Forward, MatMulBT against the table, nn.MSE) on an arena
+// tape, over the same evalBatch-sized batches Loss evaluates, reduced the
+// same way.
+func tapeLoss(tr *Trainer, d *Dataset, ids []int) float64 {
+	cfg := tr.Model.Cfg
+	tp := tensor.NewTapeArena()
+	var sum float64
+	for from := 0; from < len(ids); from += evalBatch {
+		to := min(from+evalBatch, len(ids))
+		tp.Reset()
+		xs, targets := d.Batch(tp, ids[from:to], cfg.Window, cfg.TargetScale, 1)
+		preds := tensor.MatMulBT(tp, tr.Model.Forward(tp, xs), tr.Table.M)
+		sum += float64(nn.MSE(tp, preds, targets).Data[0]) * float64(to-from)
+	}
+	return sum / float64(len(ids))
+}
+
+// TestLossMatchesTapeMSE pins Trainer.Loss, which runs on the float32
+// inference graph, bitwise to the tape loss for every architecture, at
+// several pool sizes, before and after an optimizer step (Loss must read
+// the weights in place, as they are when it runs).
+func TestLossMatchesTapeMSE(t *testing.T) {
+	pds, _ := tinyData(t, 800)
+	d, err := NewDataset(pds, 0.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := d.train[:2*evalBatch+61] // two full batches and a partial one
+	for _, kind := range []ModelKind{ModelLinear, ModelMLP, ModelLSTM, ModelBiLSTM, ModelGRU, ModelTransformer} {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := tinyConfig()
+			cfg.Model = kind
+			tr := NewTrainer(NewFoundation(cfg), d.K)
+			defer tr.Close()
+			check := func(when string) {
+				want := tapeLoss(tr, d, ids)
+				for _, procs := range []int{1, 2, 8} {
+					prev := runtime.GOMAXPROCS(procs)
+					got := tr.Loss(d, ids)
+					runtime.GOMAXPROCS(prev)
+					if math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s, GOMAXPROCS=%d: Loss %v != tape MSE %v (must be bitwise identical)", when, procs, got, want)
+					}
+				}
+			}
+			check("initial weights")
+			tr.Step(d, d.train[:cfg.BatchSize], nn.NewAdam(cfg.LR))
+			check("after one step")
+		})
 	}
 }

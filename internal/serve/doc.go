@@ -131,8 +131,9 @@
 //     (perfvec.Encoder.EncodePrograms32) — packed f32 GEMM on pooled
 //     Slab32 arenas, no tape bookkeeping, zero steady-state allocations.
 //     Its output is bitwise identical to the training forward pass and to
-//     perfvec.Foundation.ProgramRep, so everything the paragraphs above promise about cached representations
-//     ("bitwise the one a fresh encode would produce") holds unchanged.
+//     perfvec.Foundation.ProgramRep, so everything the paragraphs above
+//     promise about cached representations ("bitwise the one a fresh
+//     encode would produce") holds unchanged.
 //   - PrecisionInt8: the quantized engine
 //     (perfvec.Encoder.EncodeProgramsQ8) — per-channel symmetric int8
 //     weights quantized once at first use, dynamic per-row activation
@@ -149,7 +150,7 @@
 //     batch-invariant, so cache semantics are unchanged: a cached int8
 //     representation is bitwise the one a fresh int8 encode would produce.
 //   - PrecisionF64: the float64 oracle (perfvec.Foundation.EncodePrograms64)
-//     — widened weights, float64 forward graph — with each representation
+//     — widened weights, every kernel in float64 — with each representation
 //     converted to float32 exactly once, at the batch boundary, before it
 //     reaches the cache or any request buffer. This is the audit mode the
 //     serving epsilons are stated against: the f32 fast path drifts from
@@ -159,7 +160,9 @@
 //     and numeric edge cases). The oracle allocates per batch; it is for
 //     audits, not throughput.
 //
-// The oracle and quantized images of the model are built lazily on first
-// use and assume frozen weights — the assumption serving already makes
-// everywhere.
+// All three tiers run one inference graph (internal/nn/infer.go), written
+// once and instantiated per backend, so they differ only in arithmetic,
+// never in wiring. The oracle and quantized images of the model are built
+// lazily on first use and assume frozen weights — the assumption serving
+// already makes everywhere.
 package serve

@@ -123,7 +123,11 @@ func TestSubmitInt8MatchesEngine(t *testing.T) {
 // TestPrecisionFleetConcurrent runs the concurrent-fleet race workout at 1,
 // 2, and 8 clients under every precision — the f64 and int8 paths share the
 // cache, metrics, and batch pools with the fast path, so they need the same
-// -race coverage CI gives TestFleetConcurrent.
+// -race coverage CI gives TestFleetConcurrent. Follow-up predicts obey
+// TestFleetConcurrent's rule: predicted plus missed follow-ups equals the
+// request count (with concurrent clients another client's submits can
+// evict a key before its follow-up), and with one worker every follow-up
+// hits.
 func TestPrecisionFleetConcurrent(t *testing.T) {
 	f := perfvec.NewFoundation(perfvec.DefaultConfig())
 	tr := NewTraffic(LoadConfig{Seed: 67, Programs: 10, MinInstrs: 1, MaxInstrs: 40, Requests: 80, Clients: 8}, f.Cfg.FeatDim)
@@ -142,8 +146,12 @@ func TestPrecisionFleetConcurrent(t *testing.T) {
 				if st.Done != tr.Requests() {
 					t.Fatalf("completed %d of %d requests", st.Done, tr.Requests())
 				}
-				if st.Predicted != tr.Requests() {
-					t.Fatalf("predicted %d of %d follow-ups", st.Predicted, tr.Requests())
+				misses := s.Metrics().PredictMisses.Load()
+				if got := st.Predicted + int(misses); got != tr.Requests() {
+					t.Fatalf("predicted %d + missed %d follow-ups, want %d", st.Predicted, misses, tr.Requests())
+				}
+				if workers == 1 && st.Predicted != tr.Requests() {
+					t.Fatalf("predicted %d of %d follow-ups with one worker", st.Predicted, tr.Requests())
 				}
 			})
 		}

@@ -1,5 +1,5 @@
 // Package sim is the trace-driven cycle-level timing simulator — this
-// repository's substitute for gem5 (see DESIGN.md). It replays a dynamic
+// repository's substitute for gem5. It replays a dynamic
 // instruction trace under a uarch.Config and produces per-instruction retire
 // times, from which PerfVec's training targets (incremental latencies, §III-B)
 // are derived.

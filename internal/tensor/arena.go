@@ -16,10 +16,9 @@ package tensor
 // results handed to callers — must be allocated with New/copied out before
 // Reset runs. Ops never hand arena tensors to code outside the step: the
 // trainer reads the scalar loss value (not the tensor) before resetting.
-// Inference runs either on a nil tape (fresh allocations, no arena) or on an
-// arena-backed inference tape (NewInferenceTape) with the same invariant:
-// each chunk's results are consumed — reduced or copied out — before the
-// tape's next Reset recycles them (see Trainer.Loss and StreamRep).
+// Forward-only passes do not use arenas: they run on the inference graph's
+// Slab32 (see slab32.go), which keeps the same invariant — each pass's
+// results are consumed before the slab's next Reset.
 //
 // An Arena is not safe for concurrent use; like the Tape that owns it, it is
 // confined to one gradient worker's goroutine.

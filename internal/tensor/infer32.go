@@ -9,8 +9,8 @@ import "math"
 // chain) or replays the identical per-element kernel expressions, but skips
 // everything autodiff needed — op records, gradient buffers, and the
 // backward-only scratch stores (gate activations, tanh(c'), xhat/invStd).
-// The results are therefore bitwise identical to running the tape ops on an
-// inference tape; TestInfer32BitwiseMatchesTape pins this per op and
+// The results are therefore bitwise identical to running the tape ops;
+// TestInfer32BitwiseMatchesTape pins this per op and
 // internal/nn pins it per cell. Shape checks panic with constant strings —
 // these functions are //perfvec:hotpath and must not build messages.
 

@@ -35,7 +35,7 @@ func wantBitwise(t *testing.T, op string, got []float32, want []float32) {
 
 func TestInfer32BitwiseMatchesTape(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	tp := NewInferenceTape()
+	tp := NewTapeArena()
 	s := &Slab32{}
 	const m, k, n, H = 9, 23, 17, 8
 

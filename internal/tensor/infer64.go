@@ -29,15 +29,6 @@ func Widen(t *Tensor) Tensor64 {
 	return out
 }
 
-// WidenSlice converts a float32 slice to its exact float64 image.
-func WidenSlice(s []float32) []float64 {
-	out := make([]float64, len(s))
-	for i, v := range s {
-		out[i] = float64(v)
-	}
-	return out
-}
-
 // Rows returns the number of rows.
 func (t Tensor64) Rows() int { return t.R }
 

@@ -360,7 +360,9 @@ func kScaleVJP(s, e int, ka KernelArgs) {
 	}
 }
 
-// Sigmoid returns 1/(1+exp(-a)) elementwise.
+// Sigmoid returns 1/(1+exp(-a)) elementwise. No model calls it; it stays as
+// the unfused reference the fused gate kernels (lstmStepUnfused and
+// gruStepUnfused in gates_test.go) and SigmoidInPlace are pinned against.
 func Sigmoid(tp *Tape, a *Tensor) *Tensor {
 	out := tp.alloc(a.Shape...)
 	ParallelKernel(len(out.Data), len(out.Data)*ewTransc, kSigmoid,
@@ -397,7 +399,8 @@ func kSigmoidVJP(s, e int, ka KernelArgs) {
 	}
 }
 
-// Tanh returns tanh(a) elementwise.
+// Tanh returns tanh(a) elementwise. No model calls it; it stays as the
+// unfused reference of the gate kernels and TanhInPlace (gates_test.go).
 func Tanh(tp *Tape, a *Tensor) *Tensor {
 	out := tp.alloc(a.Shape...)
 	ParallelKernel(len(out.Data), len(out.Data)*ewTransc, kTanh,
@@ -434,7 +437,9 @@ func kTanhVJP(s, e int, ka KernelArgs) {
 	}
 }
 
-// ReLU returns max(a, 0) elementwise.
+// ReLU returns max(a, 0) elementwise. No model calls it; it stays as the
+// out-of-place reference ReLUInPlace is pinned against
+// (TestInPlaceEpiloguesBitwise).
 func ReLU(tp *Tape, a *Tensor) *Tensor {
 	out := tp.alloc(a.Shape...)
 	ParallelKernel(len(out.Data), len(out.Data), kReLU,
@@ -683,7 +688,9 @@ func vjpSliceRows(_ *Tape, r *opRecord) {
 	}
 }
 
-// Transpose returns a[m,n]^T as an [n,m] tensor.
+// Transpose returns a[m,n]^T as an [n,m] tensor. No model calls it; it
+// stays as the explicit reference of the transposed GEMMs
+// (TestMatMulBTMatchesExplicitTranspose).
 func Transpose(tp *Tape, a *Tensor) *Tensor {
 	m, n := a.Rows(), a.Cols()
 	out := tp.alloc(n, m)

@@ -32,6 +32,10 @@ type task struct {
 // 6 float32 scalars, copied through the task queue so that nothing about a
 // dispatch escapes to the heap. Each kernel documents its own slot layout
 // (the convention mirrors the opRecord field layouts in records.go).
+//
+// X is for kernels outside this package whose arguments do not fit the
+// typed slots: a pointer to the caller's own (pooled) argument struct,
+// which an interface stores without allocating.
 type KernelArgs struct {
 	S [8][]float32
 	U [2][]uint8
@@ -39,6 +43,7 @@ type KernelArgs struct {
 	Z [3][]int32
 	I [6]int
 	F [6]float32
+	X any
 }
 
 // Kernel is a pool-dispatchable loop body over [start, end): a top-level

@@ -6,7 +6,7 @@ import (
 )
 
 // Tests for the typed op-record tape: VJP table completeness, replay
-// determinism, record-storage reuse, and the inference-tape contract.
+// determinism, and record-storage reuse.
 
 // TestVJPTableComplete asserts every op kind dispatches to a VJP — a nil
 // entry would panic mid-Backward the first time that op is recorded.
@@ -27,8 +27,8 @@ func TestOpNamesComplete(t *testing.T) {
 }
 
 // TestOpHistogramKnownGraph checks the profiling hook against a graph whose
-// op mix is known by construction, and its lifecycle: nil tapes are empty,
-// inference tapes record nothing, Reset clears the counts.
+// op mix is known by construction, and its lifecycle: nil tapes are empty
+// and record nothing, Reset clears the counts.
 func TestOpHistogramKnownGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Randn(rng, 0.5, 4, 4)
@@ -58,10 +58,10 @@ func TestOpHistogramKnownGraph(t *testing.T) {
 	if h := (*Tape)(nil).OpHistogram(); len(h) != 0 {
 		t.Errorf("nil tape histogram = %v, want empty", h)
 	}
-	inf := NewInferenceTape()
+	inf := (*Tape)(nil)
 	MatMul(inf, a, b)
 	if h := inf.OpHistogram(); len(h) != 0 {
-		t.Errorf("inference tape histogram = %v, want empty (nothing recorded)", h)
+		t.Errorf("nil tape histogram after an op = %v, want empty (nothing recorded)", h)
 	}
 	tp.Reset()
 	if h := tp.OpHistogram(); len(h) != 0 {
@@ -167,45 +167,6 @@ func TestRecordStorageSteadyState(t *testing.T) {
 	if grows != warm {
 		t.Errorf("record slice grew %d times after warm-up; steady-state recording must reuse capacity", grows-warm)
 	}
-}
-
-// TestInferenceTape checks the pooled inference mode: ops record nothing,
-// outputs match the nil-tape computation bitwise, the arena recycles across
-// Resets, and Backward refuses to run.
-func TestInferenceTape(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	a := Randn(rng, 0.5, 4, 4)
-	b := Randn(rng, 0.5, 4, 4)
-
-	tp := NewInferenceTape()
-	got := Tanh(tp, MatMul(tp, a, b))
-	want := Tanh(nil, MatMul(nil, a, b))
-	if tp.Len() != 0 {
-		t.Fatalf("inference tape recorded %d ops; must record nothing", tp.Len())
-	}
-	for i := range want.Data {
-		if got.Data[i] != want.Data[i] {
-			t.Fatalf("inference tape output differs from nil tape at %d", i)
-		}
-	}
-
-	tp.Reset()
-	_, warm := tp.Arena().Stats()
-	for i := 0; i < 4; i++ {
-		tp.Reset()
-		Tanh(tp, MatMul(tp, a, b))
-	}
-	if _, m := tp.Arena().Stats(); m != warm {
-		t.Errorf("inference tape arena missed %d times after warm-up", m-warm)
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("Backward on an inference tape must panic")
-		}
-	}()
-	loss := Sum(tp, a)
-	tp.Backward(loss)
 }
 
 // TestTensorsSlabPooling checks Tape.Tensors: fresh on nil/plain tapes,

@@ -4,11 +4,11 @@ package tensor
 // records (see records.go) so they can be replayed in reverse to compute
 // gradients through the static VJP table.
 //
-// A nil *Tape is valid everywhere an op takes one and means "inference mode":
+// A nil *Tape is valid everywhere an op takes one and means "no gradients":
 // the op computes its result without recording anything and allocates fresh
-// output tensors. NewInferenceTape gives the pooled variant: it also records
-// nothing, but draws outputs from an arena so repeated inference passes
-// (evaluation, streaming representation generation) run allocation-free.
+// output tensors. Tests use it as a tape-forward reference; every
+// forward-only pass in the system runs on the inference graph instead
+// (internal/nn/infer.go, on pooled Slab32 arenas).
 //
 // A Tape is not safe for concurrent use. Data-parallel training (see
 // perfvec.Trainer) gives each gradient worker its own Tape over its own
@@ -20,8 +20,6 @@ package tensor
 type Tape struct {
 	recs  []opRecord
 	arena *Arena
-	// infer marks an inference tape: arena allocation without recording.
-	infer bool
 	// recGrows counts record-slice capacity growths — the record analogue of
 	// the arena's miss counter. Steady-state training must stop growing after
 	// the warm-up step; the regression tests assert it.
@@ -39,12 +37,6 @@ func NewTape() *Tape { return &Tape{} }
 // which reference them.
 func NewTapeArena() *Tape { return &Tape{arena: NewArena()} }
 
-// NewInferenceTape returns an arena-backed tape that records nothing: ops
-// run in inference mode but draw their outputs (and internal scratch) from
-// the pool, so a steady-state evaluation loop that Resets between batches
-// performs zero allocations. Backward panics on an inference tape.
-func NewInferenceTape() *Tape { return &Tape{arena: NewArena(), infer: true} }
-
 // Arena returns the tape's arena, or nil for a plain tape.
 func (tp *Tape) Arena() *Arena {
 	if tp == nil {
@@ -55,7 +47,7 @@ func (tp *Tape) Arena() *Arena {
 
 // alloc returns a zeroed output tensor for an op running on this tape: pooled
 // through the arena when the tape has one, freshly allocated otherwise (and
-// always fresh in inference mode, tp == nil).
+// always fresh on a nil tape).
 func (tp *Tape) alloc(shape ...int) *Tensor {
 	if tp == nil || tp.arena == nil {
 		return New(shape...)
@@ -81,11 +73,11 @@ func (tp *Tape) Tensors(n int) []*Tensor {
 	return tp.arena.Tensors(n)
 }
 
-// record appends an op record; no-op on a nil or inference tape. The record
+// record appends an op record; no-op on a nil tape. The record
 // slice's capacity is retained across Reset, so steady-state recording
 // allocates nothing (recGrows tracks warm-up growths).
 func (tp *Tape) record(r opRecord) {
-	if tp == nil || tp.infer {
+	if tp == nil {
 		return
 	}
 	if len(tp.recs) == cap(tp.recs) {
@@ -117,8 +109,7 @@ func (tp *Tape) RecordStats() (records, grows int) {
 // record-tape profiling hook: called after a step's forward pass (and
 // before the next Reset) it reports the op mix of the step's graph, which
 // is how graph shape is inspected at paper scale without a debugger (see
-// cmd/perfvec-bench -tape-histogram). Nil and inference tapes return an
-// empty map. The map is freshly allocated; this is a profiling call, not a
+// cmd/perfvec-bench -tape-histogram). A nil tape returns an empty map. The map is freshly allocated; this is a profiling call, not a
 // hot-path one.
 func (tp *Tape) OpHistogram() map[string]int {
 	h := map[string]int{}
@@ -148,9 +139,6 @@ func (tp *Tape) Reset() {
 // that participated. loss must be a scalar (single-element) tensor produced
 // on this tape.
 func (tp *Tape) Backward(loss *Tensor) {
-	if tp.infer {
-		panic("tensor: Backward on an inference tape (nothing recorded)")
-	}
 	if len(loss.Data) != 1 {
 		panic("tensor: Backward requires a scalar loss")
 	}
