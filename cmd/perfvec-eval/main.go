@@ -1,56 +1,41 @@
-// Command perfvec-eval loads a trained foundation model + representation
-// table (from perfvec-train) and evaluates prediction accuracy for any
-// benchmark on the seen microarchitectures, reproducing the per-program
-// statistics of the paper's Figures 3-5.
+// Command perfvec-eval loads a trained model (from perfvec-train) and
+// evaluates prediction accuracy for any benchmark on the microarchitectures
+// the model's table was trained on, reproducing the per-program statistics
+// of the paper's Figures 3-5. The architecture, dimensions and
+// microarchitectures all come from the model file.
 //
 // Usage:
 //
-//	perfvec-eval -model perfvec-model.gob -table perfvec-table.gob -bench 505.mcf
+//	perfvec-eval -model perfvec-model.gob -bench 505.mcf
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/perfvec"
 	"repro/internal/stats"
-	"repro/internal/uarch"
 )
 
 func main() {
 	var (
-		modelPath = flag.String("model", "perfvec-model.gob", "foundation model path")
-		tablePath = flag.String("table", "perfvec-table.gob", "representation table path")
+		modelPath = flag.String("model", "perfvec-model.gob", "model path")
 		benchArg  = flag.String("bench", "all", "benchmark name or 'all'")
-		sampled   = flag.Int("uarchs", 9, "sampled microarchitectures (must match training)")
 		maxInsts  = flag.Int("maxinsts", 20000, "dynamic instructions per benchmark")
-		hidden    = flag.Int("hidden", 32, "model width (must match training)")
-		layers    = flag.Int("layers", 2, "model depth (must match training)")
-		model     = flag.String("arch", "lstm", "architecture (must match training)")
-		seed      = flag.Int64("seed", 1, "seed (must match training)")
-		stream    = flag.Bool("stream", false, "evaluate in one streaming pass per benchmark (no trace materialization)")
 	)
 	flag.Parse()
 
-	cfg := perfvec.DefaultConfig()
-	cfg.Model = perfvec.ModelKind(*model)
-	cfg.Hidden = *hidden
-	cfg.RepDim = *hidden
-	cfg.Layers = *layers
-	cfg.Seed = *seed
-
-	f := perfvec.NewFoundation(cfg)
-	if err := loadInto(*modelPath, f.Load); err != nil {
+	fp, err := os.Open(*modelPath)
+	if err != nil {
 		fatal(err)
 	}
-	cfgs := uarch.TrainingSet(*seed, *sampled)
-	table := perfvec.NewTable(len(cfgs), cfg.RepDim, 0)
-	if err := loadInto(*tablePath, table.Load); err != nil {
-		fatal(err)
+	f, table, cfgs, err := perfvec.LoadModel(fp)
+	fp.Close()
+	if err != nil {
+		fatal(fmt.Errorf("%s: %w", *modelPath, err))
 	}
 
 	var benches []bench.Benchmark
@@ -68,33 +53,14 @@ func main() {
 
 	tb := &stats.Table{Header: []string{"program", "mean", "std", "min", "max"}}
 	for _, b := range benches {
-		var errs []float64
-		if *stream {
-			var err error
-			errs, err = perfvec.StreamProgramErrors(f, table, b, cfgs, 1, *maxInsts)
-			if err != nil {
-				fatal(err)
-			}
-		} else {
-			pd, err := perfvec.CollectProgramData(b, cfgs, 1, *maxInsts)
-			if err != nil {
-				fatal(err)
-			}
-			errs = perfvec.ProgramErrors(f, table, pd)
+		pd, err := perfvec.CollectProgramData(b, cfgs, 1, *maxInsts)
+		if err != nil {
+			fatal(err)
 		}
-		s := perfvec.Summarize(b.Name, errs)
+		s := perfvec.Summarize(b.Name, perfvec.ProgramErrors(f, table, pd))
 		tb.Add(s.Name, stats.Pct(s.Mean), stats.Pct(s.Std), stats.Pct(s.Min), stats.Pct(s.Max))
 	}
 	fmt.Printf("prediction error across %d seen microarchitectures:\n%s", len(cfgs), tb.String())
-}
-
-func loadInto(path string, load func(r io.Reader) error) error {
-	fp, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer fp.Close()
-	return load(fp)
 }
 
 func fatal(err error) {

@@ -3,13 +3,14 @@
 // batched encoder passes, caches representations by program hash, and
 // applies per-client rate limits plus a bounded accept queue.
 //
-// Without -model/-table it serves a freshly initialized model (useful for
-// load testing the serving path itself); with them it serves the artifacts
-// perfvec-train wrote.
+// Without -model it serves a freshly initialized default-config model with
+// a random 9-row table (useful for load testing the serving path itself);
+// with it, it serves the model file perfvec-train wrote, whose architecture,
+// dimensions and table rows all come from the file.
 //
 // Usage:
 //
-//	perfvec-serve -addr :8923 -model perfvec-model.gob -table perfvec-table.gob
+//	perfvec-serve -addr :8923 -model perfvec-model.gob
 //
 // Endpoints: POST /v1/submit, POST /v1/sweep, GET /v1/predict, GET /metrics,
 // GET /healthz (see the internal/serve package documentation for wire
@@ -20,7 +21,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -35,12 +35,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", ":8923", "listen address")
-		modelPath = flag.String("model", "", "foundation model path (empty: fresh default-config model)")
-		tablePath = flag.String("table", "", "representation table path (empty: fresh random table)")
-		uarchs    = flag.Int("uarchs", 9, "microarchitectures in the table (must match training when loading)")
-		hidden    = flag.Int("hidden", 32, "model width (must match training when loading)")
-		layers    = flag.Int("layers", 2, "model depth (must match training when loading)")
-		arch      = flag.String("arch", "lstm", "architecture (must match training when loading)")
+		modelPath = flag.String("model", "", "model path (empty: fresh default-config model and 9-row table)")
 		cacheSize = flag.Int("cache", 4096, "representation cache entries")
 		window    = flag.Duration("batch-window", 200*time.Microsecond, "time bound on an open batch (0: flush when the queue drains)")
 		maxRows   = flag.Int("max-batch-rows", 1024, "size bound on a batch, in instruction rows")
@@ -58,23 +53,9 @@ func main() {
 		fatal(err)
 	}
 
-	mcfg := perfvec.DefaultConfig()
-	mcfg.Model = perfvec.ModelKind(*arch)
-	mcfg.Hidden = *hidden
-	mcfg.RepDim = *hidden
-	mcfg.Layers = *layers
-
-	f := perfvec.NewFoundation(mcfg)
-	if *modelPath != "" {
-		if err := loadInto(*modelPath, f.Load); err != nil {
-			fatal(err)
-		}
-	}
-	table := perfvec.NewTable(*uarchs, mcfg.RepDim, 0)
-	if *tablePath != "" {
-		if err := loadInto(*tablePath, table.Load); err != nil {
-			fatal(err)
-		}
+	f, table, err := load(*modelPath)
+	if err != nil {
+		fatal(err)
 	}
 
 	// The /v1/sweep endpoint needs a calibrated microarchitecture model. A
@@ -83,7 +64,7 @@ func main() {
 	// perfvec.TrainUarchModel (see internal/dse) against this foundation.
 	var um *perfvec.UarchModel
 	if *sweepMax > 0 {
-		um = perfvec.NewUarchModel(mcfg.RepDim, 32, 0)
+		um = perfvec.NewUarchModel(f.Cfg.RepDim, 32, 0)
 		um.Calibrate(uarch.GenerateSpace(uarch.SpaceSpec{Size: 512, Seed: 1}))
 	}
 
@@ -104,7 +85,7 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
 	fmt.Fprintf(os.Stderr, "perfvec-serve: listening on %s (%s-%d-%d, %d uarchs)\n",
-		*addr, mcfg.Model, mcfg.Layers, mcfg.Hidden, table.K())
+		*addr, f.Cfg.Model, f.Cfg.Layers, f.Cfg.Hidden, table.K())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -147,13 +128,23 @@ func newServer(addr string, handler http.Handler) *http.Server {
 	}
 }
 
-func loadInto(path string, load func(io.Reader) error) error {
+// load reads the model file at path, or builds a fresh default-config model
+// and 9-row table when path is empty.
+func load(path string) (*perfvec.Foundation, *perfvec.Table, error) {
+	if path == "" {
+		cfg := perfvec.DefaultConfig()
+		return perfvec.NewFoundation(cfg), perfvec.NewTable(9, cfg.RepDim, 0), nil
+	}
 	fh, err := os.Open(path)
 	if err != nil {
-		return err
+		return nil, nil, err
 	}
 	defer fh.Close()
-	return load(fh)
+	f, table, _, err := perfvec.LoadModel(fh)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return f, table, nil
 }
 
 func fatal(err error) {

@@ -1,17 +1,17 @@
 // Command perfvec-train trains a PerfVec foundation model end to end:
 // it samples microarchitectures, traces and simulates the training
 // benchmarks, trains the model jointly with the representation table, and
-// writes both to disk for perfvec-eval and perfvec-dse.
+// writes one model file (config, microarchitectures, parameters and table)
+// for perfvec-eval and perfvec-serve.
 //
 // Usage:
 //
-//	perfvec-train -out model.gob -table table.gob -epochs 10
+//	perfvec-train -model lstm -epochs 10 -out perfvec-model.gob
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 
 	"repro/internal/bench"
@@ -21,8 +21,7 @@ import (
 
 func main() {
 	var (
-		outModel = flag.String("out", "perfvec-model.gob", "foundation model output path")
-		outTable = flag.String("table", "perfvec-table.gob", "microarchitecture table output path")
+		out      = flag.String("out", "perfvec-model.gob", "model output path")
 		sampled  = flag.Int("uarchs", 9, "sampled microarchitectures (plus 7 predefined)")
 		maxInsts = flag.Int("maxinsts", 20000, "dynamic instructions per benchmark")
 		epochs   = flag.Int("epochs", 10, "training epochs")
@@ -67,21 +66,18 @@ func main() {
 	res := tr.Train(d)
 	fmt.Printf("best epoch %d (val loss %.5f)\n", res.BestEpoch, res.ValLoss[res.BestEpoch])
 
-	if err := saveTo(*outModel, f.Save); err != nil {
+	if err := save(*out, f, tr.Table, cfgs); err != nil {
 		fatal(err)
 	}
-	if err := saveTo(*outTable, tr.Table.Save); err != nil {
-		fatal(err)
-	}
-	fmt.Printf("wrote %s and %s\n", *outModel, *outTable)
+	fmt.Printf("wrote %s\n", *out)
 }
 
-func saveTo(path string, save func(w io.Writer) error) error {
+func save(path string, f *perfvec.Foundation, table *perfvec.Table, cfgs []*uarch.Config) error {
 	fp, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := save(fp); err != nil {
+	if err := perfvec.SaveModel(fp, f, table, cfgs); err != nil {
 		fp.Close()
 		return err
 	}

@@ -86,8 +86,8 @@
 // inner, reduced through the typed kGradReduce kernel in worker-slot
 // groups), minibatch shards go to persistent per-worker goroutines, and the
 // worker pool resizes when GOMAXPROCS changes after first use. Inference
-// pools the same way: InstructionReps, ProgramRep, and StreamRep run the
-// forward-only float32 engine on the Foundation's pooled encoders
+// pools the same way: InstructionReps, ProgramRep, and the batch encodes
+// run the forward-only float32 engine on the Foundation's pooled encoders
 // (perfvec.Encoder), whose arenas are recycled per encode chunk.
 // cmd/perfvec-bench records MatMul/Batch/TrainStep in BENCH_N.json (with
 // -tape-histogram printing one step's op-record kind histogram for graph
@@ -101,13 +101,18 @@
 // and simulates the trace on every sampled configuration (the training
 // corpus is held whole anyway), and Dataset.Batch shards window assembly
 // across GOMAXPROCS workers in a fixed shard order, so batches are bitwise
-// identical to the serial path. Inspection and prediction stream:
+// identical to the serial path. Evaluation is materialized too:
+// perfvec-eval collects each program with perfvec.CollectProgramData and
+// scores it with perfvec.ProgramErrors. Inspection streams:
 // emu.Stepper executes programs one pulled instruction at a time
-// (trace.Stream), features.StreamExtractor featurizes records as they
-// arrive, and a ring-buffered features.WindowAssembler yields encoder input
-// windows from an O(window) working set. perfvec-trace builds its report in
-// one such pass, and perfvec-eval -stream scores a program through
-// perfvec.StreamProgramErrors without materializing its trace.
+// (trace.Stream), and perfvec-trace featurizes each record with
+// features.Extractor as it arrives, building its report in one pass.
+//
+// A trained model is one self-describing file: perfvec.SaveModel writes
+// the Config, the microarchitectures the table's rows stand for, and the
+// checksummed parameters, and perfvec.LoadModel rebuilds the model from
+// them, rejecting any file it cannot trust before allocating the model.
+// perfvec-eval and perfvec-serve take every dimension from the file.
 //
 // # Invariants and static enforcement
 //
@@ -125,7 +130,7 @@
 //     that are themselves reset with the tape are marked
 //     //perfvec:tapescoped.
 //   - hotalloc: functions annotated //perfvec:hotpath (Trainer.Step,
-//     Trainer.Loss, the GEMM engine, every VJP body, StreamRep,
+//     Trainer.Loss, the GEMM engine, every VJP body, the batch encoders,
 //     Dataset.Batch) must contain no heap-allocating construct:
 //     make/new/append, slice/map literals, address-taken composite
 //     literals, capturing closures, go statements, interface boxing.

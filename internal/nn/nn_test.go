@@ -252,6 +252,16 @@ func TestLoadParamsRejectsMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected error loading mismatched shapes")
 	}
+
+	// Equal element counts are not enough: a [16 x 32] table must not load
+	// into a [32 x 16] one.
+	buf.Reset()
+	if err := SaveParams(&buf, []*tensor.Tensor{tensor.New(16, 32)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := LoadParams(&buf, []*tensor.Tensor{tensor.New(32, 16)}); err == nil {
+		t.Fatal("expected error loading a [16 32] tensor into a [32 16] one")
+	}
 }
 
 func TestOptimizerSkipsNilGrads(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/tensor"
 )
@@ -35,8 +36,9 @@ func LoadParams(r io.Reader, params []*tensor.Tensor) error {
 		return fmt.Errorf("nn: parameter count mismatch: saved %d, model has %d", len(in), len(params))
 	}
 	for i, st := range in {
-		if len(st.Data) != params[i].Len() {
-			return fmt.Errorf("nn: parameter %d size mismatch: saved %d, model has %d", i, len(st.Data), params[i].Len())
+		if !slices.Equal(st.Shape, params[i].Shape) || len(st.Data) != params[i].Len() {
+			return fmt.Errorf("nn: parameter %d mismatch: saved shape %v (%d values), model has %v",
+				i, st.Shape, len(st.Data), params[i].Shape)
 		}
 		copy(params[i].Data, st.Data)
 	}

@@ -15,6 +15,7 @@ package perfvec
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/nn"
 )
@@ -32,6 +33,8 @@ const (
 	ModelGRU         ModelKind = "gru"
 	ModelTransformer ModelKind = "transformer"
 )
+
+var modelKinds = []ModelKind{ModelLinear, ModelMLP, ModelLSTM, ModelBiLSTM, ModelGRU, ModelTransformer}
 
 // Config holds the model and training hyperparameters. The defaults are the
 // paper's choices scaled for CPU-only training: the paper's LSTM-2-256
@@ -111,13 +114,15 @@ func DefaultConfig() Config {
 // Validate checks hyperparameter sanity.
 func (c *Config) Validate() error {
 	switch {
+	case !slices.Contains(modelKinds, c.Model):
+		return fmt.Errorf("perfvec: unknown model kind %q (want one of %v)", c.Model, modelKinds)
 	case c.Window < 1:
 		return fmt.Errorf("perfvec: window %d < 1", c.Window)
 	case c.RepDim < 1 || c.Hidden < 1 || c.Layers < 1:
 		return fmt.Errorf("perfvec: invalid model dims %d/%d/%d", c.Layers, c.Hidden, c.RepDim)
 	case c.BatchSize < 1 || c.Epochs < 1:
 		return fmt.Errorf("perfvec: invalid training params")
-	case c.TargetScale <= 0:
+	case !(c.TargetScale > 0):
 		return fmt.Errorf("perfvec: TargetScale must be positive")
 	}
 	return nil
@@ -144,4 +149,37 @@ func (c *Config) newEncoder(rng *rand.Rand) nn.SeqEncoder {
 		return nn.NewTransformer(rng, c.Window, c.FeatDim, c.Hidden, heads, c.Layers)
 	}
 	panic(fmt.Sprintf("perfvec: unknown model kind %q", c.Model))
+}
+
+// paramCount is the number of float32 parameters (encoder plus head) a
+// model built from c holds, computed in float64 so hostile dims cannot
+// overflow it. LoadModel compares it with the payload before it allocates
+// anything; TestParamCountMatchesParams pins it to Params().
+func (c *Config) paramCount() float64 {
+	w, f, h, l := float64(c.Window), float64(c.FeatDim), float64(c.Hidden), float64(c.Layers)
+	linear := func(in, out float64) float64 { return in*out + out }
+	// A recurrent stack of `gates` gate blocks per layer: the first layer
+	// reads the features, the others the layer below.
+	recurrent := func(gates float64) float64 {
+		return linear(f+h, gates*h) + (l-1)*linear(2*h, gates*h)
+	}
+	var enc float64
+	out := h
+	switch c.Model {
+	case ModelLinear:
+		enc = linear(w*f, h)
+	case ModelMLP:
+		enc = linear(w*f, h) + l*linear(h, h)
+	case ModelLSTM:
+		enc = recurrent(4)
+	case ModelBiLSTM:
+		enc, out = 2*recurrent(4), 2*h
+	case ModelGRU:
+		enc = recurrent(3)
+	case ModelTransformer:
+		// Embedding, then per block Wq/Wk/Wv/Wo, the 2h-wide feed-forward
+		// pair and two layernorm gain/bias pairs.
+		enc = linear(f, h) + l*(4*h*h+linear(h, 2*h)+linear(2*h, h)+4*h)
+	}
+	return enc + linear(out, float64(c.RepDim))
 }

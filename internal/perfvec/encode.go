@@ -10,13 +10,13 @@ import (
 // This file is the batch-inference engine of the foundation model: the
 // machinery perfvec-serve uses to coalesce many clients' concurrent encode
 // requests into a small number of large encoder GEMM passes, and the pooled
-// workers every other inference path (InstructionReps, ProgramRep,
-// StreamRep) runs on. The packed GEMM engine only reaches its throughput on
-// big batches, so a serving layer that ran one forward per request would
-// waste almost all of it; EncodePrograms32 and EncodeProgramsQ8 concatenate
-// the instruction rows of whole groups of programs and encode them
-// together, chunked at streamChunk rows — the same chunk size
-// InstructionReps and StreamRep use, so every inference path drives the
+// workers every other inference path (InstructionReps, ProgramRep and the
+// validation loss) runs on. The packed GEMM engine only reaches its
+// throughput on big batches, so a serving layer that ran one forward per
+// request would waste almost all of it; EncodePrograms32 and
+// EncodeProgramsQ8 concatenate the instruction rows of whole groups of
+// programs and encode them together, chunked at streamChunk rows — the same
+// chunk size InstructionReps uses, so every representation path drives the
 // encoder with identically shaped batches.
 //
 // Coalescing is invisible in the output because the encoder is row-wise
@@ -27,6 +27,12 @@ import (
 // (TestEncodePrograms32Bitwise pins this). A program representation
 // produced by a coalesced pass is therefore bitwise identical to ProgramRep
 // on the same program alone.
+
+// streamChunk is the encoder batch size of every representation path:
+// InstructionReps and the coalesced encode passes (EncodePrograms32, its
+// int8 and float64 twins) all feed the encoder streamChunk instruction rows
+// at a time, so their outputs agree bitwise.
+const streamChunk = 256
 
 // Encoder is a reusable batch-inference worker: the float32 and int8
 // inference arenas a forward pass runs on, plus the float64 accumulation

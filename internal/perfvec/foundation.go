@@ -2,7 +2,6 @@ package perfvec
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"sync"
 
@@ -23,7 +22,7 @@ type Foundation struct {
 
 	// encoders pools the inference workers every forward-only pass
 	// borrows: perfvec-serve's coalesced batch encodes, InstructionReps'
-	// chunks, and StreamRep; see Encoder and encoderPool in encode.go.
+	// chunks, and Trainer.Loss; see Encoder and encoderPool in encode.go.
 	encoders encoderPool
 
 	// The float64 oracle image of the model (widened weights, float64
@@ -90,8 +89,7 @@ func (f *Foundation) InstructionReps(p *ProgramData) *tensor.Tensor {
 	d := f.Cfg.RepDim
 	out := tensor.New(p.N, d)
 	// Chunking at streamChunk keeps these batches identical to the ones
-	// StreamRep and the batch encode run, so the inference paths agree
-	// bitwise.
+	// the batch encode runs, so the inference paths agree bitwise.
 	nChunks := (p.N + streamChunk - 1) / streamChunk
 	tensor.Parallel(nChunks, func(c0, c1 int) {
 		// Each chunk range runs the float32 forward on a pooled encoder's
@@ -168,23 +166,3 @@ func (t *Table) Rep(j int) []float32 { return t.M.Row(j) }
 
 // K returns the number of microarchitectures in the table.
 func (t *Table) K() int { return t.M.Rows() }
-
-// Save serializes the foundation model (config dims must match at load).
-func (f *Foundation) Save(w io.Writer) error {
-	return nn.SaveParams(w, f.Params())
-}
-
-// Load restores parameters saved by Save into this model.
-func (f *Foundation) Load(r io.Reader) error {
-	return nn.LoadParams(r, f.Params())
-}
-
-// Save serializes the representation table.
-func (t *Table) Save(w io.Writer) error {
-	return nn.SaveParams(w, []*tensor.Tensor{t.M})
-}
-
-// Load restores a table saved by Save; dimensions must match.
-func (t *Table) Load(r io.Reader) error {
-	return nn.LoadParams(r, []*tensor.Tensor{t.M})
-}

@@ -1,7 +1,6 @@
 package perfvec
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -283,28 +282,6 @@ func TestUarchModelTrainsAndGeneralizes(t *testing.T) {
 	truth := pds[0].TotalNs[0]
 	if relErr := math.Abs(pred-truth) / truth; relErr > 1.0 {
 		t.Errorf("uarch-model prediction off by %.0f%%", 100*relErr)
-	}
-}
-
-func TestSaveLoadFoundation(t *testing.T) {
-	pds, _ := tinyData(t, 500)
-	model := NewFoundation(tinyConfig())
-	var buf bytes.Buffer
-	if err := model.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	clone := NewFoundation(tinyConfig())
-	// Perturb then load: must match original exactly.
-	clone.Params()[0].Data[0] += 10
-	if err := clone.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	a := model.ProgramRep(pds[0])
-	b := clone.ProgramRep(pds[0])
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("loaded model produces different representations")
-		}
 	}
 }
 

@@ -9,6 +9,10 @@
 //
 // # Service API
 //
+// perfvec-serve builds Config.Model and Config.Table from one model file
+// (perfvec.LoadModel), so the served architecture, dimensions and table
+// rows are the trained ones; no flag restates them.
+//
 // The core is Service, which is HTTP-independent (the handlers in http.go
 // and the load-test harness in loadgen.go both drive it in-process):
 //

@@ -262,8 +262,9 @@ func TestSlab32(t *testing.T) {
 	}
 }
 
-// TestInfer32SteadyStateAllocs pins the forward-only path's zero-alloc
-// property on a representative op mix once the slab is warm.
+// TestInfer32SteadyStateAllocs pins the forward-only path's steady state on
+// a representative op mix: once the slab is warm it never grows again, and
+// (on uninstrumented builds, see race_off_test.go) a pass allocates nothing.
 func TestInfer32SteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	s := &Slab32{}
@@ -280,6 +281,16 @@ func TestInfer32SteadyStateAllocs(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		pass() // warm the slab and the pack-buffer pool
+	}
+	grows := s.Grows()
+	for i := 0; i < 5; i++ {
+		pass()
+	}
+	if g := s.Grows(); g != grows {
+		t.Fatalf("warm inference pass grew the slab %d more times", g-grows)
+	}
+	if raceEnabled {
+		return // the race detector's own allocations break AllocsPerRun
 	}
 	if n := testing.AllocsPerRun(50, pass); n > 0 {
 		t.Fatalf("steady-state inference pass allocates %.1f/op, want 0", n)

@@ -192,7 +192,8 @@ func (c *Config) Validate() error {
 			chk(cache.c.Assoc > 0, "%s associativity must be positive", cache.name),
 			chk(cache.c.LineBytes >= 16 && (cache.c.LineBytes&(cache.c.LineBytes-1)) == 0,
 				"%s line size %d must be a power of two >= 16", cache.name, cache.c.LineBytes),
-			chk(cache.c.Sets() >= 1, "%s geometry yields zero sets", cache.name),
+			// Sets divides by both; the two checks above report a zero.
+			chk(cache.c.Assoc <= 0 || cache.c.LineBytes <= 0 || cache.c.Sets() >= 1, "%s geometry yields zero sets", cache.name),
 			chk(cache.c.Latency >= 1, "%s latency must be >= 1 cycle", cache.name),
 		)
 	}

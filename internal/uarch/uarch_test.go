@@ -140,6 +140,17 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	if err := c.Validate(); err == nil {
 		t.Fatal("expected validation failure for zero ALUs")
 	}
+	// A zero divisor of Cache.Sets is an error, not a panic.
+	c = A7Like()
+	c.L2.Assoc = 0
+	if err := c.Validate(); err == nil {
+		t.Fatal("expected validation failure for zero associativity")
+	}
+	c = A7Like()
+	c.L1I.LineBytes = 0
+	if err := c.Validate(); err == nil {
+		t.Fatal("expected validation failure for zero line size")
+	}
 }
 
 func TestCycleNs(t *testing.T) {
