@@ -236,13 +236,9 @@ func BenchmarkServePredict(b *testing.B)   { benchsuite.ServePredict(b) }
 // engine.
 func BenchmarkMatMul32(b *testing.B) { benchsuite.MatMul32(b) }
 
-// BenchmarkEncodeF32 and BenchmarkEncodeF64 are the recorded precision
-// comparison pair: the identical 1024-row coalesced batch encoded through
-// the float32 serving fast path and through the float64 oracle. The rows/s
-// ratio is the f32 speedup the acceptance floor (>= 1.7x on amd64/AVX2)
-// gates in BENCH_8.json.
+// BenchmarkEncodeF32 measures the float32 serving fast path over a fixed
+// 1024-row coalesced batch.
 func BenchmarkEncodeF32(b *testing.B) { benchsuite.EncodeF32(b) }
-func BenchmarkEncodeF64(b *testing.B) { benchsuite.EncodeF64(b) }
 
 // BenchmarkMatMulQ8 measures the quantized GEMM pipeline (dynamic activation
 // quantization, u8xi8 integer dot products, per-channel dequantization) on

@@ -1,6 +1,6 @@
 // Command perfvec-bench runs the repo's tracked micro-benchmarks
 // (BenchmarkMatMul/MatMul32/MatMulQ8, BenchmarkBatch, BenchmarkTrainStep,
-// the BenchmarkEncodeF32/EncodeF64/EncodeQ8 precision comparison set, the
+// the BenchmarkEncodeF32/EncodeQ8 serving-tier pair, the
 // BenchmarkServe* serving suite, and the BenchmarkSweep/SweepNaive
 // design-space sweep pair) through testing.Benchmark and writes the
 // results as JSON, so the performance trajectory of the training and
@@ -109,7 +109,6 @@ func main() {
 		{"Batch", benchsuite.Batch},
 		{"TrainStep", benchsuite.TrainStep},
 		{"EncodeF32", benchsuite.EncodeF32},
-		{"EncodeF64", benchsuite.EncodeF64},
 		{"EncodeQ8", benchsuite.EncodeQ8},
 		{"Serve", benchsuite.Serve},
 		{"ServeNaive", benchsuite.ServeNaive},

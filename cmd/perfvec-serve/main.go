@@ -43,7 +43,7 @@ func main() {
 		workers   = flag.Int("workers", 2, "concurrent encode workers")
 		rate      = flag.Float64("rate", 0, "per-client tokens/sec (0: no rate limiting)")
 		burst     = flag.Float64("burst", 8, "per-client token bucket burst")
-		precision = flag.String("precision", "f32", "encode engine: f32 (fast path), int8 (quantized), or f64 (oracle audit mode)")
+		precision = flag.String("precision", "f32", "encode engine: f32 (fast path, bitwise the training forward) or int8 (quantized)")
 		sweepMax  = flag.Int("sweep-max", 8192, "largest candidate space one /v1/sweep may request (0: disable sweeps)")
 	)
 	flag.Parse()

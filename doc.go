@@ -197,8 +197,11 @@
 // The numeric substrate is float32 end to end: training, the tape forward,
 // and serving all run on the same f32 packed GEMM engine, and every bitwise
 // contract above (fusion, parallelism, batch invariance) is stated at f32.
-// Three additional engines exist for serving, selected by serve.Config's
-// Precision (cmd/perfvec-serve -precision):
+// Two inference engines serve, selected by serve.Config's Precision
+// (cmd/perfvec-serve -precision f32|int8), and a third, the float64
+// oracle, is the reference both are held against. All three run through one
+// batch encode loop (perfvec.Encoder's chunk/fill/accumulate pass) and
+// differ only in the forward backend:
 //
 //   - The forward-only float32 fast path (the default): tensor.Slab32
 //     arenas, tensor's *32 entry points, and nn.ForwardSeq32 run the
@@ -229,18 +232,35 @@
 //     the representation's dynamic range — quantization noise scales with
 //     the range, so the bound is stated against it. Deterministic and
 //     batch-invariant within the tier.
-//   - The float64 oracle (serve.PrecisionF64): nn.Oracle64 widens the
-//     frozen weights exactly and runs the same inference graph
-//     (internal/nn/infer.go) on a float64 backend, with every GEMM
-//     accumulation, transcendental, and reduction in float64 (gemm64 uses
-//     deterministic math.FMA chains, invariant to blocking and
-//     parallelism). It is the audit mode and the reference of both epsilon
-//     drift harnesses, which hold the f32 path to relative error <= 1e-4
+//   - The float64 oracle (perfvec.Foundation.EncodePrograms64), not a
+//     serving tier: nn.Oracle64 widens the frozen weights exactly and runs
+//     the same inference graph (internal/nn/infer.go) on a float64 backend,
+//     with every GEMM accumulation, transcendental, and reduction in
+//     float64 (gemm64 uses deterministic math.FMA chains, invariant to
+//     blocking and parallelism). It is the reference of both epsilon drift
+//     harnesses, which hold the f32 path to relative error <= 1e-4
 //     element-wise (mixed bound: |f32-f64| / max(|f64|, 1e-2*maxAbs(rep)))
 //     and the int8 tier to 5e-2 range-normalized, across cell types,
 //     seeds, batch compositions, denormal-adjacent weights and features,
 //     all-zero windows, and chunk-boundary row counts, under both the AVX2
 //     and portable kernels.
+//
+// The tiers are judged the way the paper judges a model: by prediction
+// error of program time (internal/experiments TestTierErrorLedger). Mean
+// error over programs, seen and unseen programs on the seen
+// microarchitectures (Fig. 3) and on unseen ones through a fine-tuned table
+// (Fig. 5), at Default() scale with 3 epochs of 30000 samples over
+// 5000-instruction traces:
+//
+//	tier   Fig.3 seen   Fig.3 unseen   Fig.5 seen   Fig.5 unseen
+//	f64    32.833592%   48.255110%     59.941480%   83.198986%
+//	f32    32.833593%   48.255107%     59.941478%   83.198982%
+//	int8   32.867584%   48.166578%     60.101938%   83.044154%
+//
+// f32 matches the oracle to 1e-6 (the test's bound), which is why float64
+// serving was retired: it bought nothing measurable at about 5x the f32
+// encode time. int8 stays within a fifth of a point of f32 here; the test bounds
+// the gap at two points on the Fast() artifacts.
 //
 // GEMM cache-blocking parameters (KC/MC/NC) are tuned once at init from
 // CPUID-detected L1d/L2 geometry (tensor.BlockingParams / CacheSizes;

@@ -52,9 +52,8 @@ func encodePrograms(cfg perfvec.Config) []*perfvec.ProgramData {
 }
 
 // EncodeF32 measures the float32 batched encode — the serving fast path —
-// over the fixed 1024-row batch. Paired with EncodeF64 below, this is the
-// recorded f32-vs-f64 throughput comparison (the acceptance floor is
-// f32 >= 1.7x f64 batched encode on amd64/AVX2).
+// over the fixed 1024-row batch; EncodeQ8 runs the int8 tier over the same
+// batch.
 func EncodeF32(b *testing.B) {
 	cfg := perfvec.DefaultConfig()
 	f := perfvec.NewFoundation(cfg)
@@ -74,29 +73,6 @@ func EncodeF32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.EncodePrograms32(ps, dst)
-	}
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
-}
-
-// EncodeF64 measures the float64 oracle encode over the identical batch: the
-// audit-mode denominator of the f32 speedup ratio.
-func EncodeF64(b *testing.B) {
-	cfg := perfvec.DefaultConfig()
-	f := perfvec.NewFoundation(cfg)
-	ps := encodePrograms(cfg)
-	rows := 0
-	for _, p := range ps {
-		rows += p.N
-	}
-	dst := make([][]float64, len(ps))
-	for i := range dst {
-		dst[i] = make([]float64, cfg.RepDim)
-	}
-	f.EncodePrograms64(ps, dst) // build the oracle outside the timed region
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.EncodePrograms64(ps, dst)
 	}
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

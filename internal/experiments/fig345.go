@@ -100,10 +100,13 @@ func Fig4(a *Artifacts, w io.Writer) (*Fig4Result, error) {
 	return res, nil
 }
 
-// Fig5Result holds Figure 5's data: errors on unseen microarchitectures.
+// Fig5Result holds Figure 5's data: errors on unseen microarchitectures,
+// plus those microarchitectures and the table fine-tuned for them.
 type Fig5Result struct {
 	Seen   []perfvec.ErrorSummary
 	Unseen []perfvec.ErrorSummary
+	Uarchs []*uarch.Config
+	Table  *perfvec.Table
 }
 
 // Fig5 reproduces Figure 5: generate fresh random microarchitectures never
@@ -138,6 +141,8 @@ func Fig5(a *Artifacts, w io.Writer) (*Fig5Result, error) {
 	res := &Fig5Result{
 		Seen:   evalPrograms(model, table, seenPds),
 		Unseen: evalPrograms(model, table, unseenPds),
+		Uarchs: newCfgs,
+		Table:  table,
 	}
 	printErrorFigure(w, "Figure 5: prediction error on unseen microarchitectures", res.Seen, res.Unseen)
 	fmt.Fprintf(w, "average error: seen programs %s, unseen programs %s (paper: 4.2%% / 7.1%%)\n",

@@ -9,9 +9,9 @@ import (
 // bit-for-bit the same parameters) and runs the inference graph (infer.go)
 // on f64Ops, whose kernels (tensor/infer64.go) compute every GEMM
 // accumulation, transcendental, and reduction directly in float64. The
-// epsilon drift harnesses hold the float32 and int8 paths against this
-// oracle, and -precision=f64 serving routes encodes through it for audit
-// runs. The oracle assumes the source model's weights are frozen after
+// epsilon drift harnesses and the tier error ledger hold the float32 and
+// int8 serving tiers against this oracle; it is a reference, not a serving
+// tier (perfvec.Foundation.EncodePrograms64 runs it). The oracle assumes the source model's weights are frozen after
 // construction; it allocates freely (it is the reference, not a hot path).
 
 // Oracle64 is a float64 forward-only image of a SeqEncoder.

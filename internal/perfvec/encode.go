@@ -30,8 +30,8 @@ import (
 
 // streamChunk is the encoder batch size of every representation path:
 // InstructionReps and the coalesced encode passes (EncodePrograms32, its
-// int8 and float64 twins) all feed the encoder streamChunk instruction rows
-// at a time, so their outputs agree bitwise.
+// int8 twin and the float64 oracle's EncodePrograms64) all feed the encoder
+// streamChunk instruction rows at a time, so their outputs agree bitwise.
 const streamChunk = 256
 
 // Encoder is a reusable batch-inference worker: the float32 and int8
@@ -101,10 +101,21 @@ func (f *Foundation) EncoderStats() (built, slabGrows int) {
 	return p.built, slabGrows
 }
 
-// encode is the one chunk/fill/accumulate loop behind EncodePrograms32 and
-// EncodeProgramsQ8: it runs coalesced forward passes over the concatenated
-// instruction rows of ps and writes each program's representation into the
-// caller-owned dst[i] (length RepDim). The concatenation is chunked at
+// engine selects the forward pass a coalesced encode runs on.
+type engine int
+
+const (
+	engineF32    engine = iota // forward-only float32, bitwise equal to the tape forward
+	engineQ8                   // quantized int8 serving tier
+	engineOracle               // float64 oracle: the drift reference, never a serving tier
+)
+
+// encode is the one chunk/fill/accumulate loop behind EncodePrograms32,
+// EncodeProgramsQ8 and EncodePrograms64: it runs coalesced forward passes
+// on engine eng over the concatenated instruction rows of ps and sums each
+// program's representation into e.acc (program i at [i*RepDim,
+// (i+1)*RepDim)), writing it rounded to float32 into the caller-owned dst[i]
+// (length RepDim) when dst is non-nil. The concatenation is chunked at
 // streamChunk rows — chunks freely span program boundaries — so a batch of
 // many small programs costs a few large GEMM passes instead of one small
 // pass per program. Rows are summed per program in row order through
@@ -112,7 +123,7 @@ func (f *Foundation) EncoderStats() (built, slabGrows int) {
 // be >= 1.
 //
 //perfvec:hotpath
-func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, q8 bool) {
+func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, eng engine) {
 	d := e.f.Cfg.RepDim
 	total := 0
 	for _, p := range ps {
@@ -145,32 +156,47 @@ func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, q8 bool) {
 				foff = 0
 			}
 		}
-		reps := e.forward(xs, q8)
-		for row := 0; row < bsz; {
-			p := ps[pi]
-			k := min(bsz-row, p.N-off)
-			a := acc[pi*d : (pi+1)*d]
-			for i := 0; i < k; i++ {
-				r := reps.Row(row + i)
-				for j, v := range r {
-					a[j] += float64(v)
-				}
-			}
-			row += k
-			off += k
-			if off == p.N {
-				pi++
-				off = 0
-			}
+		if eng == engineOracle {
+			pi, off = addRows(acc, ps, d, pi, off, e.forward64(xs).Data)
+		} else {
+			pi, off = addRows(acc, ps, d, pi, off, e.forward(xs, eng == engineQ8).Data)
 		}
 	}
+	if dst == nil {
+		return
+	}
 	for i := range ps {
-		a := acc[i*d : (i+1)*d]
 		out := dst[i]
-		for j, v := range a {
+		for j, v := range acc[i*d : (i+1)*d] {
 			out[j] = float32(v)
 		}
 	}
+}
+
+// addRows sums reps — one d-wide representation row per instruction, in
+// concatenation order — into the per-program accumulators, starting at
+// instruction off of program pi, and returns the advanced cursor.
+//
+//perfvec:hotpath
+func addRows[T float32 | float64](acc []float64, ps []*ProgramData, d, pi, off int, reps []T) (int, int) {
+	n := len(reps) / d
+	for row := 0; row < n; {
+		p := ps[pi]
+		k := min(n-row, p.N-off)
+		a := acc[pi*d : (pi+1)*d]
+		for i := row; i < row+k; i++ {
+			for j, v := range reps[i*d : (i+1)*d] {
+				a[j] += float64(v)
+			}
+		}
+		row += k
+		off += k
+		if off == p.N {
+			pi++
+			off = 0
+		}
+	}
+	return pi, off
 }
 
 // windows starts a forward pass: it recycles both arenas and draws the

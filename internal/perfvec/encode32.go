@@ -14,11 +14,12 @@ import (
 // program in the batch, and it is row-wise batch-invariant (both pinned in
 // encode32_test.go).
 //
-// EncodePrograms64 is the float64 oracle form: the widened model
-// (nn.Oracle64) runs the same inference graph on the float64 backend, with
-// every accumulation and transcendental in float64. It exists for the
-// epsilon drift harnesses and the -precision=f64 audit serving mode,
-// allocates freely, and is not a hot path.
+// EncodePrograms64 is the float64 oracle form: the same batch encode loop
+// with the widened model (nn.Oracle64) running the inference graph on the
+// float64 backend, every accumulation and transcendental in float64. It is
+// not a serving tier: it is the reference the epsilon drift harnesses and
+// the tier error ledger (internal/experiments) hold the f32 and int8 tiers
+// against. Its forward allocates per chunk and is not a hot path.
 
 // EncodePrograms32 encodes ps in coalesced passes on the forward-only
 // float32 engine and writes each program's representation into the
@@ -27,7 +28,7 @@ import (
 //
 //perfvec:hotpath
 func (e *Encoder) EncodePrograms32(ps []*ProgramData, dst [][]float32) {
-	e.encode(ps, dst, false)
+	e.encode(ps, dst, engineF32)
 }
 
 // oracle64 returns the lazily built float64 image of the model. Safe for
@@ -40,71 +41,35 @@ func (f *Foundation) oracle64() *nn.Oracle64 {
 	return f.oracle
 }
 
-// EncodePrograms64 runs the coalesced batch encode through the float64
-// oracle: same chunking and accumulation structure as EncodePrograms32,
-// with features widened exactly and the whole forward graph computed in
-// float64. dst[i] must have length RepDim; every ps[i].N must be >= 1.
+// EncodePrograms64 runs the coalesced batch encode (encode.go) through the
+// float64 oracle on a pooled encoder: the same chunking and accumulation as
+// EncodePrograms32, with each chunk's windows widened exactly and the whole
+// forward graph computed in float64. dst[i] must have length RepDim; every
+// ps[i].N must be >= 1.
 func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
-	o := f.oracle64()
-	window := f.Cfg.Window
-	total := 0
-	for _, p := range ps {
-		if p.N < 1 {
-			panic("perfvec: EncodePrograms64 requires non-empty programs")
-		}
-		total += p.N
-	}
+	e := f.AcquireEncoder()
+	e.encode(ps, nil, engineOracle)
+	d := f.Cfg.RepDim
 	for i := range ps {
-		clear(dst[i])
+		copy(dst[i], e.acc[i*d:(i+1)*d])
 	}
+	f.ReleaseEncoder(e)
+}
 
-	pi, off := 0, 0
-	fpi, foff := 0, 0
-	var slab tensor.Slab32 // float32 windows, filled as encode fills them
-	xs := make([]tensor.Tensor64, window)
-	for base := 0; base < total; base += streamChunk {
-		bsz := min(streamChunk, total-base)
-		slab.Reset()
-		xs32 := slab.Mats(window)
-		for t := range xs32 {
-			xs32[t] = slab.Mat(bsz, f.Cfg.FeatDim)
-		}
-		for row := 0; row < bsz; {
-			p := ps[fpi]
-			k := min(bsz-row, p.N-foff)
-			fillWindowRows(xs32, p, foff, foff+k, row)
-			row += k
-			foff += k
-			if foff == p.N {
-				fpi++
-				foff = 0
-			}
-		}
-		for t, x := range xs32 { // widening is exact
-			xs[t] = tensor.NewTensor64(bsz, f.Cfg.FeatDim)
-			for i, v := range x.Data {
-				xs[t].Data[i] = float64(v)
-			}
-		}
-		reps := o.Linear(f.Head, o.ForwardSeq(xs))
-		for row := 0; row < bsz; {
-			p := ps[pi]
-			k := min(bsz-row, p.N-off)
-			a := dst[pi]
-			for i := 0; i < k; i++ {
-				r := reps.Row(row + i)
-				for j, v := range r {
-					a[j] += v
-				}
-			}
-			row += k
-			off += k
-			if off == p.N {
-				pi++
-				off = 0
-			}
+// forward64 is the oracle's forward pass over the window matrices xs: it
+// widens them (exactly) to float64 and runs encoder and head through
+// oracle64. It allocates per chunk — it is the drift reference, not a hot
+// path.
+func (e *Encoder) forward64(xs []tensor.Tensor32) tensor.Tensor64 {
+	o := e.f.oracle64()
+	xs64 := make([]tensor.Tensor64, len(xs))
+	for t, x := range xs {
+		xs64[t] = tensor.NewTensor64(x.R, x.C)
+		for i, v := range x.Data {
+			xs64[t].Data[i] = float64(v)
 		}
 	}
+	return o.Linear(e.f.Head, o.ForwardSeq(xs64))
 }
 
 // PredictTotalNs64 is the float64-oracle form of PredictTotalNs: the same

@@ -150,6 +150,7 @@ func badModels(tb testing.TB) (valid []byte, bad []badModel) {
 		{"nan_target_scale", edit(func(m *modelFile) { m.Config.TargetScale = float32(math.NaN()) }), "TargetScale"},
 		{"foreign_features", edit(func(m *modelFile) { m.Config.FeatDim = 50 }), "features per instruction"},
 		{"invalid_uarch", edit(func(m *modelFile) { m.Uarchs[1].FreqMHz = 0 }), "uarch 1"},
+		{"huge_cache", edit(func(m *modelFile) { m.Uarchs[0].L2.SizeKB = 1 << 30 }), "L2 size 1073741824 KB exceeds"},
 		{"no_uarchs", edit(func(m *modelFile) { m.Uarchs = nil }), "no microarchitectures"},
 		{"uarchs_exceed_table", edit(func(m *modelFile) { m.Uarchs = append(m.Uarchs, m.Uarchs[0]) }), "3-uarch table"},
 		{"dims_disagree", edit(func(m *modelFile) { m.Config.Hidden, m.Config.RepDim = 1, 4 }), "parameters"},

@@ -30,14 +30,8 @@ type batch struct {
 	ps   []*perfvec.ProgramData
 	keys []uint64
 	dst  [][]float32
-	// dst64 backs PrecisionF64 batches: the float64 oracle writes here and
-	// the worker converts into dst at the batch boundary, so the request
-	// and cache layout is precision-independent. Grown to the high-water
-	// unique-program count and reused; unused (and empty) under
-	// PrecisionF32.
-	dst64 [][]float64
-	uniq  map[uint64]int
-	next  *batch
+	uniq map[uint64]int
+	next *batch
 }
 
 // batcher coalesces cache-miss submissions into batched encoder passes: a
@@ -71,8 +65,8 @@ func newBatcher(f *perfvec.Foundation, cache *RepCache, m *Metrics, window time.
 		f: f, cache: cache, m: m,
 		window: window, maxRows: maxRows, repDim: f.Cfg.RepDim,
 		precision: precision,
-		queue:   make(chan *encodeReq, queueDepth),
-		batches: make(chan *batch, workers),
+		queue:     make(chan *encodeReq, queueDepth),
+		batches:   make(chan *batch, workers),
 	}
 	b.wg.Add(1 + workers)
 	go b.collect()
@@ -186,24 +180,20 @@ func (b *batcher) add(bt *batch, r *encodeReq) int {
 	j := len(bt.ps)
 	bt.uniq[r.key] = j
 	r.psIdx = j
-	bt.reqs = append(bt.reqs, r)   //perfvec:allow hotalloc -- see above: capacity retained across batch reuse
-	bt.ps = append(bt.ps, &r.pd)   //perfvec:allow hotalloc -- see above: capacity retained across batch reuse
+	bt.reqs = append(bt.reqs, r)     //perfvec:allow hotalloc -- see above: capacity retained across batch reuse
+	bt.ps = append(bt.ps, &r.pd)     //perfvec:allow hotalloc -- see above: capacity retained across batch reuse
 	bt.keys = append(bt.keys, r.key) //perfvec:allow hotalloc -- see above: capacity retained across batch reuse
-	bt.dst = append(bt.dst, r.rep) //perfvec:allow hotalloc -- see above: capacity retained across batch reuse
+	bt.dst = append(bt.dst, r.rep)   //perfvec:allow hotalloc -- see above: capacity retained across batch reuse
 	return r.pd.N
 }
 
 // encodeWorker runs batches through the configured numeric engine — one
-// coalesced pass per batch — then fills the cache for every unique program
-// and signals each submitter with its representation. PrecisionF32 is the
-// hot path: the forward-only float32 engine on a pooled encoder, bitwise
-// identical to the training forward and to Foundation.ProgramRep.
-// PrecisionF64 runs the float64 oracle into
-// the batch's dst64 scratch and converts at the batch boundary, so
-// everything downstream (cache, request reps) sees float32 either way.
-// PrecisionInt8 runs the quantized engine on a pooled encoder; it writes
-// float32 representations directly, so the cache layout never varies by
-// tier.
+// coalesced pass per batch on a pooled encoder — then fills the cache for
+// every unique program and signals each submitter with its representation.
+// PrecisionF32 is the forward-only float32 engine, bitwise identical to the
+// training forward and to Foundation.ProgramRep; PrecisionInt8 is the
+// quantized engine. Both write float32 representations, so the cache layout
+// never varies by tier.
 func (b *batcher) encodeWorker() {
 	defer b.wg.Done()
 	// woken holds the batch's requests while the batch itself is recycled:
@@ -212,27 +202,13 @@ func (b *batcher) encodeWorker() {
 	// worker has not yet returned the batch that served its last one.
 	var woken []*encodeReq
 	for bt := range b.batches {
-		switch b.precision {
-		case PrecisionF64:
-			for len(bt.dst64) < len(bt.ps) {
-				bt.dst64 = append(bt.dst64, make([]float64, b.repDim))
-			}
-			d64 := bt.dst64[:len(bt.ps)]
-			b.f.EncodePrograms64(bt.ps, d64)
-			for i := range bt.ps {
-				for j, v := range d64[i] {
-					bt.dst[i][j] = float32(v)
-				}
-			}
-		case PrecisionInt8:
-			e := b.f.AcquireEncoder()
+		e := b.f.AcquireEncoder()
+		if b.precision == PrecisionInt8 {
 			e.EncodeProgramsQ8(bt.ps, bt.dst)
-			b.f.ReleaseEncoder(e)
-		default:
-			e := b.f.AcquireEncoder()
+		} else {
 			e.EncodePrograms32(bt.ps, bt.dst)
-			b.f.ReleaseEncoder(e)
 		}
+		b.f.ReleaseEncoder(e)
 		for i, key := range bt.keys {
 			b.cache.Put(key, bt.dst[i])
 		}

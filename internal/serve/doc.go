@@ -64,8 +64,8 @@
 // # Batching window semantics
 //
 // The batcher coalesces concurrent cache-miss submissions into batched
-// encoder passes (perfvec.Encoder.EncodePrograms32 and its precision
-// twins). A batch opens when the first queued request is dequeued and
+// encoder passes (perfvec.Encoder.EncodePrograms32 or its int8 twin
+// EncodeProgramsQ8). A batch opens when the first queued request is dequeued and
 // closes when either bound is hit:
 //
 //   - size: the batch's total instruction rows reach Config.MaxBatchRows
@@ -127,9 +127,9 @@
 //
 // # Precision policy
 //
-// Config.Precision selects the numeric engine encode batches run on; the
-// request wire format, cache layout, and admission path are identical
-// under all three:
+// Config.Precision selects which of two serving tiers encode batches run on
+// (perfvec-serve -precision f32|int8); the request wire format, cache
+// layout, and admission path are identical under both:
 //
 //   - PrecisionF32 (default): the forward-only float32 engine
 //     (perfvec.Encoder.EncodePrograms32) — packed f32 GEMM on pooled
@@ -146,27 +146,25 @@
 //     Slab32/SlabI8 arenas, zero steady-state allocations. The throughput
 //     tier: >= 1.5x the f32 fast path on batched encodes (the
 //     EncodeQ8/EncodeF32 pair in BENCH_10.json records the ratio). Its
-//     contract is an epsilon, not bitwise equality with the other tiers:
+//     contract is an epsilon, not bitwise equality with the f32 tier:
 //     the int8 drift harness holds every representation element within
 //     5e-2 of the f64 oracle, normalized by the representation's dynamic
 //     range (quantization noise scales with the range, not per-element
 //     magnitude). Within the tier the engine is still deterministic and
 //     batch-invariant, so cache semantics are unchanged: a cached int8
 //     representation is bitwise the one a fresh int8 encode would produce.
-//   - PrecisionF64: the float64 oracle (perfvec.Foundation.EncodePrograms64)
-//     — widened weights, every kernel in float64 — with each representation
-//     converted to float32 exactly once, at the batch boundary, before it
-//     reaches the cache or any request buffer. This is the audit mode the
-//     serving epsilons are stated against: the f32 fast path drifts from
-//     the oracle by at most 1e-4 relative error element-wise, the int8
-//     tier by at most 5e-2 range-normalized (the drift harnesses in
-//     internal/perfvec pin both across cell types, batch compositions,
-//     and numeric edge cases). The oracle allocates per batch; it is for
-//     audits, not throughput.
 //
-// All three tiers run one inference graph (internal/nn/infer.go), written
-// once and instantiated per backend, so they differ only in arithmetic,
-// never in wiring. The oracle and quantized images of the model are built
-// lazily on first use and assume frozen weights — the assumption serving
-// already makes everywhere.
+// Both tiers are held against the float64 oracle
+// (perfvec.Foundation.EncodePrograms64), which is a reference, not a
+// serving tier: the drift harnesses in internal/perfvec pin the f32 path
+// within 1e-4 relative error element-wise and the int8 tier within 5e-2
+// range-normalized, and internal/experiments' TestTierErrorLedger holds
+// f32 prediction error to the oracle's within 1e-6 and int8's within two
+// points of f32's. f64 serving was retired because f32 matched it.
+//
+// The tiers and the oracle run one inference graph (internal/nn/infer.go),
+// written once and instantiated per backend, and one batch encode loop, so
+// they differ only in arithmetic, never in wiring. The oracle and quantized
+// images of the model are built lazily on first use and assume frozen
+// weights — the assumption serving already makes everywhere.
 package serve

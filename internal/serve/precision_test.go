@@ -3,68 +3,29 @@ package serve
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/perfvec"
 )
 
 func TestParsePrecision(t *testing.T) {
-	for _, p := range []Precision{PrecisionF32, PrecisionF64, PrecisionInt8} {
+	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
 		got, err := ParsePrecision(p.String())
 		if err != nil || got != p {
 			t.Fatalf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
 		}
 	}
-	if _, err := ParsePrecision("f16"); err == nil {
-		t.Fatal("ParsePrecision accepted f16")
-	}
-}
-
-// TestSubmitF64MatchesOracle pins the audit mode's contract: a PrecisionF64
-// service returns exactly the float64 oracle representation converted to
-// float32 — the conversion at the batch boundary is the only float32 step —
-// and that representation stays within the serving epsilon of the float32
-// fast path's.
-func TestSubmitF64MatchesOracle(t *testing.T) {
-	tr := NewTraffic(LoadConfig{Seed: 61, Programs: 6, MinInstrs: 1, MaxInstrs: 80, Requests: 6, Clients: 2},
-		perfvec.DefaultConfig().FeatDim)
-	s := newTestService(t, 0, func(c *Config) { c.Precision = PrecisionF64 })
-	if s.Precision() != PrecisionF64 {
-		t.Fatalf("service precision = %v, want f64", s.Precision())
-	}
-	f := s.Model()
-	d := f.Cfg.RepDim
-	for i := 0; i < tr.Requests(); i++ {
-		fs, n := tr.Program(i)
-		rep := make([]float32, d)
-		if _, err := s.Submit(tr.Client(i), fs, n, rep); err != nil {
-			t.Fatalf("Submit: %v", err)
+	// The float64 oracle is an offline reference, not a serving tier: "f64"
+	// is refused like any unknown value, with an error naming what is
+	// accepted.
+	for _, s := range []string{"f16", "f64"} {
+		_, err := ParsePrecision(s)
+		if err == nil {
+			t.Fatalf("ParsePrecision accepted %s", s)
 		}
-
-		pd := progData(fs, n, f.Cfg.FeatDim)
-		want64 := [][]float64{make([]float64, d)}
-		f.EncodePrograms64([]*perfvec.ProgramData{pd}, want64)
-		for j, v := range want64[0] {
-			if rep[j] != float32(v) {
-				t.Fatalf("request %d col %d: served %v != converted oracle %v (must be bitwise)", i, j, rep[j], float32(v))
-			}
-		}
-
-		// Epsilon against the float32 fast path (== ProgramRep bitwise).
-		rep32 := f.ProgramRep(pd)
-		var maxAbs float64
-		for _, v := range want64[0] {
-			maxAbs = math.Max(maxAbs, math.Abs(v))
-		}
-		floor := 1e-2 * maxAbs
-		for j := range rep32 {
-			denom := math.Max(math.Abs(want64[0][j]), floor)
-			if denom == 0 {
-				continue
-			}
-			if rel := math.Abs(float64(rep32[j])-want64[0][j]) / denom; rel > 1e-4 {
-				t.Fatalf("request %d col %d: f32 path %v vs f64 rep %v (rel err %.2e)", i, j, rep32[j], want64[0][j], rel)
-			}
+		if msg := err.Error(); !strings.Contains(msg, "f32") || !strings.Contains(msg, "int8") {
+			t.Fatalf("ParsePrecision(%q) error %q does not name f32 and int8", s, msg)
 		}
 	}
 }
@@ -121,8 +82,8 @@ func TestSubmitInt8MatchesEngine(t *testing.T) {
 }
 
 // TestPrecisionFleetConcurrent runs the concurrent-fleet race workout at 1,
-// 2, and 8 clients under every precision — the f64 and int8 paths share the
-// cache, metrics, and batch pools with the fast path, so they need the same
+// 2, and 8 clients under both precisions — the int8 path shares the
+// cache, metrics, and batch pools with the fast path, so it needs the same
 // -race coverage CI gives TestFleetConcurrent. Follow-up predicts obey
 // TestFleetConcurrent's rule: predicted plus missed follow-ups equals the
 // request count (with concurrent clients another client's submits can
@@ -131,7 +92,7 @@ func TestSubmitInt8MatchesEngine(t *testing.T) {
 func TestPrecisionFleetConcurrent(t *testing.T) {
 	f := perfvec.NewFoundation(perfvec.DefaultConfig())
 	tr := NewTraffic(LoadConfig{Seed: 67, Programs: 10, MinInstrs: 1, MaxInstrs: 40, Requests: 80, Clients: 8}, f.Cfg.FeatDim)
-	for _, prec := range []Precision{PrecisionF32, PrecisionF64, PrecisionInt8} {
+	for _, prec := range []Precision{PrecisionF32, PrecisionInt8} {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s/%dworkers", prec, workers), func(t *testing.T) {
 				s := newTestService(t, 3, func(c *Config) {

@@ -70,11 +70,12 @@ type Config struct {
 	// a pooled encoder while running a batch). Default 2.
 	EncodeWorkers int
 
-	// Precision selects the numeric engine batches run on: PrecisionF32
-	// (the default) is the forward-only float32 fast path, PrecisionInt8
-	// the quantized u8 x i8 throughput tier (epsilon-bounded against the
-	// oracle, not bitwise), PrecisionF64 the float64 oracle audit mode.
-	// See the Precision doc.
+	// Precision selects the numeric engine batches run on, one of two
+	// serving tiers: PrecisionF32 (the default) is the forward-only float32
+	// fast path, PrecisionInt8 the quantized u8 x i8 throughput tier
+	// (epsilon-bounded against the float64 oracle, not bitwise). The oracle
+	// itself is an offline reference, not a serving tier. See the
+	// Precision doc.
 	Precision Precision
 
 	// Rate and Burst configure the per-client token buckets. Rate<=0
@@ -188,8 +189,8 @@ func (s *Service) Close() {
 // in Predict. Cache hits return immediately; misses block until the
 // coalesced batch carrying them completes. Under PrecisionF32 (the default)
 // the result is bitwise identical to Foundation.ProgramRep on the same
-// features regardless of what else is in the batch; under PrecisionF64 it is
-// the float64 oracle representation converted to float32, equally
+// features regardless of what else is in the batch; under PrecisionInt8 it is
+// the quantized engine's representation, equally
 // batch-composition-independent.
 //
 //perfvec:hotpath

@@ -3,8 +3,8 @@ package tensor
 import "math"
 
 // Float64 oracle GEMM. This is the reference engine the epsilon drift
-// harness and the -precision=f64 audit serving mode compare the float32
-// fast path against — correctness and determinism matter here, raw speed
+// harnesses and the tier error ledger compare the float32 and int8 serving
+// tiers against — correctness and determinism matter here, raw speed
 // does not (no packing, no assembly; math.FMA compiles to a scalar VFMADD
 // on amd64 and is exact everywhere else).
 //

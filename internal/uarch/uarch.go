@@ -164,38 +164,65 @@ type Config struct {
 	DRAMBandwidthGB float64
 }
 
-// Validate checks structural invariants the simulator relies on.
+// Validate checks structural invariants the simulator relies on. It also
+// bounds every size the simulator allocates from — cache sets, functional
+// unit pools, the return address stack and the ROB/LQ/SQ rings — so a
+// config read from a file cannot ask it for gigabytes. The bounds sit well
+// above the sampler's, GenerateSpace's and the predefined configs' ranges.
 func (c *Config) Validate() error {
-	chk := func(cond bool, format string, args ...any) error {
-		if !cond {
-			return fmt.Errorf("uarch %q: "+format, append([]any{c.Name}, args...)...)
-		}
-		return nil
+	// Checks run in order and only the first failure is formatted, so a
+	// valid config (GenerateSpace validates thousands) costs no allocation.
+	bad := func(format string, args ...any) error {
+		return fmt.Errorf("uarch %q: "+format, append([]any{c.Name}, args...)...)
 	}
-	checks := []error{
-		chk(c.FreqMHz >= 200 && c.FreqMHz <= 6000, "frequency %d MHz out of range", c.FreqMHz),
-		chk(c.FetchWidth >= 1 && c.FetchWidth <= 16, "fetch width %d out of range", c.FetchWidth),
-		chk(c.FrontendDepth >= 1 && c.FrontendDepth <= 24, "frontend depth %d out of range", c.FrontendDepth),
-		chk(c.IssueWidth >= 1 && c.IssueWidth <= 16, "issue width %d out of range", c.IssueWidth),
-		chk(c.CommitWidth >= 1 && c.CommitWidth <= 16, "commit width %d out of range", c.CommitWidth),
-		chk(c.Core == InOrder || c.ROBSize >= 8, "ROB size %d too small for OoO", c.ROBSize),
-		chk(c.PredTableBits >= 4 && c.PredTableBits <= 20, "predictor table bits %d out of range", c.PredTableBits),
-		chk(c.BTBBits >= 4 && c.BTBBits <= 16, "BTB bits %d out of range", c.BTBBits),
-		chk(c.DRAMLatencyNs > 0 && c.DRAMBandwidthGB > 0, "DRAM parameters must be positive"),
+	switch {
+	case c.FreqMHz < 200 || c.FreqMHz > 6000:
+		return bad("frequency %d MHz out of range", c.FreqMHz)
+	case c.FetchWidth < 1 || c.FetchWidth > 16:
+		return bad("fetch width %d out of range", c.FetchWidth)
+	case c.FrontendDepth < 1 || c.FrontendDepth > 24:
+		return bad("frontend depth %d out of range", c.FrontendDepth)
+	case c.IssueWidth < 1 || c.IssueWidth > 16:
+		return bad("issue width %d out of range", c.IssueWidth)
+	case c.CommitWidth < 1 || c.CommitWidth > 16:
+		return bad("commit width %d out of range", c.CommitWidth)
+	case c.Core != InOrder && c.ROBSize < 8:
+		return bad("ROB size %d too small for OoO", c.ROBSize)
+	case c.ROBSize > 1024:
+		return bad("ROB size %d exceeds 1024", c.ROBSize)
+	case c.LQSize < 0 || c.LQSize > 1024:
+		return bad("LQ size %d out of range", c.LQSize)
+	case c.SQSize < 0 || c.SQSize > 1024:
+		return bad("SQ size %d out of range", c.SQSize)
+	case c.RASEntries < 0 || c.RASEntries > 64:
+		return bad("RAS entries %d out of range", c.RASEntries)
+	case c.PredTableBits < 4 || c.PredTableBits > 20:
+		return bad("predictor table bits %d out of range", c.PredTableBits)
+	case c.BTBBits < 4 || c.BTBBits > 16:
+		return bad("BTB bits %d out of range", c.BTBBits)
+	case !(c.DRAMLatencyNs > 0 && c.DRAMBandwidthGB > 0):
+		return bad("DRAM parameters must be positive")
 	}
 	for _, cache := range []struct {
-		name string
-		c    Cache
-	}{{"L1I", c.L1I}, {"L1D", c.L1D}, {"L2", c.L2}} {
-		checks = append(checks,
-			chk(cache.c.SizeKB > 0, "%s size must be positive", cache.name),
-			chk(cache.c.Assoc > 0, "%s associativity must be positive", cache.name),
-			chk(cache.c.LineBytes >= 16 && (cache.c.LineBytes&(cache.c.LineBytes-1)) == 0,
-				"%s line size %d must be a power of two >= 16", cache.name, cache.c.LineBytes),
-			// Sets divides by both; the two checks above report a zero.
-			chk(cache.c.Assoc <= 0 || cache.c.LineBytes <= 0 || cache.c.Sets() >= 1, "%s geometry yields zero sets", cache.name),
-			chk(cache.c.Latency >= 1, "%s latency must be >= 1 cycle", cache.name),
-		)
+		name  string
+		c     Cache
+		maxKB int
+	}{{"L1I", c.L1I, 1024}, {"L1D", c.L1D, 1024}, {"L2", c.L2, 32768}} {
+		k := cache.c
+		switch {
+		case k.SizeKB <= 0:
+			return bad("%s size must be positive", cache.name)
+		case k.SizeKB > cache.maxKB:
+			return bad("%s size %d KB exceeds %d KB", cache.name, k.SizeKB, cache.maxKB)
+		case k.Assoc <= 0:
+			return bad("%s associativity must be positive", cache.name)
+		case k.LineBytes < 16 || k.LineBytes&(k.LineBytes-1) != 0:
+			return bad("%s line size %d must be a power of two >= 16", cache.name, k.LineBytes)
+		case k.Sets() < 1:
+			return bad("%s geometry yields zero sets", cache.name)
+		case k.Latency < 1:
+			return bad("%s latency must be >= 1 cycle", cache.name)
+		}
 	}
 	for _, fu := range []struct {
 		name string
@@ -203,13 +230,13 @@ func (c *Config) Validate() error {
 	}{{"IntALU", c.IntALU}, {"IntMul", c.IntMul}, {"IntDiv", c.IntDiv},
 		{"FPALU", c.FPALU}, {"FPMul", c.FPMul}, {"FPDiv", c.FPDiv},
 		{"VecUnit", c.VecUnit}, {"MemPort", c.MemPort}} {
-		checks = append(checks,
-			chk(fu.f.Count >= 1, "%s needs at least one unit", fu.name),
-			chk(fu.f.Latency >= 1, "%s latency must be >= 1", fu.name))
-	}
-	for _, err := range checks {
-		if err != nil {
-			return err
+		switch {
+		case fu.f.Count < 1:
+			return bad("%s needs at least one unit", fu.name)
+		case fu.f.Count > 16:
+			return bad("%s count %d exceeds 16", fu.name, fu.f.Count)
+		case fu.f.Latency < 1:
+			return bad("%s latency must be >= 1", fu.name)
 		}
 	}
 	return nil

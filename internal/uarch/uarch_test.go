@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -150,6 +151,45 @@ func TestValidateCatchesBadConfigs(t *testing.T) {
 	c.L1I.LineBytes = 0
 	if err := c.Validate(); err == nil {
 		t.Fatal("expected validation failure for zero line size")
+	}
+	// Every size the simulator allocates from is bounded, so a config read
+	// from a file cannot ask for a terabyte of cache sets.
+	for name, edit := range map[string]func(*Config){
+		"1 TB L2":       func(c *Config) { c.L2.SizeKB = 1 << 30 },
+		"64 MB L2":      func(c *Config) { c.L2.SizeKB = 64 * 1024 },
+		"2 MB L1D":      func(c *Config) { c.L1D.SizeKB = 2048 },
+		"2 MB L1I":      func(c *Config) { c.L1I.SizeKB = 2048 },
+		"1M ALUs":       func(c *Config) { c.IntALU.Count = 1 << 20 },
+		"17 mem ports":  func(c *Config) { c.MemPort.Count = 17 },
+		"1M RAS":        func(c *Config) { c.RASEntries = 1 << 20 },
+		"negative RAS":  func(c *Config) { c.RASEntries = -1 },
+		"1M ROB":        func(c *Config) { c.ROBSize = 1 << 20 },
+		"1M LQ":         func(c *Config) { c.LQSize = 1 << 20 },
+		"1M SQ":         func(c *Config) { c.SQSize = 1 << 20 },
+		"int-max cache": func(c *Config) { c.L1D.SizeKB = math.MaxInt },
+	} {
+		c := A7Like()
+		edit(c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: expected validation failure", name)
+		}
+	}
+}
+
+// TestValidateBoundsCoverGenerators pins the other side of Validate's upper
+// bounds: every predefined config, 10k sampled ones of each core kind and a
+// 10k-config generated design space all pass.
+func TestValidateBoundsCoverGenerators(t *testing.T) {
+	cfgs := Predefined()
+	s := NewSampler(3)
+	for i := 0; i < 10_000; i++ {
+		cfgs = append(cfgs, s.Sample(CoreKind(i%2)))
+	}
+	cfgs = append(cfgs, GenerateSpace(SpaceSpec{Size: 10_000, Seed: 3})...)
+	for _, c := range cfgs {
+		if err := c.Validate(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
