@@ -5,15 +5,10 @@
 // closure-free typed kernel dispatch (kernelcapture), and engine-call-scoped
 // pack buffers (packlife).
 //
-// Standalone (loads packages via the go tool):
+// It loads packages via the go tool:
 //
 //	go run ./cmd/perfvec-vet ./...
 //	go run ./cmd/perfvec-vet -tags noasm -summary ./internal/tensor/...
-//
-// As a vet tool (unitchecker protocol):
-//
-//	go build -o /tmp/perfvec-vet ./cmd/perfvec-vet
-//	go vet -vettool=/tmp/perfvec-vet ./...
 //
 // Exit status: 0 no findings, 1 findings, 2 operational error.
 package main

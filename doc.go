@@ -118,8 +118,8 @@
 //
 // The performance invariants above are not only measured — they are enforced
 // at compile time by perfvec-vet (cmd/perfvec-vet), a custom go/analysis
-// suite built on the standard library (internal/analysis) that runs
-// standalone and as a `go vet -vettool`, and is a required CI step. Four
+// suite built on the standard library (internal/analysis) that loads every
+// package itself, and is a required CI step. Four
 // analyzers cover the four invariant classes:
 //
 //   - arenalife: a *tensor.Tensor or []*tensor.Tensor slab produced through
@@ -206,13 +206,13 @@
 //   - The forward-only float32 fast path (the default): tensor.Slab32
 //     arenas, tensor's *32 entry points, and nn.ForwardSeq32 run the
 //     inference graph without tape records, VJP scratch stores, or backward
-//     bookkeeping. internal/nn writes each architecture's inference graph
+//     bookkeeping. internal/nn writes each architecture's forward graph
 //     once, generic over the activation type and a kernel backend; the
-//     float32, int8 and float64 tiers are its three backends, and the
-//     trainer's validation loss runs on the float32 one. Its kernels are
-//     twins of the tape kernels minus the
-//     backward-only stores, so its output is bitwise identical to the tape
-//     forward (pinned per-op, per-architecture, and end-to-end through
+//     training tape and the float32, int8 and float64 tiers are its four
+//     backends, and the trainer's validation loss runs on the float32 one.
+//     Its kernels are twins of the tape kernels minus the backward-only
+//     stores, so its output is bitwise identical to the tape backend's
+//     (pinned per-op, per-architecture, and end-to-end through
 //     perfvec.Encoder.EncodePrograms32) — switching the serving default to
 //     it changed no bit of any served representation. Slab32 follows the
 //     pooled-tape lifetime rule: tensors drawn from a slab die at its next

@@ -7,9 +7,8 @@
 // (PR 5), and the zero-allocation training hot path — were until now enforced
 // only by after-the-fact regression tests. The analyzers in the subpackages
 // (arenalife, hotalloc, kernelcapture, packlife) enforce them at vet time
-// instead; cmd/perfvec-vet is the multichecker binary that runs them, both
-// standalone (loading packages itself via `go list -export`) and as a
-// `go vet -vettool` unitchecker.
+// instead; cmd/perfvec-vet is the multichecker binary that runs them,
+// loading packages itself via `go list -export`.
 //
 // The x/tools module is deliberately not imported: the toolchain in this
 // environment carries no third-party modules, and the subset of the
@@ -30,10 +29,10 @@ import (
 // golang.org/x/tools/go/analysis.Analyzer.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in the
-	// -<name>=false disabling flags of the multichecker.
+	// multichecker's usage text.
 	Name string
 	// Doc is the analyzer's one-paragraph documentation: first line is the
-	// summary shown by `perfvec-vet help`.
+	// summary shown by `perfvec-vet -h`.
 	Doc string
 	// Run applies the check to one package.
 	Run func(*Pass) error

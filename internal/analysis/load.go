@@ -41,9 +41,7 @@ type listPkg struct {
 // Load lists patterns with the go tool (plus -deps -export, so every
 // dependency's export data lands in the build cache), then parses and
 // type-checks each matched package from source, resolving imports through the
-// dependencies' export data. This is the standalone driver path — the
-// unitchecker path (go vet -vettool) receives the same information from the
-// vet config file instead. buildTags is passed to `go list -tags`.
+// dependencies' export data. buildTags is passed to `go list -tags`.
 func Load(patterns []string, buildTags string) ([]*Package, error) {
 	exports, targets, err := listExportDeps(patterns, buildTags)
 	if err != nil {

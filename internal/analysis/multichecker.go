@@ -7,35 +7,17 @@ import (
 	"strings"
 )
 
-// Main is the multichecker entry point shared by cmd/perfvec-vet: it runs the
-// given analyzers either standalone over package patterns (loading via the go
-// tool) or as a `go vet -vettool` unitchecker when invoked with a vet config
-// file (see unitchecker.go). It does not return.
+// Main is the multichecker entry point of cmd/perfvec-vet: it runs the given
+// analyzers over package patterns, loading them via the go tool. It does not
+// return.
 //
-// Standalone usage:
+// Usage:
 //
 //	perfvec-vet [-tags tags] [-test] [-summary] packages...
 //
 // Exit status is 0 for no findings, 1 for findings, 2 for operational errors
 // — the go vet convention.
 func Main(analyzers ...*Analyzer) {
-	// Vettool protocol first: `go vet -vettool=perfvec-vet` probes with
-	// -V=full and -flags before handing over per-package config files.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full" || os.Args[1] == "--V=full":
-			fmt.Printf("%s version devel comments-go-here buildID=%s\n",
-				progName(), buildFingerprint(analyzers))
-			os.Exit(0)
-		case os.Args[1] == "-flags" || os.Args[1] == "--flags":
-			fmt.Println("[]")
-			os.Exit(0)
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			unitcheck(os.Args[1], analyzers)
-			os.Exit(0)
-		}
-	}
-
 	fs := flag.NewFlagSet(progName(), flag.ExitOnError)
 	tags := fs.String("tags", "", "build tags to pass to the go tool")
 	includeTests := fs.Bool("test", false, "also analyze _test.go files")
@@ -90,24 +72,4 @@ func progName() string {
 		name = name[i+1:]
 	}
 	return name
-}
-
-// buildFingerprint feeds go vet's result cache: it must change whenever the
-// suite's behavior changes. The analyzer names and doc strings stand in for a
-// content hash; bump fingerprintGen on behavioral changes that touch neither.
-const fingerprintGen = "1"
-
-func buildFingerprint(analyzers []*Analyzer) string {
-	h := uint64(14695981039346656037) // FNV-1a over names+docs
-	mix := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * 1099511628211
-		}
-	}
-	mix(fingerprintGen)
-	for _, a := range analyzers {
-		mix(a.Name)
-		mix(a.Doc)
-	}
-	return fmt.Sprintf("%016x", h)
 }

@@ -62,8 +62,9 @@ func trainRegressor(xs [][]float32, ys []float64, hidden, epochs int, seed int64
 	rng := rand.New(rand.NewSource(seed))
 	net := nn.NewMLP(rng, nn.ActTanh, dim, hidden, 1)
 	opt := nn.NewAdam(0.01)
+	tp := tensor.NewTapeArena()
 	for e := 0; e < epochs; e++ {
-		tp := tensor.NewTape()
+		tp.Reset()
 		loss := nn.MSE(tp, net.Forward(tp, in), out)
 		tp.Backward(loss)
 		opt.Step(net.Params())

@@ -26,8 +26,8 @@ func TestTransformerDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	m := NewTransformer(rng, 4, 5, 8, 2, 1)
 	xs := randSeq(rng, 4, 3, 5)
-	a := m.ForwardSeq(nil, xs)
-	b := m.ForwardSeq(nil, xs)
+	a := ForwardSeq(nil, m, xs)
+	b := ForwardSeq(nil, m, xs)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("transformer forward is not deterministic")
@@ -43,7 +43,7 @@ func TestTransformerRejectsLongSequence(t *testing.T) {
 			t.Fatal("expected panic for sequence longer than seqLen")
 		}
 	}()
-	m.ForwardSeq(nil, randSeq(rng, 3, 2, 5))
+	ForwardSeq(nil, m, randSeq(rng, 3, 2, 5))
 }
 
 func TestTransformerRejectsIndivisibleHeads(t *testing.T) {
@@ -61,8 +61,8 @@ func TestGRUStateEvolves(t *testing.T) {
 	m := NewGRU(rng, 4, 6, 1)
 	short := randSeq(rng, 1, 2, 4)
 	long := append(append([]*tensor.Tensor{}, short...), randSeq(rng, 2, 2, 4)...)
-	a := m.ForwardSeq(nil, short)
-	b := m.ForwardSeq(nil, long)
+	a := ForwardSeq(nil, m, short)
+	b := ForwardSeq(nil, m, long)
 	same := true
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {

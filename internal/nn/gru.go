@@ -27,26 +27,6 @@ func newGRULayer(rng *rand.Rand, in, hidden int) *gruLayer {
 	}
 }
 
-// step advances one timestep using the fused gate kernels: the update/reset
-// block (σ gates + reset-scaled state) and the candidate/interpolation block
-// (tanh + h' = n - z*n + z*h) each collapse into one tape node, bitwise
-// identical to the unfused Sigmoid/SliceCols/Mul/Tanh/Add composition.
-func (l *gruLayer) step(tp *tensor.Tape, x, h *tensor.Tensor) *tensor.Tensor {
-	z, rh := tensor.GRUGates(tp, tensor.MatMulBTCat(tp, x, h, l.Wzr), l.Bzr, h)
-	return tensor.GateCombine(tp, z, tensor.MatMulBTCat(tp, x, rh, l.Wn), l.Bn, h)
-}
-
-func (l *gruLayer) runSeq(tp *tensor.Tape, xs []*tensor.Tensor) []*tensor.Tensor {
-	batch := xs[0].Rows()
-	h := tensor.Zeros(tp, batch, l.hidden)
-	hs := tp.Tensors(len(xs)) // tape-pooled, recycled on Reset
-	for t, x := range xs {
-		h = l.step(tp, x, h)
-		hs[t] = h
-	}
-	return hs
-}
-
 // GRU is a multi-layer unidirectional GRU sequence encoder.
 type GRU struct {
 	layers []*gruLayer
@@ -65,15 +45,6 @@ func NewGRU(rng *rand.Rand, featDim, hidden, layers int) *GRU {
 		in = hidden
 	}
 	return m
-}
-
-// ForwardSeq implements SeqEncoder.
-func (m *GRU) ForwardSeq(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tensor {
-	hs := xs
-	for _, l := range m.layers {
-		hs = l.runSeq(tp, hs)
-	}
-	return hs[len(hs)-1]
 }
 
 // OutDim implements SeqEncoder.

@@ -6,15 +6,20 @@ import (
 	"repro/internal/tensor"
 )
 
-// Forward-only inference graph. Each architecture's inference forward pass
-// is written once below, generic over the activation matrix type and a
-// backend (inferOps) that owns every operation on it: the arena, the linear
-// maps, the recurrent gate blocks, flatten/concat/stack, attention scores,
-// softmax and value mixing, residual adds, layernorm and the activations.
-// Three backends exist:
+// The one forward graph. Each architecture's forward pass is written once
+// below, generic over the activation matrix type and a backend (inferOps)
+// that owns every operation on it: the arena, the linear maps, the recurrent
+// gate blocks, flatten/concat/stack, attention scores, softmax and value
+// mixing, residual adds, layernorm and the activations. Training, serving,
+// representation generation, validation and the oracle all run it; a new
+// architecture, or a change to one, is written here and nowhere else. Four
+// backends exist:
 //
+//   - tapeOps (infertape.go) records every operation on a tensor.Tape, so
+//     Backward replays the graph: the training forward (ForwardSeq,
+//     Linear.Forward, MLP.Forward). On a nil tape it records nothing;
 //   - f32Ops (infer32.go) runs the packed float32 GEMMs and the exact gate
-//     kernels, bitwise identical to the tape forward (TestForwardSeq32Bitwise
+//     kernels, bitwise identical to the tape backend (TestForwardSeq32Bitwise
 //     pins this per architecture). Serving, representation generation and
 //     the trainer's validation loss all run on it;
 //   - q8Ops (inferq8.go) runs the int8 GEMMs over weights quantized once at
@@ -24,10 +29,10 @@ import (
 //     float64: the oracle both drift harnesses compare the other two against.
 //
 // f32Ops and q8Ops share one float32 implementation of everything but the
-// GEMMs and transcendentals (slabOps, embedded in both). The oracle's
-// independence is in its arithmetic, not its wiring: the graph it runs is
-// the one pinned bitwise to the tape forward, an independently written
-// graph.
+// GEMMs and transcendentals (slabOps, embedded in both). Because every
+// backend runs the same graph, the pins between backends check their
+// arithmetic, not the graph's wiring; TestGraphGolden guards the wiring
+// against recorded encodings and gradients.
 //
 // The graphs are instantiated per backend (type parameters, not interface
 // values), so a backend carrying several pointers is passed by value and a
@@ -39,10 +44,10 @@ type matrix interface {
 }
 
 // lnEps is the layernorm epsilon of every transformer block; each backend
-// converts it to its own precision, exactly as the tape forward does.
+// converts it to its own precision.
 const lnEps = 1e-5
 
-// inferOps is the operation set an inference backend supplies. Parameters —
+// inferOps is the operation set a backend supplies. Parameters —
 // weights, biases, layernorm gains and positional encodings — are named by
 // the trained tensor; a backend maps them to whatever operand form its
 // kernels consume. A nil bias means the layer is bias-free.
@@ -170,11 +175,10 @@ func inferGRU[T matrix, O inferOps[T]](o O, m *GRU, xs []T) T {
 	return hs[len(hs)-1]
 }
 
-// inferBlock processes one sample's sequence x[T, D]. The only structural
-// difference from the tape forward: per-head outputs are written straight
-// into their column range of headsOut (attentionValue), which fuses the
-// tape path's SliceCols/MatMul/ConcatCols into leading-dimension-aware GEMM
-// calls with bitwise-identical values.
+// inferBlock processes one sample's sequence x[T, D] (post-norm: residual
+// add, then layernorm). Per-head outputs are written straight into their
+// column range of headsOut (attentionValue): leading-dimension-aware GEMM
+// calls, with no per-head slice or concatenation.
 //
 //perfvec:hotpath
 func inferBlock[T matrix, O inferOps[T]](o O, b *encoderBlock, x T) T {
@@ -202,8 +206,8 @@ func inferTransformer[T matrix, O inferOps[T]](o O, t *Transformer, xs []T) T {
 	emb := o.mats(len(xs))
 	for i, x := range xs {
 		// The positional encoding runs as an in-place epilogue on the fresh
-		// embedding: the same addition, in the same order, as the tape
-		// path's AddBias, without its output tensor.
+		// embedding. The encodings are fixed: on a tape their gradient is
+		// accumulated but never read.
 		emb[i] = o.addBias(inferLinear(o, t.Embed, x), t.pos[i])
 	}
 	batch := xs[0].Rows()

@@ -4,14 +4,16 @@ import (
 	"repro/internal/tensor"
 )
 
-// Float32 inference backend. f32Ops runs the inference graph (infer.go) on
-// a Slab32 with the forward-only tensor twins: the same GEMM entry points
-// and the same per-element kernel expressions as the tape ops, with no tape
-// records, no gradient buffers, and no backward-only scratch. The outputs
-// are bitwise identical to ForwardSeq on a tape (TestForwardSeq32Bitwise
-// pins this per architecture), so serving runs this path by default without
-// perturbing a single cached representation, and the trainer's validation
-// loss runs on it without changing a bit of the training trajectory.
+// Float32 inference backend. f32Ops runs the one graph (infer.go) on a
+// Slab32 with the forward-only tensor twins: the same GEMM entry points and
+// the same per-element kernel expressions as the tape ops, with no tape
+// records, no gradient buffers, and no backward-only scratch. Its outputs
+// are bitwise identical to the tape backend's (ForwardSeq), so serving runs
+// this path by default without perturbing a single cached representation,
+// and the trainer's validation loss runs on it without changing a bit of
+// the training trajectory. TestForwardSeq32Bitwise pins this per
+// architecture; since both backends run one graph, that pin compares their
+// arithmetic, and TestGraphGolden guards the graph's wiring.
 //
 // Weights are shared, not copied: t32 wraps the trained float32 parameters
 // in Tensor32 headers in place, so a pass always reads the current weights
@@ -84,7 +86,7 @@ func (o slabOps) relu(x tensor.Tensor32) tensor.Tensor32 { return tensor.ReLUInP
 type f32Ops struct{ slabOps }
 
 // linear runs the bias broadcast in place on the GEMM output, exactly as
-// Linear.Forward does.
+// the tape backend does.
 //
 //perfvec:hotpath
 func (o f32Ops) linear(x tensor.Tensor32, w, b *tensor.Tensor) tensor.Tensor32 {

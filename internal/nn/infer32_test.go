@@ -43,7 +43,7 @@ func TestForwardSeq32Bitwise(t *testing.T) {
 	for name, enc := range encoders(rand.New(rand.NewSource(5)), featDim) {
 		t.Run(name, func(t *testing.T) {
 			xs, xs32, _ := seqInputs(rand.New(rand.NewSource(17)), T, batch, featDim)
-			want := enc.ForwardSeq(nil, xs)
+			want := ForwardSeq(nil, enc, xs)
 			s := &tensor.Slab32{}
 			for pass := 0; pass < 2; pass++ { // second pass runs on recycled slab memory
 				s.Reset()

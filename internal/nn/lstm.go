@@ -28,30 +28,6 @@ func newLSTMLayer(rng *rand.Rand, in, hidden int) *lstmLayer {
 	return l
 }
 
-// step advances one timestep: returns (h', c'). Everything after the cell's
-// GEMM — bias add, the four gate nonlinearities, and the state update — runs
-// as one fused tape node (tensor.LSTMGates), bitwise identical to the
-// unfused AddBias/SliceCols/Sigmoid/Tanh/Mul/Add composition.
-func (l *lstmLayer) step(tp *tensor.Tape, x, h, c *tensor.Tensor) (*tensor.Tensor, *tensor.Tensor) {
-	return tensor.LSTMGates(tp, tensor.MatMulBTCat(tp, x, h, l.W), l.B, c)
-}
-
-// runSeq feeds the whole sequence through the layer and returns the hidden
-// state at every timestep. The per-timestep slice is tape-pooled
-// (Tape.Tensors): like every step tensor it is recycled on Reset, so the
-// steady-state training step allocates no slice headers either.
-func (l *lstmLayer) runSeq(tp *tensor.Tape, xs []*tensor.Tensor) []*tensor.Tensor {
-	batch := xs[0].Rows()
-	h := tensor.Zeros(tp, batch, l.hidden)
-	c := tensor.Zeros(tp, batch, l.hidden)
-	hs := tp.Tensors(len(xs))
-	for t, x := range xs {
-		h, c = l.step(tp, x, h, c)
-		hs[t] = h
-	}
-	return hs
-}
-
 // LSTM is a (multi-layer, optionally bidirectional) LSTM sequence encoder.
 // The encoding is the final hidden state of the top layer; for the
 // bidirectional variant it is the concatenation of the final states of the
@@ -90,26 +66,6 @@ func newLSTM(rng *rand.Rand, featDim, hidden, layers int, bi bool) *LSTM {
 		}
 	}
 	return m
-}
-
-// ForwardSeq implements SeqEncoder.
-func (m *LSTM) ForwardSeq(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tensor {
-	hs := xs
-	for _, l := range m.fwd {
-		hs = l.runSeq(tp, hs)
-	}
-	out := hs[len(hs)-1]
-	if m.bwd == nil {
-		return out
-	}
-	rev := tp.Tensors(len(xs))
-	for i, x := range xs {
-		rev[len(xs)-1-i] = x
-	}
-	for _, l := range m.bwd {
-		rev = l.runSeq(tp, rev)
-	}
-	return tensor.ConcatCols(tp, out, rev[len(rev)-1])
 }
 
 // OutDim implements SeqEncoder.

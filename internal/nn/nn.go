@@ -13,13 +13,12 @@ import (
 	"repro/internal/tensor"
 )
 
-// SeqEncoder encodes a sequence of [batch, features] tensors into a single
-// [batch, OutDim] tensor. All PerfVec foundation-model architectures
-// implement this interface.
+// SeqEncoder is a sequence model that encodes a sequence of [batch,
+// features] tensors into a single [batch, OutDim] tensor. All PerfVec
+// foundation-model architectures implement it; their forward pass is the
+// one graph in infer.go, run on a tape by ForwardSeq and on the forward-only
+// backends by ForwardSeq32, ForwardSeqQ8 and Oracle64.
 type SeqEncoder interface {
-	// ForwardSeq consumes one tensor per timestep (oldest first) and returns
-	// the final encoding of the sequence.
-	ForwardSeq(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tensor
 	// OutDim reports the width of the encoding.
 	OutDim() int
 	// Params returns all trainable tensors in a deterministic order.
@@ -28,36 +27,24 @@ type SeqEncoder interface {
 
 // Linear is a fully-connected layer y = x*W^T + b.
 type Linear struct {
-	W    *tensor.Tensor // [out, in]
-	B    *tensor.Tensor // [out], nil when the layer is bias-free
-	out  int
-	bias bool
+	W *tensor.Tensor // [out, in]
+	B *tensor.Tensor // [out], nil when the layer is bias-free
 }
 
 // NewLinear creates a Linear layer with Xavier-initialized weights.
 // withBias controls whether an additive bias is learned; PerfVec's
 // performance predictor must be bias-free for the composition theorem.
 func NewLinear(rng *rand.Rand, in, out int, withBias bool) *Linear {
-	l := &Linear{W: tensor.XavierUniform(rng, out, in), out: out, bias: withBias}
+	l := &Linear{W: tensor.XavierUniform(rng, out, in)}
 	if withBias {
 		l.B = tensor.New(out)
 	}
 	return l
 }
 
-// Forward applies the layer to x[batch, in]. The bias broadcast runs as an
-// in-place epilogue on the GEMM output (no extra tensor or gradient buffer).
-func (l *Linear) Forward(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor {
-	y := tensor.MatMulBT(tp, x, l.W)
-	if l.bias {
-		y = tensor.AddBiasInPlace(tp, y, l.B)
-	}
-	return y
-}
-
 // Params returns the layer's trainable tensors.
 func (l *Linear) Params() []*tensor.Tensor {
-	if l.bias {
+	if l.B != nil {
 		return []*tensor.Tensor{l.W, l.B}
 	}
 	return []*tensor.Tensor{l.W}
@@ -72,20 +59,6 @@ const (
 	ActTanh
 	ActSigmoid
 )
-
-// applyAct applies the activation in place: every call site feeds it a layer
-// output nothing else reads, so the in-place epilogues are always safe here.
-func applyAct(tp *tensor.Tape, a Activation, x *tensor.Tensor) *tensor.Tensor {
-	switch a {
-	case ActReLU:
-		return tensor.ReLUInPlace(tp, x)
-	case ActTanh:
-		return tensor.TanhInPlace(tp, x)
-	case ActSigmoid:
-		return tensor.SigmoidInPlace(tp, x)
-	}
-	panic("nn: unknown activation")
-}
 
 // MLP is a multilayer perceptron with a configurable activation.
 type MLP struct {
@@ -103,18 +76,6 @@ func NewMLP(rng *rand.Rand, act Activation, sizes ...int) *MLP {
 		m.Layers = append(m.Layers, NewLinear(rng, sizes[i], sizes[i+1], true))
 	}
 	return m
-}
-
-// Forward applies all layers with the activation between them (none after the
-// final layer).
-func (m *MLP) Forward(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor {
-	for i, l := range m.Layers {
-		x = l.Forward(tp, x)
-		if i+1 < len(m.Layers) {
-			x = applyAct(tp, m.Act, x)
-		}
-	}
-	return x
 }
 
 // Params returns all trainable tensors.
@@ -149,11 +110,6 @@ func NewLinearSeq(rng *rand.Rand, seqLen, featDim, outDim int) *LinearSeq {
 	return &LinearSeq{Proj: NewLinear(rng, seqLen*featDim, outDim, true), dim: outDim}
 }
 
-// ForwardSeq implements SeqEncoder.
-func (l *LinearSeq) ForwardSeq(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tensor {
-	return l.Proj.Forward(tp, FlattenSeq(tp, xs))
-}
-
 // OutDim implements SeqEncoder.
 func (l *LinearSeq) OutDim() int { return l.dim }
 
@@ -175,11 +131,6 @@ func NewMLPSeq(rng *rand.Rand, seqLen, featDim, hidden, layers, outDim int) *MLP
 	}
 	sizes = append(sizes, outDim)
 	return &MLPSeq{Net: NewMLP(rng, ActReLU, sizes...), dim: outDim}
-}
-
-// ForwardSeq implements SeqEncoder.
-func (m *MLPSeq) ForwardSeq(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tensor {
-	return m.Net.Forward(tp, FlattenSeq(tp, xs))
 }
 
 // OutDim implements SeqEncoder.

@@ -78,7 +78,7 @@ func TestSeqEncodersShapes(t *testing.T) {
 	const seqLen, batch, feat, dim = 4, 3, 5, 6
 	for name, enc := range seqEncoders(rng, seqLen, feat, dim) {
 		xs := randSeq(rng, seqLen, batch, feat)
-		out := enc.ForwardSeq(nil, xs)
+		out := ForwardSeq(nil, enc, xs)
 		if out.Rows() != batch || out.Cols() != enc.OutDim() {
 			t.Errorf("%s: output %v, want [%d %d]", name, out.Shape, batch, enc.OutDim())
 		}
@@ -110,7 +110,7 @@ func TestSeqEncoderGradients(t *testing.T) {
 				break
 			}
 			build := func(tp *tensor.Tape) *tensor.Tensor {
-				out := enc.ForwardSeq(tp, xs)
+				out := ForwardSeq(tp, enc, xs)
 				return tensor.Mean(tp, tensor.Mul(tp, out, out))
 			}
 			if err := tensor.MaxGradError(param, build, 5e-3); err > 5e-2 {
@@ -124,8 +124,8 @@ func TestLSTMDeterministicForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	m := NewLSTM(rng, 4, 5, 2)
 	xs := randSeq(rng, 3, 2, 4)
-	a := m.ForwardSeq(nil, xs)
-	b := m.ForwardSeq(nil, xs)
+	a := ForwardSeq(nil, m, xs)
+	b := ForwardSeq(nil, m, xs)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("LSTM forward is not deterministic")
@@ -157,7 +157,7 @@ func TestAdamFitsLinearRegression(t *testing.T) {
 	opt := NewAdam(0.05)
 	var last float32
 	for it := 0; it < 300; it++ {
-		tp := tensor.NewTape()
+		tp := tensor.NewTapeArena()
 		loss := MSE(tp, model.Forward(tp, x), y)
 		tp.Backward(loss)
 		opt.Step(model.Params())
@@ -177,7 +177,7 @@ func TestSGDReducesLoss(t *testing.T) {
 	opt := NewSGD(0.05)
 	first, last := float32(0), float32(0)
 	for it := 0; it < 100; it++ {
-		tp := tensor.NewTape()
+		tp := tensor.NewTapeArena()
 		loss := MSE(tp, model.Forward(tp, x), y)
 		tp.Backward(loss)
 		opt.Step(model.Params())
@@ -233,8 +233,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := randSeq(rng, 3, 2, 4)
-	a := src.ForwardSeq(nil, xs)
-	b := dst.ForwardSeq(nil, xs)
+	a := ForwardSeq(nil, src, xs)
+	b := ForwardSeq(nil, dst, xs)
 	for i := range a.Data {
 		if a.Data[i] != b.Data[i] {
 			t.Fatal("loaded model differs from saved model")

@@ -38,35 +38,6 @@ func newEncoderBlock(rng *rand.Rand, dim, heads, ffDim int) *encoderBlock {
 	}
 }
 
-// forward processes one sample's sequence x[T, D].
-func (b *encoderBlock) forward(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor {
-	q := tensor.MatMulBT(tp, x, b.Wq)
-	k := tensor.MatMulBT(tp, x, b.Wk)
-	v := tensor.MatMulBT(tp, x, b.Wv)
-	dk := b.dim / b.heads
-	scale := float32(1 / math.Sqrt(float64(dk)))
-	var headsOut *tensor.Tensor
-	for h := 0; h < b.heads; h++ {
-		// Q*K^T runs directly on the head's column range of the full
-		// projections; only V still needs a materialized slice (its rows are
-		// gathered by the att*V product). The score scaling and row softmax
-		// run as one fused record (AttentionSoftmax), bitwise identical to
-		// the SoftmaxRows(Scale(...)) composition it replaced.
-		vs := tensor.SliceCols(tp, v, h*dk, (h+1)*dk)
-		att := tensor.AttentionSoftmax(tp, tensor.MatMulBTCols(tp, q, k, h*dk, (h+1)*dk), scale)
-		o := tensor.MatMul(tp, att, vs)
-		if headsOut == nil {
-			headsOut = o
-		} else {
-			headsOut = tensor.ConcatCols(tp, headsOut, o)
-		}
-	}
-	attOut := tensor.MatMulBT(tp, headsOut, b.Wo)
-	x = tensor.LayerNorm(tp, tensor.Add(tp, x, attOut), b.G1, b.B1, 1e-5)
-	ff := b.FF2.Forward(tp, tensor.ReLUInPlace(tp, b.FF1.Forward(tp, x)))
-	return tensor.LayerNorm(tp, tensor.Add(tp, x, ff), b.G2, b.B2, 1e-5)
-}
-
 func (b *encoderBlock) params() []*tensor.Tensor {
 	ps := []*tensor.Tensor{b.Wq, b.Wk, b.Wv, b.Wo}
 	ps = append(ps, b.FF1.Params()...)
@@ -109,32 +80,6 @@ func NewTransformer(rng *rand.Rand, seqLen, featDim, dim, heads, layers int) *Tr
 		t.pos = append(t.pos, pe)
 	}
 	return t
-}
-
-// ForwardSeq implements SeqEncoder. Attention runs per sample: each batch row
-// is gathered into its own [T, D] sequence, encoded, and the final-position
-// vectors are restacked into [batch, D].
-func (t *Transformer) ForwardSeq(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tensor {
-	if len(xs) > len(t.pos) {
-		panic("nn: transformer sequence longer than configured seqLen")
-	}
-	// Both per-timestep slices are tape-pooled: emb is captured by the
-	// StackRows records below, so it must (and does) share the step lifetime.
-	emb := tp.Tensors(len(xs))
-	for i, x := range xs {
-		emb[i] = tensor.AddBias(tp, t.Embed.Forward(tp, x), t.pos[i])
-	}
-	batch := xs[0].Rows()
-	perSample := tp.Tensors(batch)
-	T := len(xs)
-	for s := 0; s < batch; s++ {
-		seq := tensor.StackRows(tp, emb, s)
-		for _, blk := range t.blocks {
-			seq = blk.forward(tp, seq)
-		}
-		perSample[s] = tensor.SliceRows(tp, seq, T-1, T)
-	}
-	return tensor.ConcatRows(tp, perSample...)
 }
 
 // OutDim implements SeqEncoder.

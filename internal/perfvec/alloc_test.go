@@ -34,15 +34,15 @@ func TestStepReuseSteadyStateAllocFree(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				tr.stepReuse(d, batch, opt)
 			}
-			_, warmMiss := tr.tape.Arena().Stats()
-			_, warmGrow := tr.tape.RecordStats()
+			_, warmGrow, warmMiss := tr.tape.Stats()
 			for i := 0; i < 4; i++ {
 				tr.stepReuse(d, batch, opt)
 			}
-			if _, after := tr.tape.Arena().Stats(); after != warmMiss {
+			_, grows, after := tr.tape.Stats()
+			if after != warmMiss {
 				t.Errorf("steady-state step allocated %d tensors/slabs (arena misses %d -> %d); the hot path must be arena-clean", after-warmMiss, warmMiss, after)
 			}
-			if _, grows := tr.tape.RecordStats(); grows != warmGrow {
+			if grows != warmGrow {
 				t.Errorf("record storage grew %d times after warm-up; records must be pooled like tensors", grows-warmGrow)
 			}
 
@@ -84,14 +84,12 @@ func TestStepReuseWorkersSteadyStateAllocFree(t *testing.T) {
 			misses := func() int {
 				total := 0
 				if tr.tape != nil {
-					_, m := tr.tape.Arena().Stats()
+					_, _, m := tr.tape.Stats()
 					total += m
 				}
 				for _, w := range tr.workers {
-					_, m := w.tape.Arena().Stats()
-					total += m
-					_, g := w.tape.RecordStats()
-					total += g
+					_, g, m := w.tape.Stats()
+					total += g + m
 				}
 				return total
 			}
@@ -142,7 +140,7 @@ func TestTapeHistogramSerialStep(t *testing.T) {
 	for _, n := range h {
 		total += n
 	}
-	if records, _ := tr.tape.RecordStats(); total != records {
+	if records, _, _ := tr.tape.Stats(); total != records {
 		t.Errorf("histogram sums to %d but the tape holds %d records", total, records)
 	}
 }

@@ -40,6 +40,7 @@ func FineTuneTable(f *Foundation, tuning []*ProgramData, epochs int, lr float32,
 	opt := nn.NewAdam(lr)
 	rng := rand.New(rand.NewSource(seed))
 	const batch = 512
+	tp := tensor.NewTapeArena()
 	for e := 0; e < epochs; e++ {
 		for _, c := range data {
 			n := c.reps.Rows()
@@ -51,7 +52,7 @@ func FineTuneTable(f *Foundation, tuning []*ProgramData, epochs int, lr float32,
 			if end > n {
 				end = n
 			}
-			tp := tensor.NewTape()
+			tp.Reset()
 			reps := tensor.SliceRows(nil, c.reps, start, end)
 			targets := tensor.SliceRows(nil, c.targets, start, end)
 			preds := tensor.MatMulBT(tp, reps, table.M)

@@ -78,7 +78,7 @@ func (f *Foundation) Params() []*tensor.Tensor {
 // Forward computes the batch of instruction representations for the given
 // window tensors. Differentiable when tp is non-nil.
 func (f *Foundation) Forward(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tensor {
-	return f.Head.Forward(tp, f.Encoder.ForwardSeq(tp, xs))
+	return f.Head.Forward(tp, nn.ForwardSeq(tp, f.Encoder, xs))
 }
 
 // InstructionReps generates the representation of every instruction in p.

@@ -138,6 +138,7 @@ func TrainUarchModel(f *Foundation, u *UarchModel, tuning []*ProgramData, trainC
 	opt := nn.NewAdam(lr)
 	rng := rand.New(rand.NewSource(seed))
 	const batch = 512
+	tp := tensor.NewTapeArena()
 	for e := 0; e < epochs; e++ {
 		for _, c := range data {
 			n := c.reps.Rows()
@@ -149,7 +150,7 @@ func TrainUarchModel(f *Foundation, u *UarchModel, tuning []*ProgramData, trainC
 			if end > n {
 				end = n
 			}
-			tp := tensor.NewTape()
+			tp.Reset()
 			m := u.Net.Forward(tp, in) // [K x D]
 			reps := tensor.SliceRows(nil, c.reps, start, end)
 			targets := tensor.SliceRows(nil, c.targets, start, end)

@@ -80,11 +80,11 @@ func TestTapeArenaSteadyState(t *testing.T) {
 		tp.Backward(s)
 	}
 	run()
-	_, warm := tp.Arena().Stats()
+	_, _, warm := tp.Stats()
 	for i := 0; i < 5; i++ {
 		run()
 	}
-	if _, m := tp.Arena().Stats(); m != warm {
+	if _, _, m := tp.Stats(); m != warm {
 		t.Errorf("arena missed %d times after warm-up; steady state must reuse every tensor", m-warm)
 	}
 }
@@ -95,21 +95,9 @@ func TestZerosInferenceMode(t *testing.T) {
 	if z.Rows() != 2 || z.Cols() != 3 {
 		t.Fatalf("Zeros(nil, 2, 3) has shape %v", z.Shape)
 	}
-	if NewTape().Arena() != nil {
-		t.Error("plain NewTape must not carry an arena")
-	}
-}
-
-// TestArenaTensorsIndependentOfPlainTape checks that ops on a plain tape and
-// in inference mode still allocate fresh outputs (no accidental recycling).
-func TestArenaTensorsIndependentOfPlainTape(t *testing.T) {
-	tp := NewTape()
 	a := New(2, 2)
 	a.Fill(1)
-	x := Add(tp, a, a)
-	tp.Reset()
-	y := Add(tp, a, a)
-	if unsafe.SliceData(x.Data) == unsafe.SliceData(y.Data) {
-		t.Error("plain tape recycled an op output across Reset")
+	if x, y := Add(nil, a, a), Add(nil, a, a); unsafe.SliceData(x.Data) == unsafe.SliceData(y.Data) {
+		t.Error("nil-tape ops must allocate fresh outputs")
 	}
 }

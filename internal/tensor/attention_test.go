@@ -66,3 +66,65 @@ func TestGradAttentionSoftmax(t *testing.T) {
 		}
 	}
 }
+
+// TestAttentionValueBitwiseVsSliceMatMul pins the packed per-head value
+// product against the composition it stands for: SliceCols of each head's
+// value block, MatMul, and ConcatCols of the head outputs. The packed
+// output, the loss, and the gradients of every head's attention matrix and
+// of the shared value matrix must match bit for bit.
+func TestAttentionValueBitwiseVsSliceMatMul(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	for _, sh := range [][3]int{{6, 8, 2}, {40, 64, 4}} {
+		T, D, heads := sh[0], sh[1], sh[2]
+		dk := D / heads
+		v := randTensor(rng, T, D)
+		atts := make([]*tensor.Tensor, heads)
+		for h := range atts {
+			atts[h] = randTensor(rng, T, T)
+		}
+		target := randTensor(rng, T, D)
+
+		run := func(packed bool) (float32, []float32, [][]float32) {
+			vc := v.Clone()
+			ac := make([]*tensor.Tensor, heads)
+			for h := range ac {
+				ac[h] = atts[h].Clone()
+			}
+			tp := tensor.NewTapeArena()
+			var out *tensor.Tensor
+			if packed {
+				out = tensor.Zeros(tp, T, D)
+				for h := range ac {
+					tensor.AttentionValue(tp, out, ac[h], vc, h*dk, (h+1)*dk)
+				}
+			} else {
+				for h := range ac {
+					o := tensor.MatMul(tp, ac[h], tensor.SliceCols(tp, vc, h*dk, (h+1)*dk))
+					if out == nil {
+						out = o
+					} else {
+						out = tensor.ConcatCols(tp, out, o)
+					}
+				}
+			}
+			loss := scalarLoss(tp, out, target)
+			tp.Backward(loss)
+			grads := [][]float32{append([]float32(nil), vc.Grad...)}
+			for _, a := range ac {
+				grads = append(grads, append([]float32(nil), a.Grad...))
+			}
+			return loss.Data[0], append([]float32(nil), out.Data...), grads
+		}
+
+		lossP, outP, gP := run(true)
+		lossU, outU, gU := run(false)
+		if lossP != lossU {
+			t.Fatalf("T=%d D=%d: packed loss %v != composed loss %v", T, D, lossP, lossU)
+		}
+		sameBits(t, "output", outP, outU)
+		sameBits(t, "v.Grad", gP[0], gU[0])
+		for h := 1; h <= heads; h++ {
+			sameBits(t, "att.Grad", gP[h], gU[h])
+		}
+	}
+}

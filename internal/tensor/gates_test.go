@@ -233,7 +233,7 @@ func TestInPlaceEpiloguesBitwise(t *testing.T) {
 	} {
 		run := func(inPlace bool) (float32, []float32, []float32, []float32) {
 			xc, wc, bc := x.Clone(), w.Clone(), bias.Clone()
-			tp := tensor.NewTape()
+			tp := tensor.NewTapeArena()
 			y := tensor.MatMulBT(tp, xc, wc)
 			if inPlace {
 				y = act.inPlace(tp, tensor.AddBiasInPlace(tp, y, bc))

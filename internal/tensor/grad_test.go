@@ -107,7 +107,7 @@ func TestGradConcatSlice(t *testing.T) {
 	}
 	checkGrad(t, "ConcatSlice/a", a, build)
 	// b's grad should be zero since it is sliced away; just confirm no panic.
-	tp := NewTape()
+	tp := NewTapeArena()
 	loss := build(tp)
 	tp.Backward(loss)
 }
@@ -186,7 +186,7 @@ func TestNilTapeRecordsNothing(t *testing.T) {
 func TestTapeReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	a := Randn(rng, 0.5, 2, 2)
-	tp := NewTape()
+	tp := NewTapeArena()
 	Sum(tp, a)
 	if tp.Len() != 1 {
 		t.Fatalf("tape len = %d, want 1", tp.Len())

@@ -24,7 +24,7 @@ func NumericGrad(param *Tensor, forward func() float32, eps float32) []float32 {
 // error. build must construct the computation on tp and return the scalar
 // loss tensor; it is invoked repeatedly.
 func MaxGradError(param *Tensor, build func(tp *Tape) *Tensor, eps float32) float64 {
-	tp := NewTape()
+	tp := NewTapeArena()
 	loss := build(tp)
 	param.ZeroGrad()
 	tp.Backward(loss)

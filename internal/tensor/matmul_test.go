@@ -282,7 +282,7 @@ func TestMatMulBTCatMatchesConcat(t *testing.T) {
 			h := Randn(rng, 0.5, m, hc)
 			w := Randn(rng, 0.5, nOut, xc+hc)
 
-			tpA := NewTape()
+			tpA := NewTapeArena()
 			outA := MatMulBTCat(tpA, x, h, w)
 			tpA.Backward(Sum(tpA, Mul(tpA, outA, outA)))
 			gxA := append([]float32(nil), x.Grad...)
@@ -292,7 +292,7 @@ func TestMatMulBTCatMatchesConcat(t *testing.T) {
 			h.ZeroGrad()
 			w.ZeroGrad()
 
-			tpB := NewTape()
+			tpB := NewTapeArena()
 			outB := MatMulBT(tpB, ConcatCols(tpB, x, h), w)
 			tpB.Backward(Sum(tpB, Mul(tpB, outB, outB)))
 
@@ -325,7 +325,7 @@ func TestMatMulBTColsMatchesSlice(t *testing.T) {
 			a := Randn(rng, 0.5, m, c)
 			b := Randn(rng, 0.5, n, c)
 
-			tpA := NewTape()
+			tpA := NewTapeArena()
 			outA := MatMulBTCols(tpA, a, b, from, to)
 			tpA.Backward(Sum(tpA, Mul(tpA, outA, outA)))
 			gaA := append([]float32(nil), a.Grad...)
@@ -333,7 +333,7 @@ func TestMatMulBTColsMatchesSlice(t *testing.T) {
 			a.ZeroGrad()
 			b.ZeroGrad()
 
-			tpB := NewTape()
+			tpB := NewTapeArena()
 			outB := MatMulBT(tpB, SliceCols(tpB, a, from, to), SliceCols(tpB, b, from, to))
 			tpB.Backward(Sum(tpB, Mul(tpB, outB, outB)))
 

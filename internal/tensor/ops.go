@@ -155,6 +155,36 @@ func vjpMatMulBTCols(_ *Tape, r *opRecord) {
 	gemmTN(gb[from:], g, a.Data[from:], m, n, w, n, ac, bc)
 }
 
+// AttentionValue writes att[m,n] * v[:, from:to] into columns [from, to) of
+// dst[m, *] — one attention head's output, packed into the heads' shared
+// output matrix without materializing either column block. dst's columns
+// [from, to) must be zero on entry (the graph hands it a fresh Zeros
+// matrix). The backward pass accumulates dAtt += dDst[:, from:to] *
+// v[:, from:to]^T and dV[:, from:to] += att^T * dDst[:, from:to]. It is
+// the recorded twin of AttentionValue32.
+func AttentionValue(tp *Tape, dst, att, v *Tensor, from, to int) {
+	m, n, vc, dc := att.Rows(), att.Cols(), v.Cols(), dst.Cols()
+	if from < 0 || to > vc || to > dc || from >= to || n != v.Rows() || dst.Rows() != m {
+		panic(fmt.Sprintf("tensor: AttentionValue [%d,%d) out of range for %v x %v into %v", from, to, att.Shape, v.Shape, dst.Shape))
+	}
+	gemmNN(dst.Data[from:], att.Data, v.Data[from:], m, n, to-from, n, vc, dc)
+	tp.record(opRecord{kind: opAttentionValue, a: att, b: v, out: dst, i0: from, i1: to})
+}
+
+// vjpAttentionValue: a=att, b=v, out=dst; i0=from, i1=to.
+//perfvec:hotpath
+func vjpAttentionValue(_ *Tape, r *opRecord) {
+	g := r.out.Grad
+	if g == nil {
+		return
+	}
+	att, v, from := r.a, r.b, r.i0
+	m, n, vc, dc := att.Rows(), att.Cols(), v.Cols(), r.out.Cols()
+	w := r.i1 - from
+	gemmNT(att.ensureGrad(), g[from:], v.Data[from:], m, w, n, dc, vc, n)
+	gemmTN(v.ensureGrad()[from:], att.Data, g[from:], m, n, w, n, dc, vc)
+}
+
 // Add returns a + b for tensors of identical shape.
 func Add(tp *Tape, a, b *Tensor) *Tensor {
 	if !SameShape(a, b) {

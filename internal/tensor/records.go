@@ -59,7 +59,7 @@ const (
 	opTanhInPlace
 	opReLUInPlace
 	opStackRows
-	opConcatRows
+	opAttentionValue
 	opKinds // count; must stay last
 )
 
@@ -94,7 +94,7 @@ var opNames = [opKinds]string{
 	opTanhInPlace:      "TanhInPlace",
 	opReLUInPlace:      "ReLUInPlace",
 	opStackRows:        "StackRows",
-	opConcatRows:       "ConcatRows",
+	opAttentionValue:   "AttentionValue",
 }
 
 // opRecord is one recorded op: everything its VJP needs, in a fixed-size
@@ -112,7 +112,7 @@ type opRecord struct {
 	out, out2  *Tensor // output tensors (out2: second output of gate kernels)
 	s1, s2     *Tensor // saved activations/scratch kept for the backward pass
 
-	// ts holds the operands of variadic ops (StackRows, ConcatRows). The
+	// ts holds the operands of variadic ops (StackRows). The
 	// slice is the caller's; like every recorded tensor it must stay
 	// unmutated until Backward and is released on Reset.
 	ts []*Tensor
@@ -157,5 +157,5 @@ var vjpTable = [opKinds]vjp{
 	opTanhInPlace:      vjpTanhInPlace,
 	opReLUInPlace:      vjpReLUInPlace,
 	opStackRows:        vjpStackRows,
-	opConcatRows:       vjpConcatRows,
+	opAttentionValue:   vjpAttentionValue,
 }

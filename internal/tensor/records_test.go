@@ -33,7 +33,7 @@ func TestOpHistogramKnownGraph(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := Randn(rng, 0.5, 4, 4)
 	b := Randn(rng, 0.5, 4, 4)
-	tp := NewTape()
+	tp := NewTapeArena()
 	x := MatMul(tp, a, b)
 	x = Sigmoid(tp, Add(tp, x, MatMul(tp, a, b)))
 	loss := Sum(tp, Mul(tp, x, x))
@@ -153,14 +153,14 @@ func TestRecordStorageSteadyState(t *testing.T) {
 		tp.Backward(loss)
 	}
 	run()
-	recs, warm := tp.RecordStats()
+	recs, warm, _ := tp.Stats()
 	if recs == 0 {
 		t.Fatal("graph recorded no ops")
 	}
 	for i := 0; i < 5; i++ {
 		run()
 	}
-	recs2, grows := tp.RecordStats()
+	recs2, grows, _ := tp.Stats()
 	if recs2 != recs {
 		t.Errorf("steady-state record count changed: %d -> %d", recs, recs2)
 	}
@@ -169,8 +169,8 @@ func TestRecordStorageSteadyState(t *testing.T) {
 	}
 }
 
-// TestTensorsSlabPooling checks Tape.Tensors: fresh on nil/plain tapes,
-// pooled and recycled (zeroed) on arena tapes.
+// TestTensorsSlabPooling checks Tape.Tensors: fresh on a nil tape,
+// pooled and recycled (zeroed) on a recording tape.
 func TestTensorsSlabPooling(t *testing.T) {
 	var nilTape *Tape
 	if s := nilTape.Tensors(3); len(s) != 3 {

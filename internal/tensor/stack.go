@@ -42,44 +42,3 @@ func vjpStackRows(_ *Tape, r *opRecord) {
 		}
 	}
 }
-
-// ConcatRows stacks matrices with equal column counts vertically. The
-// variadic operand slice is kept in the op record (see StackRows).
-func ConcatRows(tp *Tape, xs ...*Tensor) *Tensor {
-	if len(xs) == 0 {
-		panic("tensor: ConcatRows needs at least one tensor")
-	}
-	n := xs[0].Cols()
-	rows := 0
-	for _, x := range xs {
-		if x.Cols() != n {
-			panic("tensor: ConcatRows column mismatch")
-		}
-		rows += x.Rows()
-	}
-	out := tp.alloc(rows, n)
-	off := 0
-	for _, x := range xs {
-		copy(out.Data[off:], x.Data)
-		off += len(x.Data)
-	}
-	tp.record(opRecord{kind: opConcatRows, out: out, ts: xs})
-	return out
-}
-
-// vjpConcatRows: out, ts=xs.
-//perfvec:hotpath
-func vjpConcatRows(_ *Tape, r *opRecord) {
-	g := r.out.Grad
-	if g == nil {
-		return
-	}
-	off := 0
-	for _, x := range r.ts {
-		gx := x.ensureGrad()
-		for i := range gx {
-			gx[i] += g[off+i]
-		}
-		off += len(gx)
-	}
-}

@@ -4,11 +4,15 @@ package tensor
 // records (see records.go) so they can be replayed in reverse to compute
 // gradients through the static VJP table.
 //
-// A nil *Tape is valid everywhere an op takes one and means "no gradients":
-// the op computes its result without recording anything and allocates fresh
-// output tensors. Tests use it as a tape-forward reference; every
-// forward-only pass in the system runs on the inference graph instead
-// (internal/nn/infer.go, on pooled Slab32 arenas).
+// There is one kind of recording tape: NewTapeArena builds it over its own
+// Arena, so every op output, gradient buffer and scratch tensor recorded
+// through it is pooled, and Reset recycles them all together with the
+// records. A nil *Tape is valid everywhere an op takes one and means "no
+// gradients": the op computes its result without recording anything and
+// allocates fresh output tensors. Tests use it as a tape-forward reference;
+// every forward-only pass in the system runs the inference graph on a
+// forward-only backend instead (internal/nn/infer.go, on pooled Slab32
+// arenas).
 //
 // A Tape is not safe for concurrent use. Data-parallel training (see
 // perfvec.Trainer) gives each gradient worker its own Tape over its own
@@ -26,48 +30,32 @@ type Tape struct {
 	recGrows int
 }
 
-// NewTape returns an empty recording tape. Op outputs are freshly allocated;
-// use NewTapeArena for the pooled variant the training hot path runs on.
-func NewTape() *Tape { return &Tape{} }
-
-// NewTapeArena returns a recording tape backed by its own Arena: every op
-// output, gradient buffer, and scratch tensor recorded through the tape is
-// pooled, and Reset recycles them all. Tensors produced on such a tape are
-// only valid until the next Reset (see Arena) — and so are its records,
-// which reference them.
+// NewTapeArena returns an empty recording tape backed by its own Arena.
+// Tensors produced on it are only valid until the next Reset (see Arena) —
+// and so are its records, which reference them.
 func NewTapeArena() *Tape { return &Tape{arena: NewArena()} }
 
-// Arena returns the tape's arena, or nil for a plain tape.
-func (tp *Tape) Arena() *Arena {
-	if tp == nil {
-		return nil
-	}
-	return tp.arena
-}
-
-// alloc returns a zeroed output tensor for an op running on this tape: pooled
-// through the arena when the tape has one, freshly allocated otherwise (and
-// always fresh on a nil tape).
+// alloc returns a zeroed output tensor for an op running on this tape:
+// pooled through the arena, or freshly allocated on a nil tape.
 func (tp *Tape) alloc(shape ...int) *Tensor {
-	if tp == nil || tp.arena == nil {
+	if tp == nil {
 		return New(shape...)
 	}
 	return tp.arena.Get(shape...)
 }
 
 // Zeros returns a zeroed step-lifetime tensor allocated through tp's arena
-// (or freshly when tp has none). Sequence models use it for initial hidden
+// (or freshly on a nil tape). Sequence models use it for initial hidden
 // and cell states, and Dataset batching for input windows: buffers that are
 // rebuilt every step and must not survive the tape's Reset.
 func Zeros(tp *Tape, shape ...int) *Tensor { return tp.alloc(shape...) }
 
 // Tensors returns a step-lifetime []*Tensor of length n, pooled through tp's
-// arena when it has one (recycled — zeroed — by Reset, like every arena
-// tensor) and freshly allocated otherwise. Sequence models use it for their
-// per-timestep tensor lists, which were the last per-step slice allocations
-// in the training hot path.
+// arena (recycled — zeroed — by Reset, like every arena tensor), or freshly
+// allocated on a nil tape. Sequence models use it for their per-timestep
+// tensor lists.
 func (tp *Tape) Tensors(n int) []*Tensor {
-	if tp == nil || tp.arena == nil {
+	if tp == nil {
 		return make([]*Tensor, n)
 	}
 	return tp.arena.Tensors(n)
@@ -94,15 +82,16 @@ func (tp *Tape) Len() int {
 	return len(tp.recs)
 }
 
-// RecordStats reports the current record count and the number of times the
-// record slice has grown since the tape was built — the record-storage
-// analogue of Arena.Stats. A steady-state training loop must stop growing
-// after its first step.
-func (tp *Tape) RecordStats() (records, grows int) {
+// Stats reports the current record count, the number of times the record
+// slice has grown and the number of arena misses (fresh tensor or slab
+// allocations) since the tape was built. A steady-state training loop must
+// stop growing and missing after its first step.
+func (tp *Tape) Stats() (records, grows, misses int) {
 	if tp == nil {
-		return 0, 0
+		return 0, 0, 0
 	}
-	return len(tp.recs), tp.recGrows
+	_, misses = tp.arena.Stats()
+	return len(tp.recs), tp.recGrows, misses
 }
 
 // OpHistogram counts the currently recorded ops by kind name — the
@@ -129,9 +118,7 @@ func (tp *Tape) OpHistogram() map[string]int {
 func (tp *Tape) Reset() {
 	clear(tp.recs)
 	tp.recs = tp.recs[:0]
-	if tp.arena != nil {
-		tp.arena.Reset()
-	}
+	tp.arena.Reset()
 }
 
 // Backward seeds d(loss)/d(loss) = 1 and replays all recorded ops in

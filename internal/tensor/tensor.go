@@ -3,13 +3,13 @@
 //
 // Tensors are dense, row-major, and mostly two-dimensional ([rows, cols]).
 // Differentiable operations take a *Tape; passing a nil Tape runs the same
-// computation in inference mode without recording backward closures.
+// computation in inference mode without recording anything.
 //
-// Ops allocate their outputs through the tape: a plain tape (NewTape) and
-// inference mode allocate fresh tensors, while an arena tape (NewTapeArena)
-// draws them from a per-tape free-list pool that Tape.Reset recycles — the
-// training loop's steady state allocates no tensors at all. Tensors from an
-// arena tape are only valid until that tape's next Reset (see Arena).
+// Ops allocate their outputs through the tape: inference mode allocates
+// fresh tensors, while a recording tape (NewTapeArena) draws them from its
+// free-list pool that Tape.Reset recycles — the training loop's steady
+// state allocates no tensors at all. Tensors from a tape are only valid
+// until that tape's next Reset (see Arena).
 package tensor
 
 import (

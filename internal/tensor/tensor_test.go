@@ -108,7 +108,7 @@ func TestBackwardRequiresScalar(t *testing.T) {
 			t.Fatal("expected panic for non-scalar loss")
 		}
 	}()
-	tp := NewTape()
+	tp := NewTapeArena()
 	tp.Backward(New(2, 2))
 }
 
