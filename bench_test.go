@@ -244,8 +244,9 @@ func BenchmarkEncodeF32(b *testing.B) { benchsuite.EncodeF32(b) }
 // quantization, u8xi8 integer dot products, per-channel dequantization) on
 // the MatMul shape, and BenchmarkEncodeQ8 the int8 serving tier over the
 // EncodeF32 batch. The EncodeQ8/EncodeF32 rows/s ratio is the int8 speedup
-// the acceptance floor (>= 1.5x at batch >= 256 on amd64/AVX2) gates in
-// BENCH_10.json; bench_budget.json pins both at 0 allocs/op.
+// whose floor (>= 1.5x at batch >= 256) bench_budget.json sets and
+// cmd/perfvec-bench -budget gates; bench_budget.json also pins both at 0
+// allocs/op.
 func BenchmarkMatMulQ8(b *testing.B) { benchsuite.MatMulQ8(b) }
 func BenchmarkEncodeQ8(b *testing.B) { benchsuite.EncodeQ8(b) }
 

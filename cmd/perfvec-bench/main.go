@@ -4,27 +4,39 @@
 // BenchmarkServe* serving suite, and the BenchmarkSweep/SweepNaive
 // design-space sweep pair) through testing.Benchmark and writes the
 // results as JSON, so the performance trajectory of the training and
-// serving hot paths is recorded across PRs (BENCH_10.json is this PR's
-// snapshot). The report's machine section records the active SIMD kernel
-// sets (AVX2/FMA, the VPMADDUBSW int8 dot kernel) and the CPUID-detected
-// cache geometry with the GEMM blocking tuned from it, so kernel-sensitive
-// numbers are interpretable across machines; the header line logs the same.
-// With -budget it also enforces a checked-in allocation budget: CI fails
-// when a change makes the training step, the GEMM backend, or the serving
-// hot path allocate more than the recorded bound. With -tape-histogram it
-// instead runs one serial training step and prints the op-record kind
-// histogram of its tape — the record-tape profiling hook for inspecting the
-// step graph's op mix.
+// serving hot paths is recorded across changes (the BENCH_N.json files at
+// the repository root are such snapshots). The report's machine section
+// records the active SIMD kernel sets (AVX2/FMA, the VPMADDUBSW int8 dot
+// kernel) and the CPUID-detected cache geometry with the GEMM blocking
+// tuned from it, so kernel-sensitive numbers are interpretable across
+// machines; the header line logs the same.
+//
+// With -budget it also enforces a checked-in budget (bench_budget.json):
+// CI fails when a change makes the training step, the GEMM backend, or the
+// serving hot path allocate more than the recorded bound, or when a
+// benchmark with a speedup floor (min_speedup over speedup_base) falls
+// below it. A speedup is the median over interleaved runs of both
+// benchmarks in this one process: absolute ns/op is too noisy to gate on a
+// shared box, a ratio measured side by side is not.
+//
+// With -diff old.json it reads two reports and prints, per benchmark, how
+// ns/op, B/op and allocs/op moved from old.json to the report named by the
+// first argument. With -tape-histogram it instead runs one serial training
+// step and prints the op-record kind histogram of its tape — the
+// record-tape profiling hook for inspecting the step graph's op mix.
 //
 // Usage:
 //
-//	perfvec-bench [-o BENCH_10.json] [-budget bench_budget.json] [-tape-histogram]
+//	perfvec-bench [-o out.json] [-budget bench_budget.json]
+//	perfvec-bench -diff old.json new.json
+//	perfvec-bench -tape-histogram
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"sort"
@@ -67,19 +79,39 @@ type report struct {
 	Results     map[string]result `json:"results"`
 }
 
-// budget is the schema of bench_budget.json: per-benchmark ceilings.
+// budget is the schema of bench_budget.json: per-benchmark ceilings on
+// allocs/op and, optionally, a floor on the benchmark's speedup over a base
+// benchmark (base ns/op over this one's, measured interleaved in-process).
 type budget map[string]struct {
-	MaxAllocsPerOp int64 `json:"max_allocs_per_op"`
+	MaxAllocsPerOp int64   `json:"max_allocs_per_op"`
+	SpeedupBase    string  `json:"speedup_base,omitempty"`
+	MinSpeedup     float64 `json:"min_speedup,omitempty"`
 }
 
+// speedupRounds is the number of interleaved (benchmark, base) pairs a
+// speedup gate measures; the gate uses their median ratio.
+const speedupRounds = 7
+
 func main() {
-	out := flag.String("o", "BENCH_10.json", "output JSON path (\"-\" for stdout)")
-	budgetPath := flag.String("budget", "", "allocation budget JSON to enforce (exit 1 on regression)")
+	out := flag.String("o", "-", "output JSON path (\"-\" for stdout)")
+	budgetPath := flag.String("budget", "", "budget JSON to enforce: allocation ceilings and speedup floors (exit 1 on regression)")
+	diffOld := flag.String("diff", "", "compare this report with the report named by the first argument and exit")
 	tapeHist := flag.Bool("tape-histogram", false, "print the op-record kind histogram of one training step and exit")
 	flag.Parse()
 
 	if *tapeHist {
 		printTapeHistogram()
+		return
+	}
+	if *diffOld != "" {
+		if flag.NArg() != 1 {
+			fmt.Fprintln(os.Stderr, "usage: perfvec-bench -diff old.json new.json")
+			os.Exit(2)
+		}
+		if err := printDiff(os.Stdout, *diffOld, flag.Arg(0)); err != nil {
+			fmt.Fprintln(os.Stderr, "perfvec-bench:", err)
+			os.Exit(1)
+		}
 		return
 	}
 
@@ -124,16 +156,13 @@ func main() {
 		Machine:     mach,
 		Results:     make(map[string]result, len(benches)),
 	}
+	fns := make(map[string]func(*testing.B), len(benches))
 	for _, b := range benches {
-		r := testing.Benchmark(b.fn)
-		rep.Results[b.name] = result{
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
-		}
+		fns[b.name] = b.fn
+		rep.Results[b.name] = run(b.fn)
+		r := rep.Results[b.name]
 		fmt.Fprintf(os.Stderr, "%-12s %10d ns/op %12d B/op %8d allocs/op\n",
-			b.name, int64(rep.Results[b.name].NsPerOp), r.AllocedBytesPerOp(), r.AllocsPerOp())
+			b.name, int64(r.NsPerOp), r.BytesPerOp, r.AllocsPerOp)
 	}
 
 	data, err := json.MarshalIndent(rep, "", "  ")
@@ -163,7 +192,13 @@ func main() {
 		os.Exit(1)
 	}
 	failed := false
-	for name, lim := range bud {
+	names := make([]string, 0, len(bud))
+	for name := range bud {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		lim := bud[name]
 		r, ok := rep.Results[name]
 		if !ok {
 			fmt.Fprintf(os.Stderr, "perfvec-bench: budget names unknown benchmark %q\n", name)
@@ -178,10 +213,111 @@ func main() {
 			fmt.Fprintf(os.Stderr, "perfvec-bench: %s within budget (%d <= %d allocs/op)\n",
 				name, r.AllocsPerOp, lim.MaxAllocsPerOp)
 		}
+		if lim.MinSpeedup == 0 {
+			continue
+		}
+		base, ok := fns[lim.SpeedupBase]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "perfvec-bench: %s's speedup_base names unknown benchmark %q\n", name, lim.SpeedupBase)
+			failed = true
+			continue
+		}
+		med, lo, hi := speedup(fns[name], base)
+		verdict := "meets"
+		if med < lim.MinSpeedup {
+			verdict = "is below"
+			failed = true
+		}
+		fmt.Fprintf(os.Stderr, "perfvec-bench: %s is %.2fx %s (median of %d interleaved pairs, range %.2f-%.2fx; GOMAXPROCS=%d) — %s the %.2fx floor\n",
+			name, med, lim.SpeedupBase, speedupRounds, lo, hi, runtime.GOMAXPROCS(0), verdict, lim.MinSpeedup)
 	}
 	if failed {
 		os.Exit(1)
 	}
+}
+
+// run measures one benchmark through testing.Benchmark.
+func run(fn func(*testing.B)) result {
+	r := testing.Benchmark(fn)
+	return result{
+		Iterations:  r.N,
+		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+		BytesPerOp:  r.AllocedBytesPerOp(),
+		AllocsPerOp: r.AllocsPerOp(),
+	}
+}
+
+// speedup measures fn against base in speedupRounds interleaved pairs,
+// alternating which side runs first, and returns the median, lowest and
+// highest of the per-pair ratios base ns/op / fn ns/op.
+func speedup(fn, base func(*testing.B)) (med, lo, hi float64) {
+	ratios := make([]float64, speedupRounds)
+	for i := range ratios {
+		var f, b result
+		if i%2 == 0 {
+			f, b = run(fn), run(base)
+		} else {
+			b, f = run(base), run(fn)
+		}
+		ratios[i] = b.NsPerOp / f.NsPerOp
+	}
+	sort.Float64s(ratios)
+	return ratios[len(ratios)/2], ratios[0], ratios[len(ratios)-1]
+}
+
+// printDiff writes, for every benchmark in either report, its ns/op, B/op
+// and allocs/op in the old and new report with the relative ns/op change.
+// Benchmarks present in only one report are marked added or removed.
+func printDiff(w io.Writer, oldPath, newPath string) error {
+	old, err := readReport(oldPath)
+	if err != nil {
+		return err
+	}
+	cur, err := readReport(newPath)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "old: %s (%s, GOMAXPROCS=%d)\nnew: %s (%s, GOMAXPROCS=%d)\n",
+		oldPath, old.GeneratedAt, old.GoMaxProcs, newPath, cur.GeneratedAt, cur.GoMaxProcs)
+	names := make([]string, 0, len(old.Results)+len(cur.Results))
+	for name := range old.Results {
+		names = append(names, name)
+	}
+	for name := range cur.Results {
+		if _, ok := old.Results[name]; !ok {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	fmt.Fprintf(w, "%-14s %14s %14s %8s %12s %12s %10s %10s\n",
+		"benchmark", "old ns/op", "new ns/op", "delta", "old B/op", "new B/op", "old allocs", "new allocs")
+	for _, name := range names {
+		o, inOld := old.Results[name]
+		n, inNew := cur.Results[name]
+		switch {
+		case !inOld:
+			fmt.Fprintf(w, "%-14s %14s %14.0f %8s %12s %12d %10s %10d\n", name, "-", n.NsPerOp, "added", "-", n.BytesPerOp, "-", n.AllocsPerOp)
+		case !inNew:
+			fmt.Fprintf(w, "%-14s %14.0f %14s %8s %12d %12s %10d %10s\n", name, o.NsPerOp, "-", "removed", o.BytesPerOp, "-", o.AllocsPerOp, "-")
+		default:
+			fmt.Fprintf(w, "%-14s %14.0f %14.0f %+7.1f%% %12d %12d %10d %10d\n", name, o.NsPerOp, n.NsPerOp,
+				100*(n.NsPerOp-o.NsPerOp)/o.NsPerOp, o.BytesPerOp, n.BytesPerOp, o.AllocsPerOp, n.AllocsPerOp)
+		}
+	}
+	return nil
+}
+
+// readReport reads one BENCH_N.json report.
+func readReport(path string) (report, error) {
+	var r report
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return r, err
+	}
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return r, fmt.Errorf("parsing %s: %v", path, err)
+	}
+	return r, nil
 }
 
 // printTapeHistogram runs one serial training step at benchmark scale and

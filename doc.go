@@ -88,7 +88,12 @@
 // worker pool resizes when GOMAXPROCS changes after first use. Inference
 // pools the same way: InstructionReps, ProgramRep, and the batch encodes
 // run the forward-only float32 engine on the Foundation's pooled encoders
-// (perfvec.Encoder), whose arenas are recycled per encode chunk.
+// (perfvec.Encoder), whose arenas are recycled per encode chunk. A batch
+// encode splits each wave of up to 256 instruction rows into contiguous
+// row ranges across the worker pool, one encoder per range (the caller's
+// runs the first, the others are borrowed from the pool), and sums the
+// wave's rows per program in row order, so its output is bitwise the same
+// at any GOMAXPROCS.
 // cmd/perfvec-bench records MatMul/Batch/TrainStep in BENCH_N.json (with
 // -tape-histogram printing one step's op-record kind histogram for graph
 // profiling), and CI fails any change whose training step or GEMM exceeds
@@ -184,8 +189,8 @@
 // with bitwise-invariant results at any worker count. Amortizing the
 // embedding and batching the predictor makes the batched sweep two orders
 // of magnitude faster than per-config re-embedding in configs/s
-// (BenchmarkSweep vs BenchmarkSweepNaive in BENCH_9.json; the CI floor is
-// 10x at >= 1024 configs). dse.RunPerfVec encodes each target program once
+// (BenchmarkSweep vs BenchmarkSweepNaive; cmd/perfvec-bench -budget gates
+// the ratio at >= 10x at 2048 configs, measured interleaved in one process). dse.RunPerfVec encodes each target program once
 // through the f32 fast path and sweeps the paper's §VI-A space through the
 // same engine; cmd/perfvec-dse adds a generated fleet-scale space on top
 // (-space-size), and serve exposes the whole path as the
@@ -200,8 +205,8 @@
 // Two inference engines serve, selected by serve.Config's Precision
 // (cmd/perfvec-serve -precision f32|int8), and a third, the float64
 // oracle, is the reference both are held against. All three run through one
-// batch encode loop (perfvec.Encoder's chunk/fill/accumulate pass) and
-// differ only in the forward backend:
+// batch encode loop (perfvec.Encoder's row-parallel wave/fill/accumulate
+// pass) and differ only in the forward backend:
 //
 //   - The forward-only float32 fast path (the default): tensor.Slab32
 //     arenas, tensor's *32 entry points, and nn.ForwardSeq32 run the
@@ -227,7 +232,8 @@
 //     extends the arena discipline to the quantized scratch, so the tier
 //     holds the zero-steady-state-allocation property. It trades a pinned
 //     epsilon for throughput: >= 1.5x the f32 fast path on batched encodes
-//     (BENCH_10.json records the EncodeQ8/EncodeF32 pair), with every
+//     (cmd/perfvec-bench -budget gates the EncodeQ8/EncodeF32 pair, measured
+//     interleaved in one process), with every
 //     representation element within 5e-2 of the f64 oracle normalized by
 //     the representation's dynamic range — quantization noise scales with
 //     the range, so the bound is stated against it. Deterministic and

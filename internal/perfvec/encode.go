@@ -15,40 +15,53 @@ import (
 // throughput on big batches, so a serving layer that ran one forward per
 // request would waste almost all of it; EncodePrograms32 and
 // EncodeProgramsQ8 concatenate the instruction rows of whole groups of
-// programs and encode them together, chunked at streamChunk rows — the same
-// chunk size InstructionReps uses, so every representation path drives the
-// encoder with identically shaped batches.
+// programs and encode them together in waves of up to streamChunk rows.
 //
-// Coalescing is invisible in the output because the encoder is row-wise
-// batch-invariant: every per-sample computation (the window GEMM rows, the
-// recurrent cells, attention over window positions) depends only on that
-// sample's own window, and the GEMM engine computes each output row as the
-// same FMA chain over k regardless of how many other rows share the pass
-// (TestEncodePrograms32Bitwise pins this). A program representation
-// produced by a coalesced pass is therefore bitwise identical to ProgramRep
-// on the same program alone.
+// Each wave is split into contiguous row ranges across the tensor worker
+// pool (§III-B: instruction representations are embarrassingly parallel).
+// The range holding the wave's first row runs on the caller's Encoder; every
+// other range borrows one from the Foundation's pool for its forward pass,
+// so a range's arenas are never shared. The ranges write their rows into
+// the caller's wave buffer, and the caller sums that buffer into the
+// per-program accumulators in row order once the wave is done: the float64
+// sums are the ones a serial pass computes, at any GOMAXPROCS.
+//
+// Neither coalescing nor the range split is visible in the output because
+// the encoder is row-wise batch-invariant: every per-sample computation (the
+// window GEMM rows, the recurrent cells, attention over window positions)
+// depends only on that sample's own window, and the GEMM engine computes
+// each output row as the same FMA chain over k regardless of how many other
+// rows share the pass (TestEncodePrograms32Bitwise and TestEncodeLanesBitwise
+// pin this). A program representation produced by a coalesced pass is
+// therefore bitwise identical to ProgramRep on the same program alone.
 
-// streamChunk is the encoder batch size of every representation path:
-// InstructionReps and the coalesced encode passes (EncodePrograms32, its
-// int8 twin and the float64 oracle's EncodePrograms64) all feed the encoder
-// streamChunk instruction rows at a time, so their outputs agree bitwise.
+// streamChunk is the wave size of the coalesced encode loop: the most
+// instruction rows one wave splits across the worker pool, and so the
+// height of an Encoder's wave buffer. InstructionReps encodes in chunks of
+// the same size. Outputs do not depend on it — batch invariance makes every
+// row's representation independent of the batch it ran in — but it bounds
+// the activation memory of a pass.
 const streamChunk = 256
 
 // Encoder is a reusable batch-inference worker: the float32 and int8
-// inference arenas a forward pass runs on, plus the float64 accumulation
-// scratch a coalesced pass sums per-program representations in. Encoders
-// are pooled on the Foundation (AcquireEncoder/ReleaseEncoder). Tensors
-// drawn from the arenas die at the next pass's Reset, so nothing produced
-// inside a pass may escape it — results leave through caller-owned slices
-// only. An Encoder is confined to one goroutine between Acquire and
-// Release.
+// inference arenas a forward pass runs on, plus the float64 scratch a
+// coalesced pass sums per-program representations in. Encoders are pooled
+// on the Foundation (AcquireEncoder/ReleaseEncoder). In a coalesced pass the
+// Encoder it is called on runs the first row range of every wave and owns
+// the wave buffer and accumulators; the other ranges run on encoders
+// borrowed from the same pool for the duration of one range. Tensors drawn
+// from the arenas die at the next pass's Reset, so nothing produced inside a
+// pass may escape it — results leave through caller-owned slices only. An
+// Encoder is confined to one goroutine between Acquire and Release.
 type Encoder struct {
-	f   *Foundation
-	acc []float64 // [len(ps) x RepDim] per-program accumulators, reused
+	f    *Foundation
+	acc  []float64 // [len(ps) x RepDim] per-program accumulators, reused
+	wave []float64 // [streamChunk x RepDim] representation rows of one wave, reused
+	job  encodeJob // argument block of this encoder's wave dispatches
 
 	// slab is the forward-only float32 arena every pass runs on; slabQ is
 	// the quantization arena of the int8 GEMMs (EncodeProgramsQ8). Both
-	// are reset at the start of every chunk.
+	// are reset at the start of every range.
 	slab  tensor.Slab32
 	slabQ tensor.SlabI8
 }
@@ -110,21 +123,24 @@ const (
 	engineOracle               // float64 oracle: the drift reference, never a serving tier
 )
 
-// encode is the one chunk/fill/accumulate loop behind EncodePrograms32,
+// encode is the one wave/fill/accumulate loop behind EncodePrograms32,
 // EncodeProgramsQ8 and EncodePrograms64: it runs coalesced forward passes
 // on engine eng over the concatenated instruction rows of ps and sums each
 // program's representation into e.acc (program i at [i*RepDim,
 // (i+1)*RepDim)), writing it rounded to float32 into the caller-owned dst[i]
-// (length RepDim) when dst is non-nil. The concatenation is chunked at
-// streamChunk rows — chunks freely span program boundaries — so a batch of
+// (length RepDim) when dst is non-nil. The concatenation is cut into waves
+// of streamChunk rows — waves freely span program boundaries — so a batch of
 // many small programs costs a few large GEMM passes instead of one small
-// pass per program. Rows are summed per program in row order through
-// float64 accumulators, the same sum SumReps computes. Every ps[i].N must
-// be >= 1.
+// pass per program. Each wave's rows are split into contiguous ranges across
+// the worker pool (kEncodeRange); ParallelKernel runs the wave inline when
+// it is too small to split or the pool is busy. Rows are summed per program
+// in row order through float64 accumulators, the same sum SumReps computes.
+// Every ps[i].N must be >= 1.
 //
 //perfvec:hotpath
 func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, eng engine) {
-	d := e.f.Cfg.RepDim
+	cfg := &e.f.Cfg
+	d := cfg.RepDim
 	total := 0
 	for _, p := range ps {
 		if p.N < 1 {
@@ -137,31 +153,25 @@ func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, eng engine) {
 	}
 	acc := e.acc[:len(ps)*d]
 	clear(acc)
-
-	// (pi, off): the next instruction to accumulate — program index and
-	// offset within it. The fill cursor (fpi, foff) runs one chunk ahead.
-	pi, off := 0, 0
-	fpi, foff := 0, 0
-	for base := 0; base < total; base += streamChunk {
-		bsz := min(streamChunk, total-base)
-		xs := e.windows(bsz)
-		for row := 0; row < bsz; {
-			p := ps[fpi]
-			k := min(bsz-row, p.N-foff)
-			fillWindowRows(xs, p, foff, foff+k, row)
-			row += k
-			foff += k
-			if foff == p.N {
-				fpi++
-				foff = 0
-			}
-		}
-		if eng == engineOracle {
-			pi, off = addRows(acc, ps, d, pi, off, e.forward64(xs).Data)
-		} else {
-			pi, off = addRows(acc, ps, d, pi, off, e.forward(xs, eng == engineQ8).Data)
-		}
+	if e.wave == nil {
+		e.wave = make([]float64, streamChunk*d) //perfvec:allow hotalloc -- built on the encoder's first coalesced pass, reused by every later one
 	}
+
+	// rowWork is a lower bound on the scalar work of one row's forward:
+	// the first layer's GEMM over the row's window, in every architecture.
+	rowWork := cfg.Window * cfg.FeatDim * cfg.Hidden
+	j := &e.job
+	*j = encodeJob{e: e, ps: ps, eng: eng}
+	// (pi, off): the first instruction of the next wave — program index
+	// and offset within it.
+	pi, off := 0, 0
+	for base := 0; base < total; base += streamChunk {
+		n := min(streamChunk, total-base)
+		j.pi, j.off = pi, off
+		tensor.ParallelKernel(n, n*rowWork, kEncodeRange, tensor.KernelArgs{X: j})
+		pi, off = addRows(acc, ps, d, pi, off, e.wave[:n*d])
+	}
+	*j = encodeJob{} // drop the references to this pass's programs
 	if dst == nil {
 		return
 	}
@@ -173,12 +183,68 @@ func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, eng engine) {
 	}
 }
 
+// encodeJob is the argument block of one wave's dispatch (kEncodeRange's
+// KernelArgs.X), owned by the caller's Encoder.
+type encodeJob struct {
+	e       *Encoder // the caller's encoder: runs the range at row 0, owns the wave buffer
+	ps      []*ProgramData
+	eng     engine
+	pi, off int // the wave's first row: program index and offset within it
+}
+
+// kEncodeRange encodes rows [r0, r1) of the current wave: it fills their
+// windows, runs the forward pass of the job's engine and writes the
+// representation rows, widened to float64, into rows [r0, r1) of the wave
+// buffer. ParallelKernel always runs the range at row 0 on the calling
+// goroutine, so that range uses the caller's encoder; any other range
+// borrows a pooled one, which goes back to the pool once its rows are
+// copied out. X=*encodeJob.
+//
+//perfvec:hotpath
+func kEncodeRange(r0, r1 int, ka tensor.KernelArgs) {
+	j := ka.X.(*encodeJob)
+	f := j.e.f
+	e := j.e
+	if r0 > 0 {
+		e = f.AcquireEncoder()
+	}
+	xs := e.windows(r1 - r0)
+	// Walk the programs from the wave's first row, filling the windows of
+	// the rows that fall in [r0, r1).
+	pi, off := j.pi, j.off
+	for row := 0; row < r1; {
+		p := j.ps[pi]
+		k := min(r1-row, p.N-off)
+		if lo := max(row, r0); lo < row+k {
+			fillWindowRows(xs, p, off+lo-row, off+k, lo-r0)
+		}
+		row += k
+		off += k
+		if off == p.N {
+			pi++
+			off = 0
+		}
+	}
+	d := f.Cfg.RepDim
+	out := j.e.wave[r0*d : r1*d]
+	if j.eng == engineOracle {
+		copy(out, e.forward64(xs).Data)
+	} else {
+		for i, v := range e.forward(xs, j.eng == engineQ8).Data {
+			out[i] = float64(v)
+		}
+	}
+	if r0 > 0 {
+		f.ReleaseEncoder(e)
+	}
+}
+
 // addRows sums reps — one d-wide representation row per instruction, in
 // concatenation order — into the per-program accumulators, starting at
 // instruction off of program pi, and returns the advanced cursor.
 //
 //perfvec:hotpath
-func addRows[T float32 | float64](acc []float64, ps []*ProgramData, d, pi, off int, reps []T) (int, int) {
+func addRows(acc []float64, ps []*ProgramData, d, pi, off int, reps []float64) (int, int) {
 	n := len(reps) / d
 	for row := 0; row < n; {
 		p := ps[pi]
@@ -186,7 +252,7 @@ func addRows[T float32 | float64](acc []float64, ps []*ProgramData, d, pi, off i
 		a := acc[pi*d : (pi+1)*d]
 		for i := row; i < row+k; i++ {
 			for j, v := range reps[i*d : (i+1)*d] {
-				a[j] += float64(v)
+				a[j] += v
 			}
 		}
 		row += k

@@ -19,7 +19,7 @@ import (
 // float64 backend, every accumulation and transcendental in float64. It is
 // not a serving tier: it is the reference the epsilon drift harnesses and
 // the tier error ledger (internal/experiments) hold the f32 and int8 tiers
-// against. Its forward allocates per chunk and is not a hot path.
+// against. Its forward allocates per row range and is not a hot path.
 
 // EncodePrograms32 encodes ps in coalesced passes on the forward-only
 // float32 engine and writes each program's representation into the
@@ -42,9 +42,9 @@ func (f *Foundation) oracle64() *nn.Oracle64 {
 }
 
 // EncodePrograms64 runs the coalesced batch encode (encode.go) through the
-// float64 oracle on a pooled encoder: the same chunking and accumulation as
-// EncodePrograms32, with each chunk's windows widened exactly and the whole
-// forward graph computed in float64. dst[i] must have length RepDim; every
+// float64 oracle on a pooled encoder: the same row-parallel waves and
+// accumulation as EncodePrograms32, with each range's windows widened
+// exactly and the whole forward graph computed in float64. dst[i] must have length RepDim; every
 // ps[i].N must be >= 1.
 func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
 	e := f.AcquireEncoder()
@@ -58,7 +58,7 @@ func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
 
 // forward64 is the oracle's forward pass over the window matrices xs: it
 // widens them (exactly) to float64 and runs encoder and head through
-// oracle64. It allocates per chunk — it is the drift reference, not a hot
+// oracle64. It allocates per call — it is the drift reference, not a hot
 // path.
 func (e *Encoder) forward64(xs []tensor.Tensor32) tensor.Tensor64 {
 	o := e.f.oracle64()

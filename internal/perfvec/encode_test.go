@@ -1,6 +1,7 @@
 package perfvec
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -102,71 +103,111 @@ func TestEncodeProgramsBitwise(t *testing.T) {
 	}
 }
 
-// TestEncodeProgramsBitwiseAcrossParallelism repeats one coalesced encode at
-// several GOMAXPROCS values: the GEMM chunking contract promises bitwise
-// invariance to pool parallelism, and the serving path inherits it.
-func TestEncodeProgramsBitwiseAcrossParallelism(t *testing.T) {
-	cfg := DefaultConfig()
-	f := NewFoundation(cfg)
-	rng := rand.New(rand.NewSource(13))
-	ps := []*ProgramData{
-		encTestProgram(rng, "a", 120, cfg.FeatDim),
-		encTestProgram(rng, "b", 300, cfg.FeatDim),
-		encTestProgram(rng, "c", 31, cfg.FeatDim),
+// TestEncodeLanesBitwise pins the row-parallel encode loop: each wave is
+// split into as many contiguous row ranges as GOMAXPROCS allows, and
+// EncodePrograms32, EncodeProgramsQ8 and EncodePrograms64 must give the same
+// bits at every range count, for every architecture. The batch puts range
+// boundaries inside programs, programs shorter than a range and 1-row
+// programs into the same wave; the short batch has fewer rows than ranges
+// at the higher counts. GOMAXPROCS=8 oversubscribes the pool, so ranges
+// also run inline on the caller when no worker is idle.
+func TestEncodeLanesBitwise(t *testing.T) {
+	kinds := []ModelKind{ModelLinear, ModelMLP, ModelLSTM, ModelBiLSTM, ModelGRU, ModelTransformer}
+	mixes := [][]int{
+		{1, 2, 130, 1, 90, 3, 60}, // 287 rows: a full wave, then a 31-row wave
+		{1, 2},                    // 3 rows: fewer rows than ranges at GOMAXPROCS=4
 	}
-	run := func(procs int) [][]float32 {
-		prev := runtime.GOMAXPROCS(procs)
-		defer runtime.GOMAXPROCS(prev)
-		return reps32(f, ps)
+	type reps struct {
+		f32, q8 [][]float32
+		f64     [][]float64
 	}
-	ref := run(1)
-	for _, procs := range []int{2, 8} {
-		got := run(procs)
-		for i := range ref {
-			for j := range ref[i] {
-				if got[i][j] != ref[i][j] {
-					t.Fatalf("GOMAXPROCS=%d: program %d col %d diverged: %v vs %v", procs, i, j, got[i][j], ref[i][j])
+	for _, kind := range kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Model = kind
+			f := NewFoundation(cfg)
+			rng := rand.New(rand.NewSource(37))
+			for _, mix := range mixes {
+				ps := make([]*ProgramData, len(mix))
+				for i, n := range mix {
+					ps[i] = encTestProgram(rng, "p", n, cfg.FeatDim)
+				}
+				run := func(procs int) reps {
+					prev := runtime.GOMAXPROCS(procs)
+					defer runtime.GOMAXPROCS(prev)
+					r := reps{f32: reps32(f, ps), q8: make([][]float32, len(ps)), f64: make([][]float64, len(ps))}
+					for i := range ps {
+						r.q8[i] = make([]float32, cfg.RepDim)
+						r.f64[i] = make([]float64, cfg.RepDim)
+					}
+					e := f.AcquireEncoder()
+					e.EncodeProgramsQ8(ps, r.q8)
+					f.ReleaseEncoder(e)
+					f.EncodePrograms64(ps, r.f64)
+					return r
+				}
+				ref := run(1)
+				for _, procs := range []int{2, 3, 4, 8} {
+					got := run(procs)
+					for i := range ps {
+						for j := 0; j < cfg.RepDim; j++ {
+							if got.f32[i][j] != ref.f32[i][j] || got.q8[i][j] != ref.q8[i][j] || got.f64[i][j] != ref.f64[i][j] {
+								t.Fatalf("mix %v GOMAXPROCS=%d program %d col %d: f32 %v/%v q8 %v/%v f64 %v/%v (must equal GOMAXPROCS=1 bitwise)",
+									mix, procs, i, j, got.f32[i][j], ref.f32[i][j], got.q8[i][j], ref.q8[i][j], got.f64[i][j], ref.f64[i][j])
+							}
+						}
+					}
 				}
 			}
-		}
+		})
 	}
 }
 
 // TestEncoderPoolSteadyState pins the pooled-encoder promise: repeated
 // coalesced passes must stop building encoders and stop growing their
-// arenas once warm — the serving miss path reuses everything.
+// arenas once warm — the serving miss path reuses everything. At
+// GOMAXPROCS=2 each wave's second row range runs on a borrowed encoder,
+// which must be recycled and stay warm too.
 func TestEncoderPoolSteadyState(t *testing.T) {
-	cfg := DefaultConfig()
-	f := NewFoundation(cfg)
-	rng := rand.New(rand.NewSource(17))
-	ps := []*ProgramData{
-		encTestProgram(rng, "a", 64, cfg.FeatDim),
-		encTestProgram(rng, "b", 200, cfg.FeatDim),
-	}
-	dst := [][]float32{make([]float32, cfg.RepDim), make([]float32, cfg.RepDim)}
-	pass := func() {
-		e := f.AcquireEncoder()
-		e.EncodePrograms32(ps, dst)
-		f.ReleaseEncoder(e)
-	}
-	pass()
-	pass()
-	builtWarm, growsWarm := f.EncoderStats()
-	for i := 0; i < 4; i++ {
-		pass()
-	}
-	built, grows := f.EncoderStats()
-	if built != builtWarm {
-		t.Errorf("steady-state passes built %d new encoders; the pool must recycle them", built-builtWarm)
-	}
-	if grows != growsWarm {
-		t.Errorf("steady-state passes grew the arenas %d times; windows and activations must be pooled", grows-growsWarm)
-	}
-	if raceEnabled {
-		return // the race detector's own allocations break AllocsPerRun
-	}
-	avg := testing.AllocsPerRun(4, pass)
-	if avg != 0 {
-		t.Errorf("steady-state EncodePrograms32 performs %.0f heap allocations; the coalesced encode path must allocate zero", avg)
+	for _, procs := range []int{1, 2} {
+		t.Run(fmt.Sprintf("procs%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			cfg := DefaultConfig()
+			f := NewFoundation(cfg)
+			rng := rand.New(rand.NewSource(17))
+			ps := []*ProgramData{
+				encTestProgram(rng, "a", 64, cfg.FeatDim),
+				encTestProgram(rng, "b", 200, cfg.FeatDim),
+			}
+			dst := [][]float32{make([]float32, cfg.RepDim), make([]float32, cfg.RepDim)}
+			pass := func() {
+				e := f.AcquireEncoder()
+				e.EncodePrograms32(ps, dst)
+				f.ReleaseEncoder(e)
+			}
+			pass()
+			pass()
+			builtWarm, growsWarm := f.EncoderStats()
+			if procs > 1 && builtWarm < 2 {
+				t.Fatalf("built %d encoders at GOMAXPROCS=%d; the waves' second ranges must borrow their own", builtWarm, procs)
+			}
+			for i := 0; i < 4; i++ {
+				pass()
+			}
+			built, grows := f.EncoderStats()
+			if built != builtWarm {
+				t.Errorf("steady-state passes built %d new encoders; the pool must recycle them", built-builtWarm)
+			}
+			if grows != growsWarm {
+				t.Errorf("steady-state passes grew the arenas %d times; windows and activations must be pooled", grows-growsWarm)
+			}
+			if raceEnabled {
+				return // the race detector's own allocations break AllocsPerRun
+			}
+			avg := testing.AllocsPerRun(4, pass)
+			if avg != 0 {
+				t.Errorf("steady-state EncodePrograms32 performs %.0f heap allocations; the coalesced encode path must allocate zero", avg)
+			}
+		})
 	}
 }

@@ -88,8 +88,8 @@ func (f *Foundation) Forward(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tenso
 func (f *Foundation) InstructionReps(p *ProgramData) *tensor.Tensor {
 	d := f.Cfg.RepDim
 	out := tensor.New(p.N, d)
-	// Chunking at streamChunk keeps these batches identical to the ones
-	// the batch encode runs, so the inference paths agree bitwise.
+	// The encoder is row-wise batch-invariant, so these chunks give every
+	// row the bits the batch encode's differently shaped ranges give it.
 	nChunks := (p.N + streamChunk - 1) / streamChunk
 	tensor.Parallel(nChunks, func(c0, c1 int) {
 		// Each chunk range runs the float32 forward on a pooled encoder's

@@ -144,8 +144,9 @@
 //     quantization, u8 x i8 integer GEMMs with a fused dequantization
 //     epilogue, and fast polynomial gate nonlinearities — on pooled
 //     Slab32/SlabI8 arenas, zero steady-state allocations. The throughput
-//     tier: >= 1.5x the f32 fast path on batched encodes (the
-//     EncodeQ8/EncodeF32 pair in BENCH_10.json records the ratio). Its
+//     tier: >= 1.5x the f32 fast path on batched encodes (perfvec-bench
+//     -budget gates the EncodeQ8/EncodeF32 ratio, measured interleaved in
+//     one process). Its
 //     contract is an epsilon, not bitwise equality with the f32 tier:
 //     the int8 drift harness holds every representation element within
 //     5e-2 of the f64 oracle, normalized by the representation's dynamic
