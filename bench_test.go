@@ -242,13 +242,18 @@ func BenchmarkEncodeF32(b *testing.B) { benchsuite.EncodeF32(b) }
 
 // BenchmarkMatMulQ8 measures the quantized GEMM pipeline (dynamic activation
 // quantization, u8xi8 integer dot products, per-channel dequantization) on
-// the MatMul shape, and BenchmarkEncodeQ8 the int8 serving tier over the
-// EncodeF32 batch. The EncodeQ8/EncodeF32 rows/s ratio is the int8 speedup
-// whose floor (>= 1.5x at batch >= 256) bench_budget.json sets and
-// cmd/perfvec-bench -budget gates; bench_budget.json also pins both at 0
-// allocs/op.
-func BenchmarkMatMulQ8(b *testing.B) { benchsuite.MatMulQ8(b) }
-func BenchmarkEncodeQ8(b *testing.B) { benchsuite.EncodeQ8(b) }
+// the MatMul shape, BenchmarkMatMulQ8ModelShape the same pipeline at the
+// default LSTM encoder's recurrent shape (128 rows, k=51 then k=32 in add
+// mode, n=128), where the quantize-pack and dequantize epilogues weigh as
+// much as the integer GEMM, and BenchmarkEncodeQ8 the int8 serving tier
+// over the EncodeF32 batch: quantized GEMMs with AVX2 epilogues plus the
+// fused fast LSTM gate pass. The EncodeQ8/EncodeF32 rows/s ratio is the
+// int8 speedup whose floor (>= 1.5x at batch >= 256) bench_budget.json sets
+// and cmd/perfvec-bench -budget gates; bench_budget.json also pins all
+// three at 0 allocs/op.
+func BenchmarkMatMulQ8(b *testing.B)           { benchsuite.MatMulQ8(b) }
+func BenchmarkMatMulQ8ModelShape(b *testing.B) { benchsuite.MatMulQ8ModelShape(b) }
+func BenchmarkEncodeQ8(b *testing.B)           { benchsuite.EncodeQ8(b) }
 
 // BenchmarkSweep measures the batched design-space sweep (candidates
 // embedded once, one GEMM per program over a 2048-config space) and

@@ -1,7 +1,7 @@
 // Command perfvec-bench runs the repo's tracked micro-benchmarks
-// (BenchmarkMatMul/MatMul32/MatMulQ8, BenchmarkBatch, BenchmarkTrainStep,
-// the BenchmarkEncodeF32/EncodeQ8 serving-tier pair, the
-// BenchmarkServe* serving suite, and the BenchmarkSweep/SweepNaive
+// (BenchmarkMatMul/MatMul32/MatMulQ8/MatMulQ8ModelShape, BenchmarkBatch,
+// BenchmarkTrainStep, the BenchmarkEncodeF32/EncodeQ8 serving-tier pair,
+// the BenchmarkServe* serving suite, and the BenchmarkSweep/SweepNaive
 // design-space sweep pair) through testing.Benchmark and writes the
 // results as JSON, so the performance trajectory of the training and
 // serving hot paths is recorded across changes (the BENCH_N.json files at
@@ -138,6 +138,7 @@ func main() {
 		{"MatMul", benchsuite.MatMul},
 		{"MatMul32", benchsuite.MatMul32},
 		{"MatMulQ8", benchsuite.MatMulQ8},
+		{"MatMulQ8ModelShape", benchsuite.MatMulQ8ModelShape},
 		{"Batch", benchsuite.Batch},
 		{"TrainStep", benchsuite.TrainStep},
 		{"EncodeF32", benchsuite.EncodeF32},
@@ -161,7 +162,7 @@ func main() {
 		fns[b.name] = b.fn
 		rep.Results[b.name] = run(b.fn)
 		r := rep.Results[b.name]
-		fmt.Fprintf(os.Stderr, "%-12s %10d ns/op %12d B/op %8d allocs/op\n",
+		fmt.Fprintf(os.Stderr, "%-18s %10d ns/op %12d B/op %8d allocs/op\n",
 			b.name, int64(r.NsPerOp), r.BytesPerOp, r.AllocsPerOp)
 	}
 

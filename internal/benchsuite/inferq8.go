@@ -1,6 +1,7 @@
 package benchsuite
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/perfvec"
@@ -33,6 +34,41 @@ func MatMulQ8(b *testing.B) {
 	}
 	b.StopTimer()
 	ops := 2.0 * 256 * 256 * 256
+	b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GOP/s")
+}
+
+// MatMulQ8ModelShape measures the quantized GEMM pipeline at the default
+// LSTM encoder's recurrent shape: a 128-row block (one worker's range of a
+// 256-row encode wave at two CPUs) through the x-projection (k=51 features
+// into the 128 gate pre-activations, n=4*32), then the h-projection (k=32
+// hidden) accumulated in add mode — the pair of calls each layer runs per
+// timestep. At this size the quantize-pack and dequantize epilogues weigh as
+// much as the integer dot products, which MatMulQ8's 256-cubed product
+// hides.
+func MatMulQ8ModelShape(b *testing.B) {
+	const m, kx, kh, n = 128, 51, 32, 128
+	rng := rand.New(rand.NewSource(73))
+	mat := func(r, c int) tensor.Tensor32 {
+		t := tensor.Tensor32{Data: make([]float32, r*c), R: r, C: c}
+		for i := range t.Data {
+			t.Data[i] = rng.Float32()*2 - 1
+		}
+		return t
+	}
+	x, h := mat(m, kx), mat(m, kh)
+	wx := tensor.QuantizeWeightsBT(mat(n, kx), 0, kx)
+	wh := tensor.QuantizeWeightsBT(mat(n, kh), 0, kh)
+	var s tensor.Slab32
+	var q tensor.SlabI8
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Reset()
+		pre := tensor.MatMulQ8(&s, &q, x, wx, nil)
+		tensor.MatMulQ8Into(&q, pre, h, wh, nil, true)
+	}
+	b.StopTimer()
+	ops := 2.0 * m * n * (kx + kh)
 	b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GOP/s")
 }
 

@@ -2,12 +2,14 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"testing"
 )
 
 // FuzzDecodeProgram drives the /v1/submit body decoder with arbitrary bytes.
 // It must never panic, and it must either reject the body with a message or
-// accept n >= 1 rows whose n*featDim floats re-encode to exactly the body.
+// accept n >= 1 rows of finite floats whose n*featDim values re-encode to
+// exactly the body.
 // One scratch is shared across inputs, so a short body decoded after a long
 // one also checks that stale rows never leak into the result. The seed
 // corpus lives in testdata/fuzz/FuzzDecodeProgram.
@@ -25,6 +27,11 @@ func FuzzDecodeProgram(f *testing.F) {
 		}
 		if n < 1 {
 			t.Fatalf("accepted body with n=%d rows", n)
+		}
+		for i, v := range sc.feats[:n*fd] {
+			if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+				t.Fatalf("accepted non-finite feature %d = %v", i, v)
+			}
 		}
 		if got := submitBody(sc.feats[:n*fd], n, fd); !bytes.Equal(got, body) {
 			t.Fatalf("accepted %d rows that do not round-trip the %d-byte body", n, len(body))

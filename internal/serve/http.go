@@ -87,10 +87,18 @@ func clientID(r *http.Request) string {
 	return r.RemoteAddr
 }
 
+// writeJSON encodes v before it sends the status line, so a value that
+// cannot be encoded (a NaN, say) answers 500 with an error body instead of
+// the intended status with an empty one.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusInternalServerError
+		body, _ = json.Marshal(errorResponse{Error: "encode response: " + err.Error()}) // a string field always encodes
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(append(body, '\n'))
 }
 
 // retryAfterSeconds rounds d up to the whole seconds Retry-After requires,
@@ -163,7 +171,9 @@ func (s *Service) handleSubmit(w http.ResponseWriter, r *http.Request, scratch *
 
 // decodeProgram parses the binary submission body (uint32 n, uint32 featDim,
 // then n*featDim little-endian float32s) into sc.feats, returning the row
-// count, or a non-empty error message for a 400 response.
+// count, or a non-empty error message for a 400 response. Every feature
+// must be finite: a NaN or ±Inf would be encoded, cached under its key and
+// answered with a representation JSON cannot carry.
 func (s *Service) decodeProgram(body []byte, sc *httpScratch) (int, string) {
 	if len(body) < 8 {
 		return 0, "body shorter than the 8-byte header"
@@ -181,7 +191,11 @@ func (s *Service) decodeProgram(body []byte, sc *httpScratch) (int, string) {
 	}
 	feats := sc.feats[:n*fd]
 	for i := range feats {
-		feats[i] = math.Float32frombits(binary.LittleEndian.Uint32(body[8+4*i:]))
+		v := math.Float32frombits(binary.LittleEndian.Uint32(body[8+4*i:]))
+		if math.IsNaN(float64(v)) || math.IsInf(float64(v), 0) {
+			return 0, "feature " + strconv.Itoa(i) + " (row " + strconv.Itoa(i/fd) + ", column " + strconv.Itoa(i%fd) + ") is not finite"
+		}
+		feats[i] = v
 	}
 	return n, ""
 }

@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -128,5 +129,53 @@ func TestHTTPRateLimit(t *testing.T) {
 	}
 	if w.Header().Get("Retry-After") != "2" { // 1 token at 0.5/s = 2s
 		t.Fatalf("Retry-After = %q, want \"2\"", w.Header().Get("Retry-After"))
+	}
+}
+
+// TestHTTPSubmitRejectsNonFinite checks that a NaN or ±Inf feature is a 400
+// naming the offending index, and that nothing is encoded or cached for it.
+func TestHTTPSubmitRejectsNonFinite(t *testing.T) {
+	s := newTestService(t, 3, nil)
+	f := s.Model()
+	h := s.Handler()
+	tr := NewTraffic(LoadConfig{Seed: 15, Programs: 1, MinInstrs: 3, MaxInstrs: 3, Requests: 1, Clients: 1}, f.Cfg.FeatDim)
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		fs := append([]float32(nil), tr.feats[0]...)
+		fs[f.Cfg.FeatDim+2] = float32(v)
+		w := doReq(t, h, "POST", "/v1/submit?rep=1", "c1", submitBody(fs, tr.instrs[0], f.Cfg.FeatDim))
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("feature %v: %d %q, want 400", v, w.Code, w.Body.String())
+		}
+		var er errorResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || !strings.Contains(er.Error, "feature "+strconv.Itoa(f.Cfg.FeatDim+2)+" ") {
+			t.Fatalf("feature %v: error body %q does not name index %d", v, w.Body.String(), f.Cfg.FeatDim+2)
+		}
+		w = doReq(t, h, "POST", "/v1/sweep?size=4", "c1", submitBody(fs, tr.instrs[0], f.Cfg.FeatDim))
+		if w.Code != http.StatusBadRequest || !strings.Contains(w.Body.String(), "not finite") {
+			t.Fatalf("sweep with feature %v: %d %q, want a 400 naming the feature", v, w.Code, w.Body.String())
+		}
+	}
+	if n := s.Cache().Len(); n != 0 {
+		t.Fatalf("rejected submissions left %d cache entries", n)
+	}
+}
+
+// TestWriteJSONEncodeFailure checks that a response value JSON cannot
+// encode answers 500 with an error body, not the intended status with an
+// empty body.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	w := httptest.NewRecorder()
+	writeJSON(w, http.StatusOK, submitResponse{Key: "1", Rep: []float32{float32(math.NaN())}})
+	if w.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", w.Code)
+	}
+	var er errorResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &er); err != nil || er.Error == "" {
+		t.Fatalf("body %q is not an error response", w.Body.String())
+	}
+	w = httptest.NewRecorder()
+	writeJSON(w, http.StatusCreated, errorResponse{Error: "x"})
+	if w.Code != http.StatusCreated || w.Body.String() != "{\"error\":\"x\"}\n" {
+		t.Fatalf("encodable value: %d %q", w.Code, w.Body.String())
 	}
 }

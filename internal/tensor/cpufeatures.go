@@ -9,9 +9,11 @@ package tensor
 type Features struct {
 	// AVX2FMA: the f32 micro-kernel (VFMADD231PS in gemm_amd64.s) is active.
 	AVX2FMA bool `json:"avx2_fma"`
-	// DotQ8: the int8 micro-kernel (VPMADDUBSW/VPMADDWD in gemmq8_amd64.s)
-	// is active. On the false path the engine runs the portable twin with
-	// identical (bit-for-bit) results at scalar speed.
+	// DotQ8: the int8 engine's AVX2 kernels in gemmq8_amd64.s are active —
+	// the VPMADDUBSW/VPMADDWD micro-kernel and the quantize-pack and
+	// dequantize epilogues around it. On the false path the engine runs the
+	// portable Go twins with identical (bit-for-bit) results at scalar
+	// speed.
 	DotQ8 bool `json:"dot_q8"`
 }
 

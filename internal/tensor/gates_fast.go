@@ -4,8 +4,8 @@ import "math"
 
 // Fast float32 gate nonlinearities for the int8 inference tier.
 //
-// Profiling the f32 encode path shows ~85-90% of wall time in the gate
-// transcendentals (math.Exp/math.Tanh through the libm-accurate scalar
+// Profiling the f32 encode path shows 82% of its CPU time in the gate
+// kernel kLSTMGates32 (math.Exp/math.Tanh through the libm-accurate scalar
 // paths), not in the GEMMs — so an int8 tier that only quantized the matrix
 // multiplies could never clear its speedup gate. These kernels replace the
 // libm calls with a range-reduced polynomial exp in pure float32: relative
@@ -21,8 +21,12 @@ import "math"
 // vector kernels use unfused mul/add in the exact scalar expression order —
 // Go never contracts to FMA on amd64 — so asm and noasm builds of the int8
 // path compute bit-identical gate values; TestFastGateVectorMatchesScalar
-// pins the equality. The f32 and f64 tiers keep the libm-exact kernels in
-// gates.go/infer32.go untouched.
+// pins the equality. The LSTM cell, the int8 tier's dominant gate kernel,
+// goes one step further when H is a multiple of 8: vLSTMGatesF32 fuses the
+// bias add, the four activations, the cell combine and the h multiply into
+// one vector pass per row, a bitwise twin of the slice composition
+// (TestLSTMGatesFastFusedMatchesGo). The f32 and f64 tiers keep the
+// libm-exact kernels in gates.go/infer32.go untouched.
 
 const (
 	fastLog2E = float32(1.4426950408889634) // 1/ln(2)
@@ -151,13 +155,28 @@ func LSTMGatesFast32(s *Slab32, pre Tensor32, bias []float32, c Tensor32) (h, cN
 	return h, cNew
 }
 
-// kLSTMGatesFast32: layout identical to kLSTMGates32, restructured into
-// per-row slice sections so the nonlinearities vectorize: bias-add the row,
+// kLSTMGatesFast32: layout identical to kLSTMGates32. When H is a whole
+// number of 8-lane blocks the rows run through vLSTMGatesF32, one fused
+// vector pass per row; otherwise through lstmGatesFastGo.
+//
+//perfvec:hotpath
+func kLSTMGatesFast32(r0, r1 int, ka KernelArgs) {
+	H := ka.I[0]
+	if useFastGates && H > 0 && H%8 == 0 {
+		pre, bd, c, hNew, cNew := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4]
+		vLSTMGatesF32(&pre[r0*4*H], &bd[0], &c[r0*H], &cNew[r0*H], &hNew[r0*H], r1-r0, H/8)
+		return
+	}
+	lstmGatesFastGo(r0, r1, ka)
+}
+
+// lstmGatesFastGo is kLSTMGatesFast32 as per-row slice sections, so the
+// nonlinearities vectorize without the fused kernel: bias-add the row,
 // sigmoid the contiguous i,f gates, tanh g, sigmoid o, then the cell/hidden
 // combine with the tanh(c') pass running over the hidden row in place.
 //
 //perfvec:hotpath
-func kLSTMGatesFast32(r0, r1 int, ka KernelArgs) {
+func lstmGatesFastGo(r0, r1 int, ka KernelArgs) {
 	pre, bd, c, hNew, cNew := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4]
 	H := ka.I[0]
 	for r := r0; r < r1; r++ {

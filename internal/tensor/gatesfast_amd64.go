@@ -2,8 +2,8 @@
 
 package tensor
 
-// useFastGates routes the fast gate slice helpers in gates_fast.go through
-// the AVX2 vector kernels in gatesfast_amd64.s. The kernels use only AVX2
+// useFastGates routes the fast gate slice helpers and the LSTM cell in
+// gates_fast.go through the AVX2 vector kernels in gatesfast_amd64.s. The kernels use only AVX2
 // instructions (VROUNDPS is SSE4.1-era, subsumed by AVX), so they share the
 // GEMM paths' capability gate. The vector lanes compute bit-identically to
 // the scalar fallback — unfused mul/add in the scalar expression order — so
@@ -25,3 +25,9 @@ func vSigmoidF32(d *float32, blocks int)
 //
 //go:noescape
 func vTanhF32(d *float32, blocks int)
+
+// vLSTMGatesF32 runs lstmGatesFastGo over rows rows of H = blocks*8 hidden
+// units in one fused pass; pre, c, cNew and hNew point at the first row.
+//
+//go:noescape
+func vLSTMGatesF32(pre, bias, c, cNew, hNew *float32, rows, blocks int)

@@ -150,21 +150,34 @@ exploop:
 	VZEROUPPER
 	RET
 
+// SIGMOID: Y0 = 1 / (1 + fastExp32(-Y0)), clobbering Y1-Y5: negate by
+// sign-bit XOR (exact, as in scalar Go), exp core, then the IEEE-rounded add
+// and divide.
+#define SIGMOID \
+	VXORPS  signMask<>(SB), Y0, Y0 \
+	EXPCORE                        \
+	VADDPS  expOne<>(SB), Y0, Y0   \
+	VMOVUPS expOne<>(SB), Y5       \
+	VDIVPS  Y0, Y5, Y0
+
+// TANH: Y0 = (e - 1) / (e + 1) with e = fastExp32(2*Y0), clobbering Y1-Y5;
+// doubling by VADDPS is exact, matching the scalar 2*x.
+#define TANH \
+	VADDPS  Y0, Y0, Y0           \
+	EXPCORE                      \
+	VMOVUPS expOne<>(SB), Y5     \
+	VSUBPS  Y5, Y0, Y4           \ // e - 1
+	VADDPS  Y5, Y0, Y0           \ // e + 1
+	VDIVPS  Y0, Y4, Y0
+
 // func vSigmoidF32(d *float32, blocks int)
-//
-// d[i] = 1 / (1 + fastExp32(-d[i])): negate by sign-bit XOR (exact, as in
-// scalar Go), exp core, then the IEEE-rounded add and divide.
 TEXT ·vSigmoidF32(SB), NOSPLIT, $0-16
 	MOVQ d+0(FP), SI
 	MOVQ blocks+8(FP), CX
 
 sigloop:
 	VMOVUPS (SI), Y0
-	VXORPS  signMask<>(SB), Y0, Y0
-	EXPCORE
-	VADDPS  expOne<>(SB), Y0, Y0
-	VMOVUPS expOne<>(SB), Y5
-	VDIVPS  Y0, Y5, Y0          // 1 / (1 + e)
+	SIGMOID
 	VMOVUPS Y0, (SI)
 	ADDQ    $32, SI
 	DECQ    CX
@@ -173,24 +186,90 @@ sigloop:
 	RET
 
 // func vTanhF32(d *float32, blocks int)
-//
-// d[i] = (e - 1) / (e + 1) with e = fastExp32(2*d[i]); doubling by VADDPS is
-// exact, matching the scalar 2*x.
 TEXT ·vTanhF32(SB), NOSPLIT, $0-16
 	MOVQ d+0(FP), SI
 	MOVQ blocks+8(FP), CX
 
 tanhloop:
 	VMOVUPS (SI), Y0
-	VADDPS  Y0, Y0, Y0          // 2x
-	EXPCORE
-	VMOVUPS expOne<>(SB), Y5
-	VSUBPS  Y5, Y0, Y4          // e - 1
-	VADDPS  Y5, Y0, Y0          // e + 1
-	VDIVPS  Y0, Y4, Y0
+	TANH
 	VMOVUPS Y0, (SI)
 	ADDQ    $32, SI
 	DECQ    CX
 	JNZ     tanhloop
+	VZEROUPPER
+	RET
+
+// func vLSTMGatesF32(pre, bias, c, cNew, hNew *float32, rows, blocks int)
+//
+// One fused pass of lstmGatesFastGo over rows rows of H = blocks*8 hidden
+// units: per 8-lane column block, the four bias-added gates (i, f, g, o at
+// byte offsets 0, H*4, 2*H*4, 3*H*4 of the pre row) are activated and
+// written back, then c' = c*f + i*g goes to cNew and tanh(c')*o to hNew.
+// Each operation is the one the Go loops compile to, unfused and in the
+// same order, so the values match the composition of the slice kernels
+// above bit for bit (TestLSTMGatesFastFusedMatchesGo). The operand order of
+// each multiply and add follows the compiled Go too; it only decides which
+// payload survives when both operands are NaN. Gates live in Y6-Y9 across
+// the macros, which clobber Y0-Y5.
+TEXT ·vLSTMGatesF32(SB), NOSPLIT, $0-56
+	MOVQ pre+0(FP), DI
+	MOVQ bias+8(FP), R11
+	MOVQ c+16(FP), R8
+	MOVQ cNew+24(FP), R9
+	MOVQ hNew+32(FP), R10
+	MOVQ rows+40(FP), CX
+	MOVQ blocks+48(FP), R12
+	MOVQ R12, DX
+	SHLQ $5, DX                 // H*4: byte stride between gate sections
+	LEAQ (DX)(DX*2), R13        // 3*H*4
+	TESTQ CX, CX
+	JZ    lstmdone
+
+lstmrow:
+	MOVQ R11, SI
+	MOVQ R12, BX
+
+lstmblk:
+	VMOVUPS (SI), Y0
+	VADDPS  (DI), Y0, Y0        // bias + pre
+	SIGMOID
+	VMOVUPS Y0, (DI)
+	VMOVAPS Y0, Y6              // i
+	VMOVUPS (SI)(DX*1), Y0
+	VADDPS  (DI)(DX*1), Y0, Y0
+	SIGMOID
+	VMOVUPS Y0, (DI)(DX*1)
+	VMOVAPS Y0, Y7              // f
+	VMOVUPS (SI)(DX*2), Y0
+	VADDPS  (DI)(DX*2), Y0, Y0
+	TANH
+	VMOVUPS Y0, (DI)(DX*2)
+	VMOVAPS Y0, Y8              // g
+	VMOVUPS (SI)(R13*1), Y0
+	VADDPS  (DI)(R13*1), Y0, Y0
+	SIGMOID
+	VMOVUPS Y0, (DI)(R13*1)
+	VMOVAPS Y0, Y9              // o
+	VMOVUPS (R8), Y10
+	VMULPS  Y7, Y10, Y10        // c*f
+	VMULPS  Y8, Y6, Y11         // i*g
+	VADDPS  Y11, Y10, Y0        // c'
+	VMOVUPS Y0, (R9)
+	TANH
+	VMULPS  Y9, Y0, Y0          // tanh(c')*o
+	VMOVUPS Y0, (R10)
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, R8
+	ADDQ    $32, R9
+	ADDQ    $32, R10
+	DECQ    BX
+	JNZ     lstmblk
+	ADDQ    R13, DI             // past the f, g, o sections to the next row
+	DECQ    CX
+	JNZ     lstmrow
+
+lstmdone:
 	VZEROUPPER
 	RET

@@ -20,3 +20,7 @@ func vSigmoidF32(d *float32, blocks int) {
 func vTanhF32(d *float32, blocks int) {
 	panic("tensor: vector gate kernel called without hardware support")
 }
+
+func vLSTMGatesF32(pre, bias, c, cNew, hNew *float32, rows, blocks int) {
+	panic("tensor: vector gate kernel called without hardware support")
+}

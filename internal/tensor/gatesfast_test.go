@@ -50,6 +50,59 @@ func TestFastGateVectorMatchesScalar(t *testing.T) {
 	}
 }
 
+// TestLSTMGatesFastFusedMatchesGo pins vLSTMGatesF32 to the slice-section
+// composition it fuses (lstmGatesFastGo on the same vector gate kernels):
+// the activated gates left in pre, c' and h must agree bit for bit, over
+// hidden widths of one to five 8-lane blocks, row counts on and off the
+// worker split, and pre-activations that include ±Inf, NaN and values past
+// the exp clamp.
+func TestLSTMGatesFastFusedMatchesGo(t *testing.T) {
+	if !useFastGates {
+		t.Skip("AVX2 gate kernels unavailable on this machine/build")
+	}
+	rng := rand.New(rand.NewSource(13))
+	specials := []float32{
+		float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.NaN()),
+		float32(math.Copysign(0, -1)), 88, -88, 500, -500,
+	}
+	for _, H := range []int{8, 16, 32, 40} {
+		for _, m := range []int{1, 5, 128} {
+			pre := make([]float32, m*4*H)
+			for i := range pre {
+				pre[i] = float32(rng.NormFloat64() * 4)
+				if i%11 == 0 {
+					pre[i] = specials[rng.Intn(len(specials))]
+				}
+			}
+			bias := randSlice(rng, 4*H)
+			c := randSlice(rng, m*H)
+			c[0] = float32(math.NaN())
+			run := func(k Kernel) (p, cNew, h []float32) {
+				p = append([]float32(nil), pre...)
+				cNew = make([]float32, m*H)
+				h = make([]float32, m*H)
+				ka := KernelArgs{S: [8][]float32{p, bias, c, h, cNew}, I: [6]int{H}}
+				k(0, m/2, ka)
+				k(m/2, m, ka)
+				return p, cNew, h
+			}
+			pF, cF, hF := run(kLSTMGatesFast32)
+			pG, cG, hG := run(lstmGatesFastGo)
+			for _, cmp := range []struct {
+				name      string
+				got, want []float32
+			}{{"pre", pF, pG}, {"cNew", cF, cG}, {"h", hF, hG}} {
+				for i := range cmp.got {
+					if math.Float32bits(cmp.got[i]) != math.Float32bits(cmp.want[i]) {
+						t.Fatalf("H=%d m=%d %s[%d]: fused %v (%08x) go %v (%08x)", H, m, cmp.name, i,
+							cmp.got[i], math.Float32bits(cmp.got[i]), cmp.want[i], math.Float32bits(cmp.want[i]))
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFastGateSliceScalarPath forces the scalar dispatch on AVX2 hardware
 // and checks the helpers still apply the scalar function elementwise — the
 // noasm code path, exercised on the default build.

@@ -23,13 +23,15 @@ import "runtime"
 // ones computes. The portable kernel replicates the saturation bit-for-bit
 // (TestGEMMQ8AsmMatchesGeneric), so quantized results are identical across
 // asm and noasm builds: integer arithmetic leaves no rounding freedom, and
-// the dequantization epilogue is shared Go code. On engine-produced codes
-// the saturation never engages: activations quantize to 7-bit codes
-// (quant.go), so a pair sum is bounded by 127*127*2 = 32258 < 32767 and the
-// accumulator holds the exact i32 dot product of the codes. The sat16
-// semantics are still pinned — they are what the hardware instruction
-// defines, and TestGEMMQ8MicroSaturation feeds both kernels synthetic
-// out-of-range bytes to prove they clip identically.
+// the AVX2 quantize-pack and dequantization epilogues repeat the portable
+// Go loops' float operations in order, unfused
+// (TestQuantPackAAsmMatchesGeneric, TestDequantQ8AsmMatchesGeneric). On
+// engine-produced codes the saturation never engages: activations quantize
+// to 7-bit codes (quant.go), so a pair sum is bounded by 127*127*2 = 32258
+// < 32767 and the accumulator holds the exact i32 dot product of the codes.
+// The sat16 semantics are still pinned — they are what the hardware
+// instruction defines, and TestGEMMQ8MicroSaturation feeds both kernels
+// synthetic out-of-range bytes to prove they clip identically.
 //
 // Unlike the f32 engine there are no MC/NC cache loops and no pack pools:
 // packed A is u8 (a quarter the f32 footprint — one streamChunk x KC block
@@ -120,7 +122,10 @@ const dequantAdd = 1 << 0 // accumulate into dst instead of setting it
 // past k stay zero (the slab hands out zeroed memory), which the engine's
 // padding contract requires. S0=x (row-major, stride k), S1=aScale; U0=ap;
 // Z0=aZp; I0=k, I1=KQ. Per-row independent, so chunk boundaries cannot
-// affect values.
+// affect values. Under useQ8 the range scan and the code packing of each
+// row's leading multiple of 8 values run through minMaxF32x8 and
+// quantPackU8x8; the scale and zero-point (math.Round) and the k%8 tail
+// stay in Go.
 //
 //perfvec:hotpath
 func kQuantPackA(r0, r1 int, ka KernelArgs) {
@@ -130,14 +135,24 @@ func kQuantPackA(r0, r1 int, ka KernelArgs) {
 	k, kQ := ka.I[0], ka.I[1]
 	for i := r0; i < r1; i++ {
 		row := x[i*k : (i+1)*k]
-		scale, zp := quantizeRowU8(row)
+		strip := ap[(i/gemmMR)*kQ*gemmMR*gemmQuad+(i%gemmMR)*gemmQuad:]
+		// row[:head] runs through the AVX2 kernels, the rest through Go.
+		head := 0
+		var lo, hi float32
+		if useQ8 && k >= 8 {
+			head = k &^ 7
+			lo, hi = minMaxF32x8(&row[0], head/8)
+		}
+		scale, zp := quantParamsU8(rowRangeU8(row[head:], lo, hi))
 		aScale[i] = scale
 		aZp[i] = zp
 		inv := 1 / scale
 		zpf := float32(zp) + 0.5
-		strip := ap[(i/gemmMR)*kQ*gemmMR*gemmQuad+(i%gemmMR)*gemmQuad:]
-		for l, v := range row {
-			strip[(l>>2)*gemmMR*gemmQuad+(l&3)] = quantizeU8(v, inv, zpf)
+		if head > 0 {
+			quantPackU8x8(&strip[0], &row[0], head/8, inv, zpf)
+		}
+		for l := head; l < k; l++ {
+			strip[(l>>2)*gemmMR*gemmQuad+(l&3)] = quantizeU8(row[l], inv, zpf)
 		}
 	}
 }
@@ -256,14 +271,23 @@ func sat16(v int32) int32 {
 // the combined activation-times-weight scale, and add the optional bias —
 // all in one pass, the epilogue fusion the f32 path expresses as GEMM +
 // AddBiasInPlace32. S0=dst, S1=wScale, S2=aScale, S3=bias (nil for none);
-// Z0=acc, Z1=colSum, Z2=aZp; I0=n, I1=dequant flag bits. Shared Go code on
-// both kernel paths, so asm and noasm dequantize bit-identically.
+// Z0=acc, Z1=colSum, Z2=aZp; I0=n, I1=dequant flag bits. Under useQ8 the
+// rows run through dequantQ8Rows, which repeats the Go loops' operations in
+// order on 8 lanes, so asm and noasm dequantize bit-identically.
 //
 //perfvec:hotpath
 func kDequantQ8(r0, r1 int, ka KernelArgs) {
 	dst, wScale, aScale, bias := ka.S[0], ka.S[1], ka.S[2], ka.S[3]
 	acc, colSum, aZp := ka.Z[0], ka.Z[1], ka.Z[2]
 	n := ka.I[0]
+	if useQ8 {
+		var bp *float32
+		if bias != nil {
+			bp = &bias[0]
+		}
+		dequantQ8Rows(&dst[r0*n], &acc[r0*n], &colSum[0], &wScale[0], &aScale[r0], &aZp[r0], bp, r1-r0, n, ka.I[1])
+		return
+	}
 	doAdd := ka.I[1]&dequantAdd != 0
 	cs := colSum[:n]
 	ws := wScale[:n]

@@ -1,4 +1,5 @@
-// AVX2 micro-kernel for the quantized GEMM engine (see gemmq8.go).
+// AVX2 kernels for the quantized GEMM engine (see gemmq8.go): the integer
+// micro-kernel, then the quantize-pack and dequantize epilogues.
 //
 // gemmQ8Micro6x16 keeps a full 6x16 int32 accumulator tile register-resident
 // across the entire quad loop: twelve YMM accumulators (six rows x two
@@ -139,5 +140,207 @@ store:
 	VMOVDQU Y13, 32(R12)
 	VMOVDQU Y14, (R13)
 	VMOVDQU Y15, 32(R13)
+	VZEROUPPER
+	RET
+
+// The two per-call epilogues of MatMulQ8Into (kQuantPackA and kDequantQ8 in
+// gemmq8.go) follow. Each lane runs the Go expression's operations in the
+// Go order, one IEEE-rounded instruction per operation and never an FMA
+// (Go does not contract a*b+c on amd64), so the lanes reproduce the
+// portable loops bit for bit; TestQuantPackAAsmMatchesGeneric and
+// TestDequantQ8AsmMatchesGeneric pin it.
+
+// func minMaxF32x8(x *float32, blocks int) (lo, hi float32)
+//
+// Scans blocks*8 floats with eight lo/hi lanes seeded at +0. Intel's
+// VMINPS src1, src2 returns src1 < src2 ? src1 : src2, so with the data as
+// src1 and the running lane as src2 each lane computes the Go scan's
+// `if v < lo { lo = v }`: a NaN or a -0 compares false and leaves the lane
+// as it was (VMAXPS likewise for hi). Every lane therefore holds +0 or a
+// value of the right sign that is neither NaN nor -0, so the order in which
+// the lanes are folded cannot change the result.
+TEXT ·minMaxF32x8(SB), NOSPLIT, $0-24
+	MOVQ   x+0(FP), SI
+	MOVQ   blocks+8(FP), CX
+	VXORPS Y0, Y0, Y0           // lo lanes
+	VXORPS Y1, Y1, Y1           // hi lanes
+	TESTQ  CX, CX
+	JZ     mmfold
+
+mmloop:
+	VMOVUPS (SI), Y2
+	VMINPS  Y0, Y2, Y0          // Intel: VMINPS Y0, Y2(src1 = data), Y0
+	VMAXPS  Y1, Y2, Y1
+	ADDQ    $32, SI
+	DECQ    CX
+	JNZ     mmloop
+
+mmfold:
+	VEXTRACTF128 $1, Y0, X2
+	VMINPS       X2, X0, X0
+	VEXTRACTF128 $1, Y1, X3
+	VMAXPS       X3, X1, X1
+	VPERMILPS    $0x4E, X0, X2  // swap the 64-bit halves
+	VMINPS       X2, X0, X0
+	VPERMILPS    $0x4E, X1, X3
+	VMAXPS       X3, X1, X1
+	VPERMILPS    $0xB1, X0, X2  // swap neighbouring lanes
+	VMINPS       X2, X0, X0
+	VPERMILPS    $0xB1, X1, X3
+	VMAXPS       X3, X1, X1
+	VMOVSS       X0, lo+16(FP)
+	VMOVSS       X1, hi+20(FP)
+	VZEROUPPER
+	RET
+
+// func quantPackU8x8(dst *uint8, x *float32, blocks int, inv, zpf float32)
+//
+// Quantizes blocks*8 floats as quantizeU8 does — int32(x*inv + zpf) by
+// truncation, clamped to [0, 127] — and writes each block's 8 codes as two
+// 4-byte quads into one MR-row strip: block b's quads land at dst+48b and
+// dst+48b+24 (the strip's quad stride is gemmMR*gemmQuad = 24 bytes).
+// VCVTTPS2DQ, like Go's CVTTSS2SL, turns NaN and out-of-range values into
+// 0x80000000, which the clamp maps to 0. After the clamp the two packs
+// cannot saturate: VPACKSSDW leaves codes d0-d3 in the low 64 bits of the
+// low 128-bit lane and d4-d7 in the high lane, and VPACKUSWB narrows them to
+// bytes in the lanes' low dwords.
+TEXT ·quantPackU8x8(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         x+8(FP), SI
+	MOVQ         blocks+16(FP), CX
+	VBROADCASTSS inv+24(FP), Y14
+	VBROADCASTSS zpf+28(FP), Y15
+	VPXOR        Y12, Y12, Y12  // 0
+	MOVL         $127, AX
+	VMOVD        AX, X13
+	VPBROADCASTD X13, Y13       // 127
+	TESTQ        CX, CX
+	JZ           qpdone
+
+qploop:
+	VMOVUPS      (SI), Y0
+	VMULPS       Y14, Y0, Y0    // x*inv
+	VADDPS       Y15, Y0, Y0    // + zpf
+	VCVTTPS2DQ   Y0, Y0
+	VPMAXSD      Y12, Y0, Y0
+	VPMINSD      Y13, Y0, Y0
+	VPACKSSDW    Y0, Y0, Y0
+	VPACKUSWB    Y0, Y0, Y0
+	VMOVD        X0, (DI)
+	VEXTRACTI128 $1, Y0, X1
+	VMOVD        X1, 24(DI)
+	ADDQ         $32, SI
+	ADDQ         $48, DI
+	DECQ         CX
+	JNZ          qploop
+
+qpdone:
+	VZEROUPPER
+	RET
+
+// func dequantQ8Rows(dst *float32, acc, colSum *int32, wScale, aScale *float32, aZp *int32, bias *float32, rows, n, flags int)
+//
+// For each of rows rows (dst and acc advance n elements per row, aScale and
+// aZp one) and each column j, computes kDequantQ8's
+//
+//	t := float32(acc[j] - zp*colSum[j])     VPMULLD, VPSUBD (wrapping, as Go's int32), VCVTDQ2PS
+//	v := (wScale[j]*ai) * t                 VMULPS, VMULPS
+//	v = v + bias[j]                         VADDPS, when bias is non-nil
+//	dst[j] = dst[j] + v                     VADDPS, when flags has dequantAdd; else dst[j] = v
+//
+// eight columns at a time, then one column at a time for the n%8 tail with
+// the same operations on the low lane. The operand order of each multiply
+// and add is the one the Go compiler picks for the portable loops, which
+// only matters for which NaN's payload survives when both operands are NaN.
+TEXT ·dequantQ8Rows(SB), NOSPLIT, $0-80
+	MOVQ dst+0(FP), DI
+	MOVQ acc+8(FP), SI
+	MOVQ colSum+16(FP), BX
+	MOVQ wScale+24(FP), DX
+	MOVQ aScale+32(FP), R9
+	MOVQ aZp+40(FP), R10
+	MOVQ bias+48(FP), R8
+	MOVQ rows+56(FP), CX
+	MOVQ n+64(FP), R11
+	MOVQ flags+72(FP), R12
+	MOVQ R11, R13
+	ANDQ $-8, R13               // n8 = columns covered by whole vectors
+	TESTQ CX, CX
+	JZ    dqdone
+
+dqrow:
+	VBROADCASTSS (R9), Y14      // ai
+	VPBROADCASTD (R10), Y15     // zp
+	XORQ         AX, AX
+	CMPQ         AX, R13
+	JGE          dqtail
+
+dqvec:
+	VMOVDQU   (SI)(AX*4), Y0
+	VPMULLD   (BX)(AX*4), Y15, Y1
+	VPSUBD    Y1, Y0, Y0
+	VCVTDQ2PS Y0, Y0
+	VMOVUPS   (DX)(AX*4), Y2
+	VMULPS    Y14, Y2, Y2
+	VMULPS    Y0, Y2, Y2
+	TESTQ     R8, R8
+	JZ        dqvnobias
+	VADDPS    (R8)(AX*4), Y2, Y2
+	TESTQ     $1, R12
+	JZ        dqvstore
+	VMOVUPS   (DI)(AX*4), Y3
+	VADDPS    Y2, Y3, Y2        // dst + (v + bias)
+	JMP       dqvstore
+
+dqvnobias:
+	TESTQ  $1, R12
+	JZ     dqvstore
+	VADDPS (DI)(AX*4), Y2, Y2   // v + dst
+
+dqvstore:
+	VMOVUPS Y2, (DI)(AX*4)
+	ADDQ    $8, AX
+	CMPQ    AX, R13
+	JLT     dqvec
+
+dqtail:
+	CMPQ AX, R11
+	JGE  dqnext
+	VMOVD     (SI)(AX*4), X0
+	VMOVD     (BX)(AX*4), X1
+	VPMULLD   X1, X15, X1
+	VPSUBD    X1, X0, X0
+	VCVTDQ2PS X0, X0
+	VMOVSS    (DX)(AX*4), X2
+	VMULSS    X14, X2, X2
+	VMULSS    X0, X2, X2
+	TESTQ     R8, R8
+	JZ        dqsnobias
+	VADDSS    (R8)(AX*4), X2, X2
+	TESTQ     $1, R12
+	JZ        dqsstore
+	VMOVSS    (DI)(AX*4), X3
+	VADDSS    X2, X3, X2
+	JMP       dqsstore
+
+dqsnobias:
+	TESTQ  $1, R12
+	JZ     dqsstore
+	VADDSS (DI)(AX*4), X2, X2
+
+dqsstore:
+	VMOVSS X2, (DI)(AX*4)
+	INCQ   AX
+	JMP    dqtail
+
+dqnext:
+	LEAQ (DI)(R11*4), DI
+	LEAQ (SI)(R11*4), SI
+	ADDQ $4, R9
+	ADDQ $4, R10
+	DECQ CX
+	JNZ  dqrow
+
+dqdone:
 	VZEROUPPER
 	RET

@@ -133,10 +133,11 @@ func TestMatMulQ8MatchesReference(t *testing.T) {
 }
 
 // TestGEMMQ8AsmMatchesGeneric is the noasm-vs-asm bitwise twin test over the
-// gemmEdgeShapes remainder grid: the VPMADDUBSW kernel and the portable
-// saturating kernel must agree on every bit of the dequantized output (the
-// accumulators are integers and the epilogue is shared Go code, so any
-// divergence is a kernel semantics bug, not rounding).
+// gemmEdgeShapes remainder grid: the AVX2 path (VPMADDUBSW kernel and
+// vector epilogues) and the portable one must agree on every bit of the
+// dequantized output (the accumulators are integers and the epilogues
+// repeat the Go float operations in order, so any divergence is a kernel
+// semantics bug, not rounding).
 func TestGEMMQ8AsmMatchesGeneric(t *testing.T) {
 	if !useQ8 {
 		t.Skip("host lacks AVX2; only the generic quantized path exists")
@@ -387,4 +388,201 @@ func BenchmarkMatMulQ8(b *testing.B) {
 	b.StopTimer()
 	ops := 2 * float64(m) * float64(k) * float64(n)
 	b.ReportMetric(ops*float64(b.N)/b.Elapsed().Seconds()/1e9, "GOP/s")
+}
+
+// epilogueShapes is the row/reduction/column grid of the epilogue twin
+// tests: m straddles the MR=6 row strip, k and n the 8-lane vector width
+// and its tails, with the encoder's k=51, k=32, n=128 among them.
+var (
+	epilogueM = []int{1, 5, 6, 7, 128}
+	epilogueK = []int{1, 3, 4, 31, 32, 51, 83}
+	epilogueN = []int{1, 15, 16, 128}
+)
+
+// epilogueRow fills row with one of the quantize-pack edge patterns, chosen
+// by kind: random values, NaN/±Inf/-0 sprinkled at the row's vector and
+// tail positions, all-zero (with and without -0), constant, a range whose
+// width overflows float32 (scale +Inf), one that underflows it (scale 0),
+// and values on the rounding boundaries between codes, where a fused
+// x*inv+zpf would pick a different code than the two rounded operations.
+func epilogueRow(rng *rand.Rand, row []float32, kind int) {
+	negZero := float32(math.Copysign(0, -1))
+	inf := float32(math.Inf(1))
+	for l := range row {
+		row[l] = float32(rng.NormFloat64())
+	}
+	spots := []int{0, len(row) / 2, len(row) - 1, rng.Intn(len(row))}
+	switch kind % 11 {
+	case 1:
+		for _, l := range spots {
+			row[l] = float32(math.NaN())
+		}
+	case 2:
+		row[spots[1]] = inf
+		row[spots[3]] = negZero
+	case 3:
+		row[spots[0]] = -inf
+		row[spots[2]] = float32(math.NaN())
+	case 4:
+		row[spots[2]], row[spots[0]] = inf, -inf
+	case 5:
+		for l := range row {
+			row[l] = negZero
+		}
+		row[spots[3]] = 0
+	case 6:
+		clear(row)
+	case 7:
+		c := float32(rng.NormFloat64() * 10)
+		for l := range row {
+			row[l] = c
+		}
+	case 8:
+		for l := range row {
+			row[l] = float32(rng.NormFloat64()) * 3e38
+		}
+		row[spots[0]], row[spots[2]] = 3e38, -3e38
+	case 9:
+		for l := range row {
+			row[l] = float32(rng.NormFloat64()) * 1e-44
+		}
+	case 10:
+		row[0], row[len(row)-1] = -float32(rng.ExpFloat64()), float32(rng.ExpFloat64())
+		scale, zp := quantizeRowU8(row)
+		for l := 1; l < len(row)-1; l++ {
+			row[l] = (float32(rng.Intn(127)-int(zp)) + 0.5) * scale
+		}
+	}
+}
+
+// TestQuantPackAAsmMatchesGeneric is the asm/Go twin test of the
+// quantize-pack epilogue: minMaxF32x8 + quantPackU8x8 (with the Go tails)
+// against the portable kQuantPackA, compared on every packed byte, every
+// row scale's bits and every zero-point.
+func TestQuantPackAAsmMatchesGeneric(t *testing.T) {
+	if !useQ8 {
+		t.Skip("host lacks AVX2; only the generic quantized path exists")
+	}
+	orig := useQ8
+	defer func() { useQ8 = orig }()
+	rng := rand.New(rand.NewSource(61))
+	for _, m := range epilogueM {
+		for _, k := range epilogueK {
+			kQ := (k + gemmQuad - 1) / gemmQuad
+			x := make([]float32, m*k)
+			for i := 0; i < m; i++ {
+				epilogueRow(rng, x[i*k:(i+1)*k], i+m+k)
+			}
+			run := func(simd bool) ([]uint8, []float32, []int32) {
+				useQ8 = simd
+				ap := make([]uint8, (m+gemmMR-1)/gemmMR*kQ*gemmMR*gemmQuad)
+				scale := make([]float32, m)
+				zp := make([]int32, m)
+				ka := KernelArgs{
+					S: [8][]float32{x, scale},
+					U: [2][]uint8{ap},
+					Z: [3][]int32{zp},
+					I: [6]int{k, kQ},
+				}
+				kQuantPackA(0, m/2, ka)
+				kQuantPackA(m/2, m, ka)
+				return ap, scale, zp
+			}
+			apA, scA, zpA := run(true)
+			apG, scG, zpG := run(false)
+			for i := 0; i < m; i++ {
+				if math.Float32bits(scA[i]) != math.Float32bits(scG[i]) || zpA[i] != zpG[i] {
+					t.Fatalf("m=%d k=%d row %d: asm scale %v zp %d, generic scale %v zp %d (row %v)",
+						m, k, i, scA[i], zpA[i], scG[i], zpG[i], x[i*k:(i+1)*k])
+				}
+			}
+			for b := range apA {
+				if apA[b] != apG[b] {
+					t.Fatalf("m=%d k=%d packed byte %d: asm %d generic %d", m, k, b, apA[b], apG[b])
+				}
+			}
+		}
+	}
+}
+
+// TestDequantQ8AsmMatchesGeneric is the asm/Go twin test of the dequantize
+// epilogue: dequantQ8Rows against the portable kDequantQ8 loops, bit for
+// bit, with bias nil and non-nil in set and add mode. Accumulators are the
+// exact dot products a k-deep GEMM of 7-bit codes can produce, or arbitrary
+// int32 so that s - zp*colSum wraps; row scales include +Inf and 0 (the
+// overflowing and underflowing ranges above), so NaN products occur.
+func TestDequantQ8AsmMatchesGeneric(t *testing.T) {
+	if !useQ8 {
+		t.Skip("host lacks AVX2; only the generic quantized path exists")
+	}
+	orig := useQ8
+	defer func() { useQ8 = orig }()
+	rng := rand.New(rand.NewSource(67))
+	for _, m := range epilogueM {
+		for _, k := range epilogueK {
+			for _, n := range epilogueN {
+				acc := make([]int32, m*n)
+				bound := int64(127 * 127 * k)
+				for i := range acc {
+					if i%3 == 0 {
+						acc[i] = int32(rng.Uint32())
+					} else {
+						acc[i] = int32(rng.Int63n(2*bound+1) - bound)
+					}
+				}
+				colSum := make([]int32, n)
+				wScale := make([]float32, n)
+				bias := make([]float32, n)
+				for j := range colSum {
+					colSum[j] = int32(rng.Intn(2*127*k+1) - 127*k)
+					if j%5 == 0 {
+						colSum[j] = int32(rng.Uint32())
+					}
+					wScale[j] = float32(rng.ExpFloat64()) / 127
+					bias[j] = float32(rng.NormFloat64())
+				}
+				aScale := make([]float32, m)
+				aZp := make([]int32, m)
+				for i := range aScale {
+					aScale[i] = float32(rng.ExpFloat64()) / 127
+					aZp[i] = int32(rng.Intn(128))
+					switch i % 7 {
+					case 3:
+						aScale[i] = float32(math.Inf(1))
+					case 5:
+						aScale[i] = 0
+					}
+				}
+				init := randSlice(rng, m*n)
+				for _, b := range [][]float32{nil, bias} {
+					for _, add := range []bool{false, true} {
+						flags := 0
+						if add {
+							flags = dequantAdd
+						}
+						run := func(simd bool) []float32 {
+							useQ8 = simd
+							dst := append([]float32(nil), init...)
+							ka := KernelArgs{
+								S: [8][]float32{dst, wScale, aScale, b},
+								Z: [3][]int32{acc, colSum, aZp},
+								I: [6]int{n, flags},
+							}
+							kDequantQ8(0, m/2, ka)
+							kDequantQ8(m/2, m, ka)
+							return dst
+						}
+						got, want := run(true), run(false)
+						for e := range got {
+							if math.Float32bits(got[e]) != math.Float32bits(want[e]) {
+								t.Fatalf("m=%d k=%d n=%d bias=%v add=%v elem %d: asm %v (%08x) generic %v (%08x)",
+									m, k, n, b != nil, add, e, got[e], math.Float32bits(got[e]),
+									want[e], math.Float32bits(want[e]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -133,11 +133,20 @@ func QuantizeWeightsBT(w Tensor32, from, to int) *QuantizedWeights {
 // described in the file comment. An all-zero row maps to scale 1, zp 0 —
 // every quantized byte is 0 and the dequantized product is exactly zero.
 // Returns the affine parameters; the caller writes the bytes (packing is
-// layout-dependent).
+// layout-dependent). kQuantPackA runs the same two steps with the range scan
+// split between minMaxF32x8 and rowRangeU8.
 //
 //perfvec:hotpath
 func quantizeRowU8(row []float32) (scale float32, zp int32) {
-	var lo, hi float32 // range always includes 0
+	return quantParamsU8(rowRangeU8(row, 0, 0))
+}
+
+// rowRangeU8 widens [lo, hi] to cover row: the scan skips NaN (it compares
+// false) and never replaces +0 by -0, so the result does not depend on how
+// a row is split between scans.
+//
+//perfvec:hotpath
+func rowRangeU8(row []float32, lo, hi float32) (float32, float32) {
 	for _, v := range row {
 		if v < lo {
 			lo = v
@@ -146,6 +155,14 @@ func quantizeRowU8(row []float32) (scale float32, zp int32) {
 			hi = v
 		}
 	}
+	return lo, hi
+}
+
+// quantParamsU8 turns a row range that includes 0 into quantizeRowU8's
+// scale and zero-point.
+//
+//perfvec:hotpath
+func quantParamsU8(lo, hi float32) (scale float32, zp int32) {
 	if lo == 0 && hi == 0 {
 		return 1, 0
 	}
@@ -165,10 +182,11 @@ func quantizeRowU8(row []float32) (scale float32, zp int32) {
 // (precomputed once per row): adding it and truncating implements half-up
 // rounding of x/scale + zp in one float32 add — the result is non-negative
 // before the clamp whenever it matters, so Go's truncate-toward-zero
-// conversion is floor. This runs once per activation element per GEMM and is
-// deliberately free of float64 and math calls; the explicit float32
-// conversion around the product forbids FMA contraction, keeping the value
-// identical on every build.
+// conversion is floor. It is deliberately free of float64 and math calls,
+// and the explicit float32 conversion around the product forbids FMA
+// contraction, keeping the value identical on every build. This is the
+// portable path and the tail past the last 8 values of a row;
+// quantPackU8x8 runs the same operations on 8 lanes.
 //
 //perfvec:hotpath
 func quantizeU8(x, invScale, zpf float32) uint8 {
