@@ -94,19 +94,31 @@ func checkFunc(pass *analysis.Pass, fn *ast.FuncDecl) {
 	// interface forces a heap copy (pointers, channels, maps, and funcs store
 	// directly in the interface word; constants fold into static data).
 	analysis.VisitConversions(info, fn, func(e ast.Expr, target types.Type) {
-		if !types.IsInterface(target) {
+		if !holdsInterface(target) {
 			return
 		}
 		tv, ok := info.Types[e]
 		if !ok || tv.Type == nil || tv.IsNil() || tv.Value != nil {
 			return
 		}
-		if types.IsInterface(tv.Type) || pointerShaped(tv.Type) {
+		if holdsInterface(tv.Type) || pointerShaped(tv.Type) {
 			return
 		}
 		pass.Reportf(e.Pos(), "iface",
 			"%s value boxed into %s in hot path %s heap-allocates", tv.Type, target, fn.Name.Name)
 	})
+}
+
+// holdsInterface reports whether a value of type t is an interface value.
+// types.IsInterface also says yes for a type parameter, whose underlying
+// type is its constraint, but a type-parameter value is stored as the
+// instantiated type itself: converting into one never boxes, and
+// converting one into a real interface does.
+func holdsInterface(t types.Type) bool {
+	if _, ok := types.Unalias(t).(*types.TypeParam); ok {
+		return false
+	}
+	return types.IsInterface(t)
 }
 
 // pointerShaped reports whether values of t are stored directly in an

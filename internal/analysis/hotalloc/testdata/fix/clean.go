@@ -34,3 +34,11 @@ func hotPureClosure() int {
 	f := func(a, b int) int { return a + b } // captures nothing: no capture block
 	return f(1, 2)
 }
+
+//perfvec:hotpath
+func hotGeneric[F float32 | float64](dst []F, x float64) {
+	dst[0] = F(x) // a type-parameter value is the instantiated type, not an interface
+	dst[1] = half(dst[0])
+}
+
+func half[F float32 | float64](x F) F { return x / 2 }

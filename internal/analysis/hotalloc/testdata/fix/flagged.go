@@ -34,3 +34,8 @@ func hotClosure(n int) {
 func hotBoxing(x int) {
 	consume(x) // want `int value boxed into`
 }
+
+//perfvec:hotpath
+func hotGenericBoxing[F float32 | float64](x F) {
+	consume(x) // want `F value boxed into`
+}

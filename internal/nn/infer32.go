@@ -5,9 +5,9 @@ import (
 )
 
 // Float32 inference backend. f32Ops runs the one graph (infer.go) on a
-// Slab32 with the forward-only tensor twins: the same GEMM entry points and
-// the same per-element kernel expressions as the tape ops, with no tape
-// records, no gradient buffers, and no backward-only scratch. Its outputs
+// Slab32 with the forward-only tensor ops: the same GEMM entry points and
+// the same row kernels as the tape ops, with no tape records, no gradient
+// buffers, and no backward-only scratch. Its outputs
 // are bitwise identical to the tape backend's (ForwardSeq), so serving runs
 // this path by default without perturbing a single cached representation,
 // and the trainer's validation loss runs on it without changing a bit of

@@ -7,13 +7,15 @@ import (
 // Float64 forward oracle. NewOracle64 widens a trained float32 model's
 // parameters to float64 once (widening is exact, so the oracle sees
 // bit-for-bit the same parameters) and runs the one graph (infer.go) on
-// f64Ops, whose kernels (tensor/infer64.go) compute every GEMM
-// accumulation, transcendental, and reduction directly in float64. The
-// epsilon drift harnesses and the tier error ledger hold the float32 and
-// int8 serving tiers against this oracle; it is a reference, not a serving
-// tier (perfvec.Foundation.EncodePrograms64 runs it). Its independence is in
-// its arithmetic, not its wiring: the drift pins compare backends running
-// one graph, and TestGraphGolden guards that graph's wiring. The oracle
+// f64Ops, whose ops (tensor/infer64.go) compute every GEMM accumulation,
+// transcendental, and reduction directly in float64. The epsilon drift
+// harnesses and the tier error ledger hold the float32 and int8 serving
+// tiers against this oracle; it is a reference, not a serving tier
+// (perfvec.Foundation.EncodePrograms64 runs it). Its independence is in its
+// arithmetic, not its wiring or its kernel source: the drift pins compare
+// backends running one graph over the same row kernels at two widths,
+// TestGraphGolden guards the graph's wiring, and the tensor package's
+// TestOracleOpsMatchFormulas holds each float64 op to its formula. The oracle
 // assumes the source model's weights are frozen after construction; it
 // allocates freely (it is the reference, not a hot path).
 

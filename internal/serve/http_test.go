@@ -92,10 +92,10 @@ func TestHTTPSubmitPredict(t *testing.T) {
 
 	for _, bad := range [][]byte{
 		nil,
-		submitBody(fs, n, f.Cfg.FeatDim)[:7],         // truncated header
-		submitBody(fs, n, f.Cfg.FeatDim+1),           // wrong featDim
-		submitBody(fs, n+1, f.Cfg.FeatDim),           // length mismatch
-		submitBody(nil, 0, f.Cfg.FeatDim),            // n = 0
+		submitBody(fs, n, f.Cfg.FeatDim)[:7], // truncated header
+		submitBody(fs, n, f.Cfg.FeatDim+1),   // wrong featDim
+		submitBody(fs, n+1, f.Cfg.FeatDim),   // length mismatch
+		submitBody(nil, 0, f.Cfg.FeatDim),    // n = 0
 	} {
 		if w = doReq(t, h, "POST", "/v1/submit", "c1", bad); w.Code != http.StatusBadRequest {
 			t.Fatalf("malformed body accepted: %d", w.Code)

@@ -152,7 +152,7 @@ func (t *Traffic) RunFleet(s *Service, workers int) FleetStats {
 	if workers < 1 {
 		workers = 1
 	}
-	rng := rand.New(&lockedSource{s: rand.NewPCG(t.cfg.Seed ^ 0xF1EE7, t.cfg.Seed)})
+	rng := rand.New(&lockedSource{s: rand.NewPCG(t.cfg.Seed^0xF1EE7, t.cfg.Seed)})
 	var (
 		wg    sync.WaitGroup
 		mu    sync.Mutex

@@ -24,8 +24,8 @@ type Metrics struct {
 	Coalesced   atomic.Uint64 // duplicate-key requests folded into another encode
 
 	// Predict path.
-	Predicts       atomic.Uint64 // predictor passes served
-	PredictMisses  atomic.Uint64 // predicts whose key was not cached
+	Predicts      atomic.Uint64 // predictor passes served
+	PredictMisses atomic.Uint64 // predicts whose key was not cached
 
 	// Sweep path.
 	SweepRequests     atomic.Uint64 // design-space sweep requests received

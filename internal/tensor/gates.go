@@ -25,11 +25,23 @@ import (
 // VJPs are saved in arena scratch tensors referenced from the op record, so
 // fusion adds no step-lifetime allocations either.
 //
-// sigmoid32 and tanh32 match the Sigmoid and Tanh ops bitwise (float64
-// transcendental, single rounding to float32).
+// One kernel per op. Each forward row loop (lstmGates, gruGates,
+// gateCombine here; softmaxRows, the elementwise ops and the copies in
+// ops.go and stack.go) is a single function over float32 | float64. The
+// tape op, the forward-only Slab32 op (infer32.go) and the float64 oracle
+// op (infer64.go) all run it; only allocation and dispatch differ. The
+// backward scratch arguments (gate activations, tanh(c'), ...) are nil
+// outside the tape and their stores are skipped. Go compiles the two
+// widths as separate instantiations, so the loops pay no dictionary cost.
 
-func sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
-func tanh32(x float32) float32    { return float32(math.Tanh(float64(x))) }
+// float is the element type of the shared forward kernels: float32 for the
+// tape and the serving slab, float64 for the oracle.
+type float interface{ float32 | float64 }
+
+// sigmoid and tanh compute in float64 and round once to F: the Sigmoid and
+// Tanh ops' values at float32, the plain float64 functions at float64.
+func sigmoid[F float](x F) F { return F(1 / (1 + math.Exp(-float64(x)))) }
+func tanh[F float](x F) F    { return F(math.Tanh(float64(x))) }
 
 // LSTMGates fuses an LSTM cell's gate nonlinearities and state update: given
 // the joint gate pre-activation pre[m,4H] (gate order input, forget, cell,
@@ -58,35 +70,53 @@ func LSTMGates(tp *Tape, pre, bias, c *Tensor) (*Tensor, *Tensor) {
 	return hNew, cNew
 }
 
-// kLSTMGates: S0=pre, S1=bias, S2=c, S3=h', S4=c', S5=acts, S6=tanh(c');
-// I0=H. Partitioned over batch rows.
+// kLSTMGates: S0=pre, S1=bias, S2=c, S3=h', S4=c', S5=acts, S6=tanh(c')
+// (S5/S6 nil on the forward-only path); I0=H. Partitioned over batch rows.
 func kLSTMGates(r0, r1 int, ka KernelArgs) {
-	pre, bd, c, hNew, cNew, acts, tanhC := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4], ka.S[5], ka.S[6]
-	H := ka.I[0]
+	lstmGates(r0, r1, ka.I[0], ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4], ka.S[5], ka.S[6])
+}
+
+// lstmGates is the LSTM gate block over rows [r0, r1) of pre[m,4H]: it
+// writes h' and c', and the gate activations and tanh(c') into acts and
+// tanhC when those are non-nil.
+//
+//perfvec:hotpath
+func lstmGates[F float](r0, r1, H int, pre, bias, c, hNew, cNew, acts, tanhC []F) {
 	for r := r0; r < r1; r++ {
-		zr := pre[r*4*H : (r+1)*4*H]
-		ar := acts[r*4*H : (r+1)*4*H]
-		cr := c[r*H : (r+1)*H]
-		cn := cNew[r*H : (r+1)*H]
-		hn := hNew[r*H : (r+1)*H]
-		tr := tanhC[r*H : (r+1)*H]
-		for j := 0; j < H; j++ {
-			i := sigmoid32(zr[j] + bd[j])
-			f := sigmoid32(zr[H+j] + bd[H+j])
-			g := tanh32(zr[2*H+j] + bd[2*H+j])
-			o := sigmoid32(zr[3*H+j] + bd[3*H+j])
-			ar[j], ar[H+j], ar[2*H+j], ar[3*H+j] = i, f, g, o
-			cv := f*cr[j] + i*g
-			cn[j] = cv
-			t := tanh32(cv)
-			tr[j] = t
-			hn[j] = o * t
+		var ar, tr []F
+		if acts != nil {
+			ar, tr = acts[r*4*H:(r+1)*4*H], tanhC[r*H:(r+1)*H]
+		}
+		lstmRow(pre[r*4*H:(r+1)*4*H], bias, c[r*H:(r+1)*H], hNew[r*H:(r+1)*H], cNew[r*H:(r+1)*H], ar, tr)
+	}
+}
+
+// lstmRow is one row of lstmGates, H = len(c). A call per row keeps the
+// row loop's state out of the inner loop, where every math.Exp/math.Tanh
+// call spills and reloads what is live.
+//
+//perfvec:hotpath
+func lstmRow[F float](zr, bias, c, hNew, cNew, acts, tanhC []F) {
+	H := len(c)
+	for j := 0; j < H; j++ {
+		i := sigmoid(zr[j] + bias[j])
+		f := sigmoid(zr[H+j] + bias[H+j])
+		g := tanh(zr[2*H+j] + bias[2*H+j])
+		o := sigmoid(zr[3*H+j] + bias[3*H+j])
+		cv := f*c[j] + i*g
+		cNew[j] = cv
+		t := tanh(cv)
+		hNew[j] = o * t
+		if acts != nil {
+			acts[j], acts[H+j], acts[2*H+j], acts[3*H+j] = i, f, g, o
+			tanhC[j] = t
 		}
 	}
 }
 
 // vjpLSTMGates: a=pre, b=bias, c=prev cell state, out=h', out2=c',
 // s1=gate activations, s2=tanh(c').
+//
 //perfvec:hotpath
 func vjpLSTMGates(tp *Tape, r *opRecord) {
 	gh, gc := r.out.Grad, r.out2.Grad
@@ -178,27 +208,36 @@ func GRUGates(tp *Tape, pre, bias, h *Tensor) (*Tensor, *Tensor) {
 	return z, rh
 }
 
-// kGRUGates: S0=pre, S1=bias, S2=h, S3=z, S4=rAct, S5=r⊙h; I0=H.
+// kGRUGates: S0=pre, S1=bias, S2=h, S3=z, S4=rAct (nil on the forward-only
+// path), S5=r⊙h; I0=H.
 func kGRUGates(r0, r1 int, ka KernelArgs) {
-	pre, bd, h, z, rAct, rh := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4], ka.S[5]
-	H := ka.I[0]
+	gruGates(r0, r1, ka.I[0], ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4], ka.S[5])
+}
+
+// gruGates is the GRU update/reset block over rows [r0, r1) of pre[m,2H]:
+// it writes z and r⊙h, and the reset activations into rAct when non-nil.
+//
+//perfvec:hotpath
+func gruGates[F float](r0, r1, H int, pre, bias, h, z, rAct, rh []F) {
 	for r := r0; r < r1; r++ {
 		pr := pre[r*2*H : (r+1)*2*H]
 		hr := h[r*H : (r+1)*H]
 		zr := z[r*H : (r+1)*H]
-		rr := rAct[r*H : (r+1)*H]
 		rhr := rh[r*H : (r+1)*H]
 		for j := 0; j < H; j++ {
-			zv := sigmoid32(pr[j] + bd[j])
-			rv := sigmoid32(pr[H+j] + bd[H+j])
+			zv := sigmoid(pr[j] + bias[j])
+			rv := sigmoid(pr[H+j] + bias[H+j])
 			zr[j] = zv
-			rr[j] = rv
+			if rAct != nil {
+				rAct[r*H+j] = rv
+			}
 			rhr[j] = rv * hr[j]
 		}
 	}
 }
 
 // vjpGRUGates: a=pre, b=bias, c=h, out=z, out2=r⊙h, s1=reset activations.
+//
 //perfvec:hotpath
 func vjpGRUGates(tp *Tape, r *opRecord) {
 	gz, grh := r.out.Grad, r.out2.Grad
@@ -272,19 +311,27 @@ func GateCombine(tp *Tape, z, nPre, bias, h *Tensor) *Tensor {
 	return out
 }
 
-// kGateCombine: S0=nPre, S1=bias, S2=z, S3=h, S4=nAct, S5=out; I0=H.
+// kGateCombine: S0=nPre, S1=bias, S2=z, S3=h, S4=nAct (nil on the
+// forward-only path), S5=out; I0=H.
 func kGateCombine(r0, r1 int, ka KernelArgs) {
-	nPre, bd, z, h, nAct, out := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4], ka.S[5]
-	H := ka.I[0]
+	gateCombine(r0, r1, ka.I[0], ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4], ka.S[5])
+}
+
+// gateCombine is h' = (n - z⊙n) + z⊙h with n = tanh(nPre + bias) over rows
+// [r0, r1); the candidate activations n go to nAct when non-nil.
+//
+//perfvec:hotpath
+func gateCombine[F float](r0, r1, H int, nPre, bias, z, h, nAct, out []F) {
 	for r := r0; r < r1; r++ {
 		pr := nPre[r*H : (r+1)*H]
 		zr := z[r*H : (r+1)*H]
 		hr := h[r*H : (r+1)*H]
-		nr := nAct[r*H : (r+1)*H]
 		or := out[r*H : (r+1)*H]
 		for j := 0; j < H; j++ {
-			nv := tanh32(pr[j] + bd[j])
-			nr[j] = nv
+			nv := tanh(pr[j] + bias[j])
+			if nAct != nil {
+				nAct[r*H+j] = nv
+			}
 			zv := zr[j]
 			or[j] = (nv - zv*nv) + zv*hr[j]
 		}
@@ -292,6 +339,7 @@ func kGateCombine(r0, r1 int, ka KernelArgs) {
 }
 
 // vjpGateCombine: a=z, b=nPre, c=bias, d=h, out, s1=candidate activations.
+//
 //perfvec:hotpath
 func vjpGateCombine(tp *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -363,25 +411,14 @@ func AddBiasInPlace(tp *Tape, a, bias *Tensor) *Tensor {
 	if bias.Len() != n {
 		panic(fmt.Sprintf("tensor: AddBiasInPlace bias length %d != cols %d", bias.Len(), n))
 	}
-	ParallelKernel(m, m*n, kAddBiasInPlace,
-		KernelArgs{S: [8][]float32{a.Data, bias.Data}, I: [6]int{n}})
+	ParallelKernel(m, m*n, kAddBias,
+		KernelArgs{S: [8][]float32{a.Data, a.Data, bias.Data}, I: [6]int{n}})
 	tp.record(opRecord{kind: opAddBiasInPlace, a: a, b: bias})
 	return a
 }
 
-// kAddBiasInPlace: S0=a, S1=bias; I0=n. Partitioned over rows.
-func kAddBiasInPlace(r0, r1 int, ka KernelArgs) {
-	a, bias := ka.S[0], ka.S[1]
-	n := ka.I[0]
-	for i := r0; i < r1; i++ {
-		ar := a[i*n : (i+1)*n]
-		for j := range ar {
-			ar[j] += bias[j]
-		}
-	}
-}
-
 // vjpAddBiasInPlace: a, b=bias.
+//
 //perfvec:hotpath
 func vjpAddBiasInPlace(_ *Tape, r *opRecord) {
 	g := r.a.Grad
@@ -402,21 +439,14 @@ func vjpAddBiasInPlace(_ *Tape, r *opRecord) {
 // backward rewrites a.Grad in place (g ← g·y·(1-y)), so records earlier on
 // the tape observe the pre-activation gradient.
 func SigmoidInPlace(tp *Tape, a *Tensor) *Tensor {
-	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kSigmoidInPlace,
-		KernelArgs{S: [8][]float32{a.Data}})
+	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kSigmoid,
+		KernelArgs{S: [8][]float32{a.Data, a.Data}})
 	tp.record(opRecord{kind: opSigmoidInPlace, a: a})
 	return a
 }
 
-// kSigmoidInPlace: S0=a.
-func kSigmoidInPlace(s, e int, ka KernelArgs) {
-	a := ka.S[0]
-	for i := s; i < e; i++ {
-		a[i] = sigmoid32(a[i])
-	}
-}
-
 // vjpSigmoidInPlace: a.
+//
 //perfvec:hotpath
 func vjpSigmoidInPlace(_ *Tape, r *opRecord) {
 	g := r.a.Grad
@@ -438,21 +468,14 @@ func kSigmoidInPlaceVJP(s, e int, ka KernelArgs) {
 
 // TanhInPlace applies tanh elementwise to a in place and returns a.
 func TanhInPlace(tp *Tape, a *Tensor) *Tensor {
-	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kTanhInPlace,
-		KernelArgs{S: [8][]float32{a.Data}})
+	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kTanh,
+		KernelArgs{S: [8][]float32{a.Data, a.Data}})
 	tp.record(opRecord{kind: opTanhInPlace, a: a})
 	return a
 }
 
-// kTanhInPlace: S0=a.
-func kTanhInPlace(s, e int, ka KernelArgs) {
-	a := ka.S[0]
-	for i := s; i < e; i++ {
-		a[i] = tanh32(a[i])
-	}
-}
-
 // vjpTanhInPlace: a.
+//
 //perfvec:hotpath
 func vjpTanhInPlace(_ *Tape, r *opRecord) {
 	g := r.a.Grad
@@ -475,23 +498,14 @@ func kTanhInPlaceVJP(s, e int, ka KernelArgs) {
 // ReLUInPlace applies max(·,0) elementwise to a in place and returns a. The
 // output sign carries the mask (y > 0 ⟺ pre > 0), so no mask is stored.
 func ReLUInPlace(tp *Tape, a *Tensor) *Tensor {
-	ParallelKernel(len(a.Data), len(a.Data), kReLUInPlace,
-		KernelArgs{S: [8][]float32{a.Data}})
+	ParallelKernel(len(a.Data), len(a.Data), kReLU,
+		KernelArgs{S: [8][]float32{a.Data, a.Data}})
 	tp.record(opRecord{kind: opReLUInPlace, a: a})
 	return a
 }
 
-// kReLUInPlace: S0=a.
-func kReLUInPlace(s, e int, ka KernelArgs) {
-	a := ka.S[0]
-	for i := s; i < e; i++ {
-		if !(a[i] > 0) {
-			a[i] = 0
-		}
-	}
-}
-
 // vjpReLUInPlace: a.
+//
 //perfvec:hotpath
 func vjpReLUInPlace(_ *Tape, r *opRecord) {
 	g := r.a.Grad

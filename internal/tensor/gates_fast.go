@@ -4,8 +4,8 @@ import "math"
 
 // Fast float32 gate nonlinearities for the int8 inference tier.
 //
-// Profiling the f32 encode path shows 82% of its CPU time in the gate
-// kernel kLSTMGates32 (math.Exp/math.Tanh through the libm-accurate scalar
+// Profiling the f32 encode path shows 82% of its CPU time in the exact gate
+// kernel lstmGates (math.Exp/math.Tanh through the libm-accurate scalar
 // paths), not in the GEMMs — so an int8 tier that only quantized the matrix
 // multiplies could never clear its speedup gate. These kernels replace the
 // libm calls with a range-reduced polynomial exp in pure float32: relative
@@ -25,8 +25,8 @@ import "math"
 // goes one step further when H is a multiple of 8: vLSTMGatesF32 fuses the
 // bias add, the four activations, the cell combine and the h multiply into
 // one vector pass per row, a bitwise twin of the slice composition
-// (TestLSTMGatesFastFusedMatchesGo). The f32 and f64 tiers keep the
-// libm-exact kernels in gates.go/infer32.go untouched.
+// (TestLSTMGatesFastFusedMatchesGo). The tape, the f32 tier and the f64
+// oracle keep the libm-exact kernels of gates.go.
 
 const (
 	fastLog2E = float32(1.4426950408889634) // 1/ln(2)
@@ -134,8 +134,8 @@ func fastTanhSlice32(d []float32) {
 	}
 }
 
-// LSTMGatesFast32 is the int8-tier twin of LSTMGates32: identical gate
-// algebra, fast transcendentals. Unlike the libm twin it consumes pre: the
+// LSTMGatesFast32 is the int8 tier's LSTMGates32: identical gate algebra,
+// fast transcendentals. Unlike the exact op it consumes pre: the
 // pre-activation buffer is overwritten with the bias-added, activated gates
 // so the nonlinearities run in place over contiguous sections (the callers
 // in internal/nn treat pre as slab scratch that dies with the call).
@@ -155,7 +155,7 @@ func LSTMGatesFast32(s *Slab32, pre Tensor32, bias []float32, c Tensor32) (h, cN
 	return h, cNew
 }
 
-// kLSTMGatesFast32: layout identical to kLSTMGates32. When H is a whole
+// kLSTMGatesFast32: S0=pre, S1=bias, S2=c, S3=h', S4=c'; I0=H. When H is a whole
 // number of 8-lane blocks the rows run through vLSTMGatesF32, one fused
 // vector pass per row; otherwise through lstmGatesFastGo.
 //
@@ -202,7 +202,7 @@ func lstmGatesFastGo(r0, r1 int, ka KernelArgs) {
 	}
 }
 
-// GRUGatesFast32 is the int8-tier twin of GRUGates32. Like LSTMGatesFast32
+// GRUGatesFast32 is the int8 tier's GRUGates32. Like LSTMGatesFast32
 // it consumes pre (bias-added, sigmoid-activated in place).
 //
 //perfvec:hotpath
@@ -220,7 +220,8 @@ func GRUGatesFast32(s *Slab32, pre Tensor32, bias []float32, h Tensor32) (z, rh 
 	return z, rh
 }
 
-// kGRUGatesFast32: layout identical to kGRUGates32, slice-section form.
+// kGRUGatesFast32: S0=pre, S1=bias, S2=h, S3=z, S4=r⊙h; I0=H. Slice-section
+// form.
 //
 //perfvec:hotpath
 func kGRUGatesFast32(r0, r1 int, ka KernelArgs) {
@@ -241,7 +242,7 @@ func kGRUGatesFast32(r0, r1 int, ka KernelArgs) {
 	}
 }
 
-// GateCombineFast32 is the int8-tier twin of GateCombine32 (nPre is read
+// GateCombineFast32 is the int8 tier's GateCombine32 (nPre is read
 // only; the tanh runs in place over the output row).
 //
 //perfvec:hotpath
@@ -258,7 +259,8 @@ func GateCombineFast32(s *Slab32, z, nPre Tensor32, bias []float32, h Tensor32) 
 	return out
 }
 
-// kGateCombineFast32: layout identical to kGateCombine32, slice-section form.
+// kGateCombineFast32: S0=nPre, S1=bias, S2=z, S3=h, S4=out; I0=H.
+// Slice-section form.
 //
 //perfvec:hotpath
 func kGateCombineFast32(r0, r1 int, ka KernelArgs) {

@@ -12,10 +12,13 @@
 //
 // The one structural difference from the scalar code is the deep-negative
 // branch: fastExp32 returns an early 0 for x < -87.3, which a branch-free
-// vector lane cannot. EXPCORE instead records the x >= -87.3 mask up front
-// (VCMPPS predicate 13, GE ordered), clamps x into the safe exponent range,
-// and zeroes the failing lanes with VANDPS at the end — same values, no
-// divergence.
+// vector lane cannot. EXPCORE instead records the !(x < -87.3) mask up front
+// (VCMPPS predicate 5, NLT unordered, so a NaN lane is kept), clamps x into
+// the safe exponent range, and zeroes the failing lanes with VANDPS at the
+// end — same values, no divergence. NaN propagates as in the scalar code:
+// the clamp puts the constant in the first source of VMINPS/VMAXPS, whose
+// NaN rule returns the second (the data), and every later step carries the
+// lane's NaN through (VCVTPS2DQ makes 2^n = 1, as Go's int32 conversion does).
 
 //go:build !noasm
 
@@ -102,14 +105,16 @@ DATA  signMask<>+24(SB)/8, $0x8000000080000000
 GLOBL signMask<>(SB), RODATA|NOPTR, $32
 
 // EXPCORE: Y0 = fastExp32(Y0), clobbering Y1 (n), Y2 (Horner p), Y3 (the
-// keep mask) and Y4 (multiply temporary). Instruction-for-expression twin of
-// the scalar fastExp32: clamp, n = round(x*log2e), Cody-Waite reduction,
-// degree-6 Horner in unfused mul/add pairs, exponent-bit assembly, and the
-// deep-negative mask standing in for the scalar early return.
+// keep mask) and Y4 (multiply temporary); it reads the clamp bounds from
+// Y12 (87.3) and Y13 (-87.3), which LOADBOUNDS sets once per call.
+// Instruction-for-expression twin of the scalar fastExp32: clamp,
+// n = round(x*log2e), Cody-Waite reduction, degree-6 Horner in unfused
+// mul/add pairs, exponent-bit assembly, and the deep-negative mask standing
+// in for the scalar early return.
 #define EXPCORE \
-	VCMPPS   $13, expLo<>(SB), Y0, Y3 \ // lanes with x >= -87.3 survive
-	VMINPS   expHi<>(SB), Y0, Y0      \
-	VMAXPS   expLo<>(SB), Y0, Y0      \
+	VCMPPS   $5, Y13, Y0, Y3          \ // lanes with !(x < -87.3) survive, NaN too
+	VMINPS   Y0, Y12, Y0              \ // 87.3 < x ? 87.3 : x (NaN x passes)
+	VMAXPS   Y0, Y13, Y0              \ // -87.3 > x ? -87.3 : x
 	VMULPS   expLog2e<>(SB), Y0, Y1   \
 	VROUNDPS $0, Y1, Y1               \ // n = nearest int, ties to even
 	VMULPS   expLn2Hi<>(SB), Y1, Y4   \
@@ -135,10 +140,16 @@ GLOBL signMask<>(SB), RODATA|NOPTR, $32
 	VMULPS   Y1, Y2, Y0               \
 	VANDPS   Y3, Y0, Y0
 
+// LOADBOUNDS: Y12 = 87.3 and Y13 = -87.3 in every lane, for EXPCORE.
+#define LOADBOUNDS \
+	VMOVUPS expHi<>(SB), Y12 \
+	VMOVUPS expLo<>(SB), Y13
+
 // func vExpF32(d *float32, blocks int)
 TEXT ·vExpF32(SB), NOSPLIT, $0-16
 	MOVQ d+0(FP), SI
 	MOVQ blocks+8(FP), CX
+	LOADBOUNDS
 
 exploop:
 	VMOVUPS (SI), Y0
@@ -174,6 +185,7 @@ exploop:
 TEXT ·vSigmoidF32(SB), NOSPLIT, $0-16
 	MOVQ d+0(FP), SI
 	MOVQ blocks+8(FP), CX
+	LOADBOUNDS
 
 sigloop:
 	VMOVUPS (SI), Y0
@@ -189,6 +201,7 @@ sigloop:
 TEXT ·vTanhF32(SB), NOSPLIT, $0-16
 	MOVQ d+0(FP), SI
 	MOVQ blocks+8(FP), CX
+	LOADBOUNDS
 
 tanhloop:
 	VMOVUPS (SI), Y0
@@ -211,7 +224,7 @@ tanhloop:
 // above bit for bit (TestLSTMGatesFastFusedMatchesGo). The operand order of
 // each multiply and add follows the compiled Go too; it only decides which
 // payload survives when both operands are NaN. Gates live in Y6-Y9 across
-// the macros, which clobber Y0-Y5.
+// the macros, which clobber Y0-Y5 and read the clamp bounds in Y12/Y13.
 TEXT ·vLSTMGatesF32(SB), NOSPLIT, $0-56
 	MOVQ pre+0(FP), DI
 	MOVQ bias+8(FP), R11
@@ -220,6 +233,7 @@ TEXT ·vLSTMGatesF32(SB), NOSPLIT, $0-56
 	MOVQ hNew+32(FP), R10
 	MOVQ rows+40(FP), CX
 	MOVQ blocks+48(FP), R12
+	LOADBOUNDS
 	MOVQ R12, DX
 	SHLQ $5, DX                 // H*4: byte stride between gate sections
 	LEAQ (DX)(DX*2), R13        // 3*H*4

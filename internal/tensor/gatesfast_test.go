@@ -8,8 +8,9 @@ import (
 
 // TestFastGateVectorMatchesScalar pins the bitwise contract of the AVX2 gate
 // kernels: for every input — random gate-range values, saturation-range
-// values, and the clamp/underflow edges — the vector path produces exactly
-// the bits of the scalar fastExp32 family. Lengths cover pure-vector,
+// values, the clamp/underflow edges, ±Inf and NaN (which both paths
+// propagate) — the vector path produces exactly the bits of the scalar
+// fastExp32 family. Lengths cover pure-vector,
 // vector+tail, and pure-tail splits, so the dispatch point is proven
 // unobservable.
 func TestFastGateVectorMatchesScalar(t *testing.T) {
@@ -20,7 +21,11 @@ func TestFastGateVectorMatchesScalar(t *testing.T) {
 	specials := []float32{
 		0, float32(math.Copysign(0, -1)), 1, -1, 0.5, -0.5, 1e-20, -1e-20,
 		43.7, -43.7, 87.3, -87.3, 87.2999, -87.2999, 88, -88, 500, -500,
+		float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)),
+		math.Float32frombits(0xffc00001), math.Float32frombits(0x7f800001), // payload NaNs, one signaling
+		1e-30, // pads the list to three full 8-lane blocks
 	}
+	var inputs [][]float32
 	for _, n := range []int{1, 7, 8, 9, 16, 19, 64, 255, 256} {
 		base := make([]float32, n)
 		for i := range base {
@@ -33,6 +38,13 @@ func TestFastGateVectorMatchesScalar(t *testing.T) {
 				base[i] = specials[rng.Intn(len(specials))]
 			}
 		}
+		inputs = append(inputs, base)
+	}
+	// Every special once in the vector path, then shifted by one so each
+	// also lands in a scalar tail.
+	inputs = append(inputs, specials, specials[1:])
+	for _, base := range inputs {
+		n := len(base)
 		check := func(name string, vec func([]float32), scalar func(float32) float32) {
 			got := append([]float32(nil), base...)
 			vec(got)

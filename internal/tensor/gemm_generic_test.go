@@ -73,7 +73,7 @@ func TestFMA32MatchesBigFloat(t *testing.T) {
 		0, float32(math.Copysign(0, -1)), 1, -1, 0.5, 2, 3,
 		math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32,
 		math.MaxFloat32, -math.MaxFloat32,
-		1 + 1.0/(1 << 23), 1 - 1.0/(1 << 24),
+		1 + 1.0/(1<<23), 1 - 1.0/(1<<24),
 		float32(math.Ldexp(1, -126)), float32(math.Ldexp(1.5, -130)),
 	}
 	for _, a := range special {

@@ -1,18 +1,16 @@
 package tensor
 
-import "math"
-
-// Forward-only float32 inference primitives on Slab32/Tensor32. Each op here
-// is the inference twin of a tape op: it calls the identical packed-GEMM
-// entry points (same m/k/n and leading dimensions, so packing reads the same
-// logical elements and every output element is the same ascending-k FMA
-// chain) or replays the identical per-element kernel expressions, but skips
-// everything autodiff needed — op records, gradient buffers, and the
-// backward-only scratch stores (gate activations, tanh(c'), xhat/invStd).
-// The results are therefore bitwise identical to running the tape ops;
-// TestInfer32BitwiseMatchesTape pins this per op and
-// internal/nn pins it per cell. Shape checks panic with constant strings —
-// these functions are //perfvec:hotpath and must not build messages.
+// Forward-only float32 ops on Slab32/Tensor32, the serving tier's backend.
+// Each op is a thin wrapper: it takes its output from the slab and runs the
+// tape op's own code — the identical packed-GEMM entry points (same m/k/n
+// and leading dimensions, so every output element is the same ascending-k
+// FMA chain) or the same shared row kernel through ParallelKernel, with the
+// backward-only scratch (gate activations, tanh(c'), xhat/invStd) passed as
+// nil. There are no op records or gradient buffers, and the results are
+// bitwise identical to the tape ops; TestInfer32BitwiseMatchesTape pins
+// this per op and internal/nn pins it per cell. Shape checks panic with
+// constant strings — these functions are //perfvec:hotpath and must not
+// build messages.
 
 // MatMul32 returns a[m,k] * b[k,n] on the slab.
 //
@@ -113,8 +111,8 @@ func AddBiasInPlace32(a Tensor32, bias []float32) Tensor32 {
 	if len(bias) != a.C {
 		panic("tensor: AddBiasInPlace32 bias length mismatch")
 	}
-	ParallelKernel(a.R, a.R*a.C, kAddBiasInPlace,
-		KernelArgs{S: [8][]float32{a.Data, bias}, I: [6]int{a.C}})
+	ParallelKernel(a.R, a.R*a.C, kAddBias,
+		KernelArgs{S: [8][]float32{a.Data, a.Data, bias}, I: [6]int{a.C}})
 	return a
 }
 
@@ -122,8 +120,8 @@ func AddBiasInPlace32(a Tensor32, bias []float32) Tensor32 {
 //
 //perfvec:hotpath
 func SigmoidInPlace32(a Tensor32) Tensor32 {
-	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kSigmoidInPlace,
-		KernelArgs{S: [8][]float32{a.Data}})
+	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kSigmoid,
+		KernelArgs{S: [8][]float32{a.Data, a.Data}})
 	return a
 }
 
@@ -131,8 +129,8 @@ func SigmoidInPlace32(a Tensor32) Tensor32 {
 //
 //perfvec:hotpath
 func TanhInPlace32(a Tensor32) Tensor32 {
-	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kTanhInPlace,
-		KernelArgs{S: [8][]float32{a.Data}})
+	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kTanh,
+		KernelArgs{S: [8][]float32{a.Data, a.Data}})
 	return a
 }
 
@@ -140,13 +138,12 @@ func TanhInPlace32(a Tensor32) Tensor32 {
 //
 //perfvec:hotpath
 func ReLUInPlace32(a Tensor32) Tensor32 {
-	ParallelKernel(len(a.Data), len(a.Data), kReLUInPlace,
-		KernelArgs{S: [8][]float32{a.Data}})
+	ParallelKernel(len(a.Data), len(a.Data), kReLU,
+		KernelArgs{S: [8][]float32{a.Data, a.Data}})
 	return a
 }
 
-// LSTMGates32 is the forward-only twin of LSTMGates: same gate math, no
-// activation/tanh(c') scratch.
+// LSTMGates32 is LSTMGates without the activation/tanh(c') scratch.
 //
 //perfvec:hotpath
 func LSTMGates32(s *Slab32, pre Tensor32, bias []float32, c Tensor32) (h, cNew Tensor32) {
@@ -156,40 +153,15 @@ func LSTMGates32(s *Slab32, pre Tensor32, bias []float32, c Tensor32) (h, cNew T
 	}
 	h = s.Mat(m, H)
 	cNew = s.Mat(m, H)
-	ParallelKernel(m, m*4*H*ewTransc, kLSTMGates32, KernelArgs{
+	ParallelKernel(m, m*4*H*ewTransc, kLSTMGates, KernelArgs{
 		S: [8][]float32{pre.Data, bias, c.Data, h.Data, cNew.Data},
 		I: [6]int{H},
 	})
 	return h, cNew
 }
 
-// kLSTMGates32: S0=pre, S1=bias, S2=c, S3=h', S4=c'; I0=H. Per-element
-// expressions identical to kLSTMGates, minus the acts/tanhC stores.
-//
-//perfvec:hotpath
-func kLSTMGates32(r0, r1 int, ka KernelArgs) {
-	pre, bd, c, hNew, cNew := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4]
-	H := ka.I[0]
-	for r := r0; r < r1; r++ {
-		zr := pre[r*4*H : (r+1)*4*H]
-		cr := c[r*H : (r+1)*H]
-		cn := cNew[r*H : (r+1)*H]
-		hn := hNew[r*H : (r+1)*H]
-		for j := 0; j < H; j++ {
-			i := sigmoid32(zr[j] + bd[j])
-			f := sigmoid32(zr[H+j] + bd[H+j])
-			g := tanh32(zr[2*H+j] + bd[2*H+j])
-			o := sigmoid32(zr[3*H+j] + bd[3*H+j])
-			cv := f*cr[j] + i*g
-			cn[j] = cv
-			t := tanh32(cv)
-			hn[j] = o * t
-		}
-	}
-}
-
-// GRUGates32 is the forward-only twin of GRUGates: returns (z, r⊙h) with no
-// reset-activation scratch.
+// GRUGates32 is GRUGates without the reset-activation scratch: it returns
+// (z, r⊙h).
 //
 //perfvec:hotpath
 func GRUGates32(s *Slab32, pre Tensor32, bias []float32, h Tensor32) (z, rh Tensor32) {
@@ -199,35 +171,14 @@ func GRUGates32(s *Slab32, pre Tensor32, bias []float32, h Tensor32) (z, rh Tens
 	}
 	z = s.Mat(m, H)
 	rh = s.Mat(m, H)
-	ParallelKernel(m, m*2*H*ewTransc, kGRUGates32, KernelArgs{
-		S: [8][]float32{pre.Data, bias, h.Data, z.Data, rh.Data},
+	ParallelKernel(m, m*2*H*ewTransc, kGRUGates, KernelArgs{
+		S: [8][]float32{pre.Data, bias, h.Data, z.Data, nil, rh.Data},
 		I: [6]int{H},
 	})
 	return z, rh
 }
 
-// kGRUGates32: S0=pre, S1=bias, S2=h, S3=z, S4=r⊙h; I0=H. Identical
-// expressions to kGRUGates, minus the rAct store.
-//
-//perfvec:hotpath
-func kGRUGates32(r0, r1 int, ka KernelArgs) {
-	pre, bd, h, z, rh := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4]
-	H := ka.I[0]
-	for r := r0; r < r1; r++ {
-		pr := pre[r*2*H : (r+1)*2*H]
-		hr := h[r*H : (r+1)*H]
-		zr := z[r*H : (r+1)*H]
-		rhr := rh[r*H : (r+1)*H]
-		for j := 0; j < H; j++ {
-			zv := sigmoid32(pr[j] + bd[j])
-			rv := sigmoid32(pr[H+j] + bd[H+j])
-			zr[j] = zv
-			rhr[j] = rv * hr[j]
-		}
-	}
-}
-
-// GateCombine32 is the forward-only twin of GateCombine:
+// GateCombine32 is GateCombine without the candidate-activation scratch:
 // h' = (n - z⊙n) + z⊙h with n = tanh(nPre + bias).
 //
 //perfvec:hotpath
@@ -237,31 +188,11 @@ func GateCombine32(s *Slab32, z, nPre Tensor32, bias []float32, h Tensor32) Tens
 		panic("tensor: GateCombine32 shape mismatch")
 	}
 	out := s.Mat(m, H)
-	ParallelKernel(m, m*H*ewTransc, kGateCombine32, KernelArgs{
-		S: [8][]float32{nPre.Data, bias, z.Data, h.Data, out.Data},
+	ParallelKernel(m, m*H*ewTransc, kGateCombine, KernelArgs{
+		S: [8][]float32{nPre.Data, bias, z.Data, h.Data, nil, out.Data},
 		I: [6]int{H},
 	})
 	return out
-}
-
-// kGateCombine32: S0=nPre, S1=bias, S2=z, S3=h, S4=out; I0=H. Identical
-// expressions to kGateCombine, minus the nAct store.
-//
-//perfvec:hotpath
-func kGateCombine32(r0, r1 int, ka KernelArgs) {
-	nPre, bd, z, h, out := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4]
-	H := ka.I[0]
-	for r := r0; r < r1; r++ {
-		pr := nPre[r*H : (r+1)*H]
-		zr := z[r*H : (r+1)*H]
-		hr := h[r*H : (r+1)*H]
-		or := out[r*H : (r+1)*H]
-		for j := 0; j < H; j++ {
-			nv := tanh32(pr[j] + bd[j])
-			zv := zr[j]
-			or[j] = (nv - zv*nv) + zv*hr[j]
-		}
-	}
 }
 
 // AttentionSoftmax32 applies the scaled row-wise softmax on the slab. It
@@ -275,7 +206,7 @@ func AttentionSoftmax32(s *Slab32, a Tensor32, scale float32) Tensor32 {
 	return out
 }
 
-// LayerNorm32 is the forward-only twin of LayerNorm: no xhat/invStd scratch.
+// LayerNorm32 is LayerNorm without the xhat/invStd scratch.
 //
 //perfvec:hotpath
 func LayerNorm32(s *Slab32, x Tensor32, gamma, beta []float32, eps float32) Tensor32 {
@@ -284,7 +215,7 @@ func LayerNorm32(s *Slab32, x Tensor32, gamma, beta []float32, eps float32) Tens
 		panic("tensor: LayerNorm32 gain/bias length mismatch")
 	}
 	out := s.Mat(m, n)
-	ParallelKernel(m, m*n*4, kLayerNorm32, KernelArgs{
+	ParallelKernel(m, m*n*4, kLayerNorm, KernelArgs{
 		S: [8][]float32{out.Data, x.Data, gamma, beta},
 		I: [6]int{n},
 		F: [6]float32{eps},
@@ -292,46 +223,13 @@ func LayerNorm32(s *Slab32, x Tensor32, gamma, beta []float32, eps float32) Tens
 	return out
 }
 
-// kLayerNorm32: S0=out, S1=x, S2=gamma, S3=beta; I0=n; F0=eps. Identical
-// expressions to kLayerNorm, minus the xhat/invStd stores.
-//
-//perfvec:hotpath
-func kLayerNorm32(r0, r1 int, ka KernelArgs) {
-	out, x, gamma, beta := ka.S[0], ka.S[1], ka.S[2], ka.S[3]
-	n := ka.I[0]
-	eps := ka.F[0]
-	for i := r0; i < r1; i++ {
-		xr := x[i*n : (i+1)*n]
-		var mean float64
-		for _, v := range xr {
-			mean += float64(v)
-		}
-		mean /= float64(n)
-		var varc float64
-		for _, v := range xr {
-			d := float64(v) - mean
-			varc += d * d
-		}
-		varc /= float64(n)
-		is := float32(1 / math.Sqrt(varc+float64(eps)))
-		for j, v := range xr {
-			h := (v - float32(mean)) * is
-			out[i*n+j] = gamma[j]*h + beta[j]
-		}
-	}
-}
-
 // StackRows32 gathers row `row` of each timestep tensor into one [T, C]
-// matrix — the per-sample sequence view the transformer consumes. A pure
-// copy, identical to StackRows.
+// matrix — the per-sample sequence view the transformer consumes.
 //
 //perfvec:hotpath
 func StackRows32(s *Slab32, xs []Tensor32, row int) Tensor32 {
-	cols := xs[0].C
-	out := s.Mat(len(xs), cols)
-	for t, x := range xs {
-		copy(out.Data[t*cols:(t+1)*cols], x.Row(row))
-	}
+	out := s.Mat(len(xs), xs[0].C)
+	stackRows(out.Data, xs, row)
 	return out
 }
 
@@ -343,17 +241,11 @@ func StackRows32(s *Slab32, xs []Tensor32, row int) Tensor32 {
 func FlattenSeq32(s *Slab32, xs []Tensor32) Tensor32 {
 	rows, cols := xs[0].R, xs[0].C
 	out := s.Mat(rows, cols*len(xs))
-	for i := 0; i < rows; i++ {
-		or := out.Row(i)
-		for t, x := range xs {
-			copy(or[t*cols:(t+1)*cols], x.Row(i))
-		}
-	}
+	flattenSeq(out.Data, xs, rows, cols)
 	return out
 }
 
-// ConcatCols32 returns [a|b] on the slab — a pure copy, identical to
-// ConcatCols.
+// ConcatCols32 returns [a|b] on the slab.
 //
 //perfvec:hotpath
 func ConcatCols32(s *Slab32, a, b Tensor32) Tensor32 {
@@ -361,10 +253,6 @@ func ConcatCols32(s *Slab32, a, b Tensor32) Tensor32 {
 		panic("tensor: ConcatCols32 row mismatch")
 	}
 	out := s.Mat(a.R, a.C+b.C)
-	for i := 0; i < a.R; i++ {
-		or := out.Row(i)
-		copy(or[:a.C], a.Row(i))
-		copy(or[a.C:], b.Row(i))
-	}
+	concatCols(out.Data, a.Data, b.Data, a.R, a.C, b.C)
 	return out
 }

@@ -1,13 +1,19 @@
 package tensor
 
-import "math"
-
 // Float64 oracle tensor ops. Tensor64 mirrors Tensor32's forward-only shape
-// (no tape, no gradients) but allocates freely and computes every
-// transcendental and reduction directly in float64: this is the reference
-// the epsilon drift harness holds the float32 fast path against, not a hot
-// path. Widening float32 weights and features to float64 is exact, so the
-// oracle sees bit-for-bit the same inputs the fast path does.
+// (no tape, no gradients) but allocates a fresh output per op and runs
+// serially: this is the reference the epsilon drift harnesses hold the
+// float32 and int8 tiers against, not a hot path. Each op runs the float64
+// instantiation of the tape op's own row kernel (gates.go, ops.go,
+// stack.go), so every transcendental and reduction is computed in float64
+// by the same loop. Widening float32 weights and features to float64 is
+// exact, so the oracle sees bit-for-bit the same inputs the fast path does.
+//
+// LayerNorm64 is the one op with its own output loop: it computes
+// gamma*(v-mean)*invStd, while the float32 kernel rounds the normalized
+// value first, gamma*((v-mean)*invStd), which it keeps for the backward.
+// No single expression gives both widths their current bits; only the row
+// statistics (meanInvStd) are shared.
 
 // Tensor64 is a row-major float64 matrix with value semantics.
 type Tensor64 struct {
@@ -37,8 +43,6 @@ func (t Tensor64) Cols() int { return t.C }
 
 // Row returns row i as a slice aliasing the tensor's storage.
 func (t Tensor64) Row(i int) []float64 { return t.Data[i*t.C : (i+1)*t.C] }
-
-func sigmoid64(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
 
 // MatMul64 returns a[m,k] * b[k,n].
 func MatMul64(a, b Tensor64) Tensor64 {
@@ -96,9 +100,7 @@ func Add64(a, b Tensor64) Tensor64 {
 		panic("tensor: Add64 shape mismatch")
 	}
 	out := NewTensor64(a.R, a.C)
-	for i, v := range a.Data {
-		out.Data[i] = v + b.Data[i]
-	}
+	add(out.Data, a.Data, b.Data)
 	return out
 }
 
@@ -107,38 +109,25 @@ func AddBiasInPlace64(a Tensor64, bias []float64) Tensor64 {
 	if len(bias) != a.C {
 		panic("tensor: AddBiasInPlace64 bias length mismatch")
 	}
-	for i := 0; i < a.R; i++ {
-		ar := a.Row(i)
-		for j := range ar {
-			ar[j] += bias[j]
-		}
-	}
+	addBias(0, a.R, a.C, a.Data, a.Data, bias)
 	return a
 }
 
 // SigmoidInPlace64 applies σ elementwise in place and returns a.
 func SigmoidInPlace64(a Tensor64) Tensor64 {
-	for i, v := range a.Data {
-		a.Data[i] = sigmoid64(v)
-	}
+	sigmoidEach(a.Data, a.Data)
 	return a
 }
 
 // TanhInPlace64 applies tanh elementwise in place and returns a.
 func TanhInPlace64(a Tensor64) Tensor64 {
-	for i, v := range a.Data {
-		a.Data[i] = math.Tanh(v)
-	}
+	tanhEach(a.Data, a.Data)
 	return a
 }
 
 // ReLUInPlace64 applies max(·,0) elementwise in place and returns a.
 func ReLUInPlace64(a Tensor64) Tensor64 {
-	for i, v := range a.Data {
-		if !(v > 0) {
-			a.Data[i] = 0
-		}
-	}
+	reluEach(a.Data, a.Data)
 	return a
 }
 
@@ -150,21 +139,7 @@ func LSTMGates64(pre Tensor64, bias []float64, c Tensor64) (h, cNew Tensor64) {
 	}
 	h = NewTensor64(m, H)
 	cNew = NewTensor64(m, H)
-	for r := 0; r < m; r++ {
-		zr := pre.Row(r)
-		cr := c.Row(r)
-		cn := cNew.Row(r)
-		hn := h.Row(r)
-		for j := 0; j < H; j++ {
-			i := sigmoid64(zr[j] + bias[j])
-			f := sigmoid64(zr[H+j] + bias[H+j])
-			g := math.Tanh(zr[2*H+j] + bias[2*H+j])
-			o := sigmoid64(zr[3*H+j] + bias[3*H+j])
-			cv := f*cr[j] + i*g
-			cn[j] = cv
-			hn[j] = o * math.Tanh(cv)
-		}
-	}
+	lstmGates(0, m, H, pre.Data, bias, c.Data, h.Data, cNew.Data, nil, nil)
 	return h, cNew
 }
 
@@ -176,16 +151,7 @@ func GRUGates64(pre Tensor64, bias []float64, h Tensor64) (z, rh Tensor64) {
 	}
 	z = NewTensor64(m, H)
 	rh = NewTensor64(m, H)
-	for r := 0; r < m; r++ {
-		pr := pre.Row(r)
-		hr := h.Row(r)
-		zr := z.Row(r)
-		rhr := rh.Row(r)
-		for j := 0; j < H; j++ {
-			zr[j] = sigmoid64(pr[j] + bias[j])
-			rhr[j] = sigmoid64(pr[H+j]+bias[H+j]) * hr[j]
-		}
-	}
+	gruGates(0, m, H, pre.Data, bias, h.Data, z.Data, nil, rh.Data)
 	return z, rh
 }
 
@@ -196,47 +162,20 @@ func GateCombine64(z, nPre Tensor64, bias []float64, h Tensor64) Tensor64 {
 		panic("tensor: GateCombine64 shape mismatch")
 	}
 	out := NewTensor64(m, H)
-	for r := 0; r < m; r++ {
-		pr := nPre.Row(r)
-		zr := z.Row(r)
-		hr := h.Row(r)
-		or := out.Row(r)
-		for j := 0; j < H; j++ {
-			nv := math.Tanh(pr[j] + bias[j])
-			zv := zr[j]
-			or[j] = (nv - zv*nv) + zv*hr[j]
-		}
-	}
+	gateCombine(0, m, H, nPre.Data, bias, z.Data, h.Data, nil, out.Data)
 	return out
 }
 
 // AttentionSoftmax64 applies the scaled row-wise softmax.
 func AttentionSoftmax64(a Tensor64, scale float64) Tensor64 {
 	out := NewTensor64(a.R, a.C)
-	for i := 0; i < a.R; i++ {
-		ar, or := a.Row(i), out.Row(i)
-		maxv := ar[0] * scale
-		for _, v := range ar[1:] {
-			if sv := v * scale; sv > maxv {
-				maxv = sv
-			}
-		}
-		var sum float64
-		for j, v := range ar {
-			e := math.Exp(v*scale - maxv)
-			or[j] = e
-			sum += e
-		}
-		inv := 1 / sum
-		for j := range or {
-			or[j] *= inv
-		}
-	}
+	softmaxRows(0, a.R, a.C, out.Data, a.Data, scale)
 	return out
 }
 
 // LayerNorm64 normalizes each row to zero mean and unit variance, then
-// applies the per-column gain and bias.
+// applies the per-column gain and bias (see the file comment for why its
+// output loop is its own).
 func LayerNorm64(x Tensor64, gamma, beta []float64, eps float64) Tensor64 {
 	m, n := x.R, x.C
 	if len(gamma) != n || len(beta) != n {
@@ -244,20 +183,8 @@ func LayerNorm64(x Tensor64, gamma, beta []float64, eps float64) Tensor64 {
 	}
 	out := NewTensor64(m, n)
 	for i := 0; i < m; i++ {
-		xr := x.Row(i)
-		var mean float64
-		for _, v := range xr {
-			mean += v
-		}
-		mean /= float64(n)
-		var varc float64
-		for _, v := range xr {
-			d := v - mean
-			varc += d * d
-		}
-		varc /= float64(n)
-		is := 1 / math.Sqrt(varc+eps)
-		or := out.Row(i)
+		xr, or := x.Row(i), out.Row(i)
+		mean, is := meanInvStd(xr, eps)
 		for j, v := range xr {
 			or[j] = gamma[j]*(v-mean)*is + beta[j]
 		}
@@ -268,11 +195,8 @@ func LayerNorm64(x Tensor64, gamma, beta []float64, eps float64) Tensor64 {
 // StackRows64 gathers row `row` of each timestep tensor into one [T, C]
 // matrix.
 func StackRows64(xs []Tensor64, row int) Tensor64 {
-	cols := xs[0].C
-	out := NewTensor64(len(xs), cols)
-	for t, x := range xs {
-		copy(out.Row(t), x.Row(row))
-	}
+	out := NewTensor64(len(xs), xs[0].C)
+	stackRows(out.Data, xs, row)
 	return out
 }
 
@@ -280,12 +204,7 @@ func StackRows64(xs []Tensor64, row int) Tensor64 {
 func FlattenSeq64(xs []Tensor64) Tensor64 {
 	rows, cols := xs[0].R, xs[0].C
 	out := NewTensor64(rows, cols*len(xs))
-	for i := 0; i < rows; i++ {
-		or := out.Row(i)
-		for t, x := range xs {
-			copy(or[t*cols:(t+1)*cols], x.Row(i))
-		}
-	}
+	flattenSeq(out.Data, xs, rows, cols)
 	return out
 }
 
@@ -295,10 +214,6 @@ func ConcatCols64(a, b Tensor64) Tensor64 {
 		panic("tensor: ConcatCols64 row mismatch")
 	}
 	out := NewTensor64(a.R, a.C+b.C)
-	for i := 0; i < a.R; i++ {
-		or := out.Row(i)
-		copy(or[:a.C], a.Row(i))
-		copy(or[a.C:], b.Row(i))
-	}
+	concatCols(out.Data, a.Data, b.Data, a.R, a.C, b.C)
 	return out
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 )
 
@@ -407,17 +408,35 @@ func TestParallelNestedNoDeadlock(t *testing.T) {
 	}
 }
 
-func TestParallelWorkCutoff(t *testing.T) {
-	// Below the threshold the callback must receive the whole range at once.
-	calls := 0
-	ParallelWork(100, parallelThreshold-1, func(s, e int) {
-		calls++
-		if s != 0 || e != 100 {
-			t.Fatalf("serial path got chunk [%d,%d)", s, e)
-		}
-	})
-	if calls != 1 {
-		t.Fatalf("serial path ran %d chunks", calls)
+// cutoffCalls counts kCutoffProbe invocations and records whether any one
+// of them received the whole range.
+type cutoffCalls struct {
+	n, whole atomic.Int32
+}
+
+// kCutoffProbe: X=*cutoffCalls; I0=n.
+func kCutoffProbe(s, e int, ka KernelArgs) {
+	c := ka.X.(*cutoffCalls)
+	c.n.Add(1)
+	if s == 0 && e == ka.I[0] {
+		c.whole.Add(1)
+	}
+}
+
+func TestParallelKernelCutoff(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	// Below the threshold the kernel must receive the whole range at once,
+	// even with a second worker available.
+	var below cutoffCalls
+	ParallelKernel(100, parallelThreshold-1, kCutoffProbe, KernelArgs{I: [6]int{100}, X: &below})
+	if below.n.Load() != 1 || below.whole.Load() != 1 {
+		t.Fatalf("serial path ran %d chunks (%d whole)", below.n.Load(), below.whole.Load())
+	}
+	// At the threshold the range splits into one chunk per worker.
+	var at cutoffCalls
+	ParallelKernel(100, parallelThreshold, kCutoffProbe, KernelArgs{I: [6]int{100}, X: &at})
+	if at.n.Load() != 2 || at.whole.Load() != 0 {
+		t.Fatalf("parallel path ran %d chunks (%d whole)", at.n.Load(), at.whole.Load())
 	}
 }
 

@@ -40,6 +40,7 @@ func MatMul(tp *Tape, a, b *Tensor) *Tensor {
 }
 
 // vjpMatMul: a, b, out.
+//
 //perfvec:hotpath
 func vjpMatMul(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -69,6 +70,7 @@ func MatMulBT(tp *Tape, a, b *Tensor) *Tensor {
 }
 
 // vjpMatMulBT: a, b, out.
+//
 //perfvec:hotpath
 func vjpMatMulBT(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -103,6 +105,7 @@ func MatMulBTCat(tp *Tape, x, h, w *Tensor) *Tensor {
 }
 
 // vjpMatMulBTCat: a=x, b=h, c=w, out.
+//
 //perfvec:hotpath
 func vjpMatMulBTCat(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -140,6 +143,7 @@ func MatMulBTCols(tp *Tape, a, b *Tensor, from, to int) *Tensor {
 }
 
 // vjpMatMulBTCols: a, b, out; i0=from, i1=to.
+//
 //perfvec:hotpath
 func vjpMatMulBTCols(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -172,6 +176,7 @@ func AttentionValue(tp *Tape, dst, att, v *Tensor, from, to int) {
 }
 
 // vjpAttentionValue: a=att, b=v, out=dst; i0=from, i1=to.
+//
 //perfvec:hotpath
 func vjpAttentionValue(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -198,14 +203,19 @@ func Add(tp *Tape, a, b *Tensor) *Tensor {
 }
 
 // kAdd: S0=out, S1=a, S2=b.
-func kAdd(s, e int, ka KernelArgs) {
-	out, a, b := ka.S[0], ka.S[1], ka.S[2]
-	for i := s; i < e; i++ {
-		out[i] = a[i] + b[i]
+func kAdd(s, e int, ka KernelArgs) { add(ka.S[0][s:e], ka.S[1][s:e], ka.S[2][s:e]) }
+
+// add writes a + b into out.
+//
+//perfvec:hotpath
+func add[F float](out, a, b []F) {
+	for i, v := range a {
+		out[i] = v + b[i]
 	}
 }
 
 // vjpAdd: a, b, out.
+//
 //perfvec:hotpath
 func vjpAdd(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -238,10 +248,16 @@ func AddBias(tp *Tape, a, bias *Tensor) *Tensor {
 	return out
 }
 
-// kAddBias: S0=out, S1=a, S2=bias; I0=n. Partitioned over rows.
+// kAddBias: S0=out, S1=a (the same slice for the in-place form), S2=bias;
+// I0=n. Partitioned over rows.
 func kAddBias(r0, r1 int, ka KernelArgs) {
-	out, a, bias := ka.S[0], ka.S[1], ka.S[2]
-	n := ka.I[0]
+	addBias(r0, r1, ka.I[0], ka.S[0], ka.S[1], ka.S[2])
+}
+
+// addBias writes rows [r0, r1) of a[m,n] plus bias[n] into out.
+//
+//perfvec:hotpath
+func addBias[F float](r0, r1, n int, out, a, bias []F) {
 	for i := r0; i < r1; i++ {
 		ar, or := a[i*n:(i+1)*n], out[i*n:(i+1)*n]
 		for j, av := range ar {
@@ -251,6 +267,7 @@ func kAddBias(r0, r1 int, ka KernelArgs) {
 }
 
 // vjpAddBias: a, b=bias, out.
+//
 //perfvec:hotpath
 func vjpAddBias(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -292,6 +309,7 @@ func kSub(s, e int, ka KernelArgs) {
 }
 
 // vjpSub: a, b, out.
+//
 //perfvec:hotpath
 func vjpSub(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -332,6 +350,7 @@ func kMul(s, e int, ka KernelArgs) {
 }
 
 // vjpMul: a, b, out.
+//
 //perfvec:hotpath
 func vjpMul(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -371,6 +390,7 @@ func kScale(s, e int, ka KernelArgs) {
 }
 
 // vjpScale: a, out; f0=s.
+//
 //perfvec:hotpath
 func vjpScale(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -401,15 +421,20 @@ func Sigmoid(tp *Tape, a *Tensor) *Tensor {
 	return out
 }
 
-// kSigmoid: S0=out, S1=a.
-func kSigmoid(s, e int, ka KernelArgs) {
-	out, a := ka.S[0], ka.S[1]
-	for i := s; i < e; i++ {
-		out[i] = float32(1 / (1 + math.Exp(-float64(a[i]))))
+// kSigmoid: S0=out, S1=a (the same slice for the in-place form).
+func kSigmoid(s, e int, ka KernelArgs) { sigmoidEach(ka.S[0][s:e], ka.S[1][s:e]) }
+
+// sigmoidEach writes σ(a) into out.
+//
+//perfvec:hotpath
+func sigmoidEach[F float](out, a []F) {
+	for i, v := range a {
+		out[i] = sigmoid(v)
 	}
 }
 
 // vjpSigmoid: a, out.
+//
 //perfvec:hotpath
 func vjpSigmoid(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -439,15 +464,20 @@ func Tanh(tp *Tape, a *Tensor) *Tensor {
 	return out
 }
 
-// kTanh: S0=out, S1=a.
-func kTanh(s, e int, ka KernelArgs) {
-	out, a := ka.S[0], ka.S[1]
-	for i := s; i < e; i++ {
-		out[i] = float32(math.Tanh(float64(a[i])))
+// kTanh: S0=out, S1=a (the same slice for the in-place form).
+func kTanh(s, e int, ka KernelArgs) { tanhEach(ka.S[0][s:e], ka.S[1][s:e]) }
+
+// tanhEach writes tanh(a) into out.
+//
+//perfvec:hotpath
+func tanhEach[F float](out, a []F) {
+	for i, v := range a {
+		out[i] = tanh(v)
 	}
 }
 
 // vjpTanh: a, out.
+//
 //perfvec:hotpath
 func vjpTanh(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -478,17 +508,23 @@ func ReLU(tp *Tape, a *Tensor) *Tensor {
 	return out
 }
 
-// kReLU: S0=out, S1=a.
-func kReLU(s, e int, ka KernelArgs) {
-	out, a := ka.S[0], ka.S[1]
-	for i := s; i < e; i++ {
-		if av := a[i]; av > 0 {
-			out[i] = av
+// kReLU: S0=out, S1=a (the same slice for the in-place form).
+func kReLU(s, e int, ka KernelArgs) { reluEach(ka.S[0][s:e], ka.S[1][s:e]) }
+
+// reluEach writes max(a, 0) into out; NaN maps to +0.
+//
+//perfvec:hotpath
+func reluEach[F float](out, a []F) {
+	for i, v := range a {
+		if !(v > 0) {
+			v = 0
 		}
+		out[i] = v
 	}
 }
 
 // vjpReLU: a, out.
+//
 //perfvec:hotpath
 func vjpReLU(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -520,14 +556,20 @@ func SoftmaxRows(tp *Tape, a *Tensor) *Tensor {
 }
 
 // kSoftmaxRows: S0=out, S1=a; I0=n; F0=pre-softmax scale (1 for the plain
-// op). Partitioned over rows. With F0 == 1 the scale multiplications are
-// exact identities (x*1 == x bitwise for every float32, including NaN
-// payloads and signed zeros), so the plain softmax and the fused attention
-// form share this kernel without perturbing the plain op's values.
+// op). Partitioned over rows.
 func kSoftmaxRows(r0, r1 int, ka KernelArgs) {
-	out, a := ka.S[0], ka.S[1]
-	n := ka.I[0]
-	scale := ka.F[0]
+	softmaxRows(r0, r1, ka.I[0], ka.S[0], ka.S[1], ka.F[0])
+}
+
+// softmaxRows writes the max-subtracted softmax of scale*a over rows
+// [r0, r1) of a[m,n] into out, with the exponentials and their sum in
+// float64. With scale == 1 the scale multiplications are exact identities
+// (x*1 == x bitwise for every float, including NaN payloads and signed
+// zeros), so the plain softmax and the fused attention form share this
+// kernel without perturbing the plain op's values.
+//
+//perfvec:hotpath
+func softmaxRows[F float](r0, r1, n int, out, a []F, scale F) {
 	for i := r0; i < r1; i++ {
 		ar, or := a[i*n:(i+1)*n], out[i*n:(i+1)*n]
 		maxv := ar[0] * scale
@@ -539,10 +581,10 @@ func kSoftmaxRows(r0, r1 int, ka KernelArgs) {
 		var sum float64
 		for j, v := range ar {
 			e := math.Exp(float64(v*scale - maxv))
-			or[j] = float32(e)
+			or[j] = F(e)
 			sum += e
 		}
-		inv := float32(1 / sum)
+		inv := F(1 / sum)
 		for j := range or {
 			or[j] *= inv
 		}
@@ -550,6 +592,7 @@ func kSoftmaxRows(r0, r1 int, ka KernelArgs) {
 }
 
 // vjpSoftmaxRows: a, out.
+//
 //perfvec:hotpath
 func vjpSoftmaxRows(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -604,6 +647,7 @@ func AttentionSoftmax(tp *Tape, a *Tensor, scale float32) *Tensor {
 // vjpAttentionSoftmax: a, out; f0=scale. The softmax VJP's per-element
 // product rounds to float32 before the scale factor multiplies it — the
 // exact sequence the unfused SoftmaxRows-then-Scale backward performed.
+//
 //perfvec:hotpath
 func vjpAttentionSoftmax(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -622,15 +666,13 @@ func ConcatCols(tp *Tape, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: ConcatCols row mismatch %v vs %v", a.Shape, b.Shape))
 	}
 	out := tp.alloc(m, na+nb)
-	for i := 0; i < m; i++ {
-		copy(out.Data[i*(na+nb):], a.Row(i))
-		copy(out.Data[i*(na+nb)+na:], b.Row(i))
-	}
+	concatCols(out.Data, a.Data, b.Data, m, na, nb)
 	tp.record(opRecord{kind: opConcatCols, a: a, b: b, out: out})
 	return out
 }
 
 // vjpConcatCols: a, b, out.
+//
 //perfvec:hotpath
 func vjpConcatCols(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -670,6 +712,7 @@ func SliceCols(tp *Tape, a *Tensor, from, to int) *Tensor {
 }
 
 // vjpSliceCols: a, out; i0=from, i1=to.
+//
 //perfvec:hotpath
 func vjpSliceCols(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -704,6 +747,7 @@ func SliceRows(tp *Tape, a *Tensor, from, to int) *Tensor {
 }
 
 // vjpSliceRows: a, out; i0=from.
+//
 //perfvec:hotpath
 func vjpSliceRows(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -734,6 +778,7 @@ func Transpose(tp *Tape, a *Tensor) *Tensor {
 }
 
 // vjpTranspose: a, out.
+//
 //perfvec:hotpath
 func vjpTranspose(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -763,6 +808,7 @@ func Sum(tp *Tape, a *Tensor) *Tensor {
 }
 
 // vjpSum: a, out.
+//
 //perfvec:hotpath
 func vjpSum(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -804,37 +850,51 @@ func LayerNorm(tp *Tape, x, gamma, beta *Tensor, eps float32) *Tensor {
 	return out
 }
 
-// kLayerNorm: S0=out, S1=x, S2=gamma, S3=beta, S4=xhat, S5=invStd; I0=n;
-// F0=eps. Partitioned over rows.
+// kLayerNorm: S0=out, S1=x, S2=gamma, S3=beta, S4=xhat, S5=invStd (S4/S5
+// nil on the forward-only path); I0=n; F0=eps. Partitioned over rows.
+//
+//perfvec:hotpath
 func kLayerNorm(r0, r1 int, ka KernelArgs) {
 	out, x, gamma, beta, xhat, invStd := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4], ka.S[5]
 	n := ka.I[0]
-	eps := ka.F[0]
 	for i := r0; i < r1; i++ {
 		xr := x[i*n : (i+1)*n]
-		var mean float64
-		for _, v := range xr {
-			mean += float64(v)
+		mean, is64 := meanInvStd(xr, ka.F[0])
+		is := float32(is64)
+		if invStd != nil {
+			invStd[i] = is
 		}
-		mean /= float64(n)
-		var varc float64
-		for _, v := range xr {
-			d := float64(v) - mean
-			varc += d * d
-		}
-		varc /= float64(n)
-		is := float32(1 / math.Sqrt(varc+float64(eps)))
-		invStd[i] = is
 		for j, v := range xr {
 			h := (v - float32(mean)) * is
-			xhat[i*n+j] = h
+			if xhat != nil {
+				xhat[i*n+j] = h
+			}
 			out[i*n+j] = gamma[j]*h + beta[j]
 		}
 	}
 }
 
+// meanInvStd returns the mean of x and 1/sqrt(var(x) + eps), both
+// accumulated in float64 — the row statistics of LayerNorm at either width.
+//
+//perfvec:hotpath
+func meanInvStd[F float](x []F, eps F) (mean, invStd float64) {
+	for _, v := range x {
+		mean += float64(v)
+	}
+	mean /= float64(len(x))
+	var varc float64
+	for _, v := range x {
+		d := float64(v) - mean
+		varc += d * d
+	}
+	varc /= float64(len(x))
+	return mean, 1 / math.Sqrt(varc+float64(eps))
+}
+
 // vjpLayerNorm: a=x, b=gamma, c=beta, out, s1=xhat, s2=invStd. The backward
 // stays serial: gg/gb reduce across rows.
+//
 //perfvec:hotpath
 func vjpLayerNorm(tp *Tape, r *opRecord) {
 	g := r.out.Grad

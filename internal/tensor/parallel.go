@@ -9,8 +9,8 @@ import (
 // parallelThreshold is the estimated number of scalar operations below which
 // an op runs serially: a pool handoff costs on the order of a microsecond, so
 // smaller problems lose more to dispatch than they gain from extra cores.
-// Callers express that decision through ParallelWork; Parallel itself splits
-// whenever more than one worker is available.
+// ParallelKernel applies it; Parallel itself splits whenever more than one
+// worker is available.
 const parallelThreshold = 1 << 15
 
 // task is one contiguous chunk of a Parallel or ParallelKernel call,
@@ -48,18 +48,20 @@ type KernelArgs struct {
 
 // Kernel is a pool-dispatchable loop body over [start, end): a top-level
 // function receiving its arguments by value. Unlike the closure form
-// (Parallel/ParallelWork), invoking a Kernel allocates nothing — a func
-// literal that escapes into the task queue costs one heap object per call
-// site per invocation, which was the dominant per-op allocation left in the
+// (Parallel), invoking a Kernel allocates nothing — a func literal that
+// escapes into the task queue costs one heap object per call site per
+// invocation, which was the dominant per-op allocation left in the
 // training step once tensors and records were pooled. All tensor-op forward
 // and VJP loops, the GEMM wrappers, and nn's Adam update dispatch through
 // kernels.
 type Kernel func(start, end int, a KernelArgs)
 
 // ParallelKernel runs k over [0, n) like Parallel when the estimated scalar
-// work meets parallelThreshold, and serially otherwise — the closure-free
-// analogue of ParallelWork. Chunk boundaries are identical to Parallel's, so
-// the bitwise-determinism contract is unchanged.
+// work meets parallelThreshold, and serially otherwise. work is the caller's
+// estimate of total scalar operations: m*n*k for a GEMM, elements times
+// per-element cost for elementwise ops (so a low-row, high-work problem
+// still splits). Chunk boundaries are identical to Parallel's, so the
+// bitwise-determinism contract is unchanged.
 func ParallelKernel(n, work int, k Kernel, a KernelArgs) {
 	if work < parallelThreshold {
 		k(0, n, a)
@@ -170,10 +172,9 @@ func poolWorker() {
 // depend on chunk grouping produce bitwise-identical results at any worker
 // count.
 //
-// Unlike the seed implementation, chunks are executed by a persistent worker
-// pool instead of freshly spawned goroutines, the pool resizes when
-// GOMAXPROCS changes after first use, and the work-size cutoff lives in
-// ParallelWork rather than being hardcoded here.
+// Chunks are executed by a persistent worker pool instead of freshly
+// spawned goroutines, and the pool resizes when GOMAXPROCS changes after
+// first use.
 func Parallel(n int, fn func(start, end int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > n {
@@ -204,18 +205,4 @@ func Parallel(n int, fn func(start, end int)) {
 	fn(0, chunk) // the caller always works on the first chunk itself
 	wg.Wait()
 	wgPool.Put(wg)
-}
-
-// ParallelWork runs fn over [0, n) like Parallel when the estimated total
-// scalar work meets parallelThreshold, and serially otherwise. work is the
-// caller's estimate of total scalar operations: m*n*k for a GEMM, elements
-// times per-element cost for elementwise ops. This replaces the seed's
-// n-based cutoff, which wrongly serialized low-row/high-work problems (e.g. a
-// 32-row GEMM with huge k and n).
-func ParallelWork(n, work int, fn func(start, end int)) {
-	if work < parallelThreshold {
-		fn(0, n)
-		return
-	}
-	Parallel(n, fn)
 }

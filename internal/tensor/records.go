@@ -14,7 +14,7 @@ package tensor
 // the static per-kind VJP table below instead of invoking a captured func.
 //
 // The VJP bodies are the former closure bodies verbatim — same expressions,
-// same accumulation order, same ParallelWork chunking — so gradients are
+// same accumulation order, same ParallelKernel chunking — so gradients are
 // bitwise identical to the closure tape's (the gradcheck and fused-kernel
 // bitwise tests pin this), and replaying Backward twice over the same
 // records yields bit-identical gradients (records are read-only inputs to

@@ -13,18 +13,19 @@ func StackRows(tp *Tape, xs []*Tensor, row int) *Tensor {
 		panic("tensor: StackRows needs at least one tensor")
 	}
 	n := xs[0].Cols()
-	out := tp.alloc(len(xs), n)
-	for t, x := range xs {
+	for _, x := range xs {
 		if x.Cols() != n {
 			panic(fmt.Sprintf("tensor: StackRows column mismatch %d vs %d", x.Cols(), n))
 		}
-		copy(out.Data[t*n:(t+1)*n], x.Row(row))
 	}
+	out := tp.alloc(len(xs), n)
+	stackRows(out.Data, xs, row)
 	tp.record(opRecord{kind: opStackRows, out: out, ts: xs, i0: row})
 	return out
 }
 
 // vjpStackRows: out, ts=xs, i0=row.
+//
 //perfvec:hotpath
 func vjpStackRows(_ *Tape, r *opRecord) {
 	g := r.out.Grad
@@ -40,5 +41,47 @@ func vjpStackRows(_ *Tape, r *opRecord) {
 		for j, gv := range gr {
 			dst[j] += gv
 		}
+	}
+}
+
+// The row copies below are shared by every tensor form: the tape's *Tensor,
+// the slab's Tensor32 and the oracle's Tensor64.
+
+// rowMatrix is a row-major matrix of F that hands out its rows.
+type rowMatrix[F float] interface{ Row(i int) []F }
+
+// stackRows copies row `row` of each xs[t] into row t of out.
+//
+//perfvec:hotpath
+func stackRows[F float, M rowMatrix[F]](out []F, xs []M, row int) {
+	for t, x := range xs {
+		r := x.Row(row)
+		copy(out[t*len(r):(t+1)*len(r)], r)
+	}
+}
+
+// flattenSeq writes row i of out[rows, cols*len(xs)] as the concatenation
+// of row i of each xs[t] (each [rows, cols]).
+//
+//perfvec:hotpath
+func flattenSeq[F float, M rowMatrix[F]](out []F, xs []M, rows, cols int) {
+	w := cols * len(xs)
+	for i := 0; i < rows; i++ {
+		or := out[i*w : (i+1)*w]
+		for t, x := range xs {
+			copy(or[t*cols:(t+1)*cols], x.Row(i))
+		}
+	}
+}
+
+// concatCols writes [a|b] into out, where a has m rows of na columns and b
+// m rows of nb.
+//
+//perfvec:hotpath
+func concatCols[F float](out, a, b []F, m, na, nb int) {
+	w := na + nb
+	for i := 0; i < m; i++ {
+		copy(out[i*w:i*w+na], a[i*na:(i+1)*na])
+		copy(out[i*w+na:(i+1)*w], b[i*nb:(i+1)*nb])
 	}
 }
