@@ -85,15 +85,16 @@
 // bitwise-invariant results (element ranges outer, fixed worker order
 // inner, reduced through the typed kGradReduce kernel in worker-slot
 // groups), minibatch shards go to persistent per-worker goroutines, and the
-// worker pool resizes when GOMAXPROCS changes after first use. Inference
-// pools the same way: InstructionReps, ProgramRep, and the batch encodes
-// run the forward-only float32 engine on the Foundation's pooled encoders
-// (perfvec.Encoder), whose arenas are recycled per encode chunk. A batch
-// encode splits each wave of up to 256 instruction rows into contiguous
-// row ranges across the worker pool, one encoder per range (the caller's
-// runs the first, the others are borrowed from the pool), and sums the
-// wave's rows per program in row order, so its output is bitwise the same
-// at any GOMAXPROCS.
+// worker pool resizes when GOMAXPROCS changes after first use; a typed
+// kernel (tensor.ParallelKernel) is the only way work reaches that pool.
+// Inference pools the same way: InstructionReps, ProgramRep, and the batch
+// encodes run one wave loop on the Foundation's pooled encoders
+// (perfvec.Encoder), whose arenas are recycled per row range. It splits
+// each wave of up to 256 instruction rows into contiguous row ranges across
+// the worker pool, one encoder per range (the caller's runs the first, the
+// others are borrowed from the pool), and either sums the wave's rows per
+// program in row order or, for InstructionReps, writes each row out, so its
+// output is bitwise the same at any GOMAXPROCS.
 // cmd/perfvec-bench records MatMul/Batch/TrainStep in BENCH_N.json (with
 // -tape-histogram printing one step's op-record kind histogram for graph
 // profiling), and CI fails any change whose training step or GEMM exceeds

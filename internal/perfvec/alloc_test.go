@@ -183,7 +183,7 @@ func TestLossSteadyStateAllocFree(t *testing.T) {
 // bookkeeping) as per-call heap traffic. This is the analysis/eval
 // analogue of the training step's arena regression tests.
 func TestInstructionRepsSteadyStatePooled(t *testing.T) {
-	// Serial execution: how many encoders the chunk ranges borrow depends on
+	// Serial execution: how many encoders the row ranges borrow depends on
 	// scheduler-determined peak concurrency, so at GOMAXPROCS>1 a measured
 	// call could outgrow the warm-up's pool nondeterministically. One
 	// worker borrows exactly one encoder; concurrency is covered by

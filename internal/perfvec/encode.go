@@ -9,9 +9,9 @@ import (
 
 // This file is the batch-inference engine of the foundation model: the
 // machinery perfvec-serve uses to coalesce many clients' concurrent encode
-// requests into a small number of large encoder GEMM passes, and the pooled
-// workers every other inference path (InstructionReps, ProgramRep and the
-// validation loss) runs on. The packed GEMM engine only reaches its
+// requests into a small number of large encoder GEMM passes, the wave loop
+// InstructionReps and ProgramRep run on, and the pooled workers the
+// validation loss borrows. The packed GEMM engine only reaches its
 // throughput on big batches, so a serving layer that ran one forward per
 // request would waste almost all of it; EncodePrograms32 and
 // EncodeProgramsQ8 concatenate the instruction rows of whole groups of
@@ -37,10 +37,9 @@ import (
 
 // streamChunk is the wave size of the coalesced encode loop: the most
 // instruction rows one wave splits across the worker pool, and so the
-// height of an Encoder's wave buffer. InstructionReps encodes in chunks of
-// the same size. Outputs do not depend on it — batch invariance makes every
-// row's representation independent of the batch it ran in — but it bounds
-// the activation memory of a pass.
+// height of an Encoder's wave buffer. Outputs do not depend on it — batch
+// invariance makes every row's representation independent of the batch it
+// ran in — but it bounds the activation memory of a pass.
 const streamChunk = 256
 
 // Encoder is a reusable batch-inference worker: the float32 and int8
@@ -124,21 +123,26 @@ const (
 )
 
 // encode is the one wave/fill/accumulate loop behind EncodePrograms32,
-// EncodeProgramsQ8 and EncodePrograms64: it runs coalesced forward passes
-// on engine eng over the concatenated instruction rows of ps and sums each
-// program's representation into e.acc (program i at [i*RepDim,
-// (i+1)*RepDim)), writing it rounded to float32 into the caller-owned dst[i]
-// (length RepDim) when dst is non-nil. The concatenation is cut into waves
-// of streamChunk rows — waves freely span program boundaries — so a batch of
-// many small programs costs a few large GEMM passes instead of one small
-// pass per program. Each wave's rows are split into contiguous ranges across
-// the worker pool (kEncodeRange); ParallelKernel runs the wave inline when
-// it is too small to split or the pool is busy. Rows are summed per program
-// in row order through float64 accumulators, the same sum SumReps computes.
+// EncodeProgramsQ8, EncodePrograms64 and InstructionReps: it runs coalesced
+// forward passes on engine eng over the concatenated instruction rows of ps
+// and sums each program's representation into e.acc (program i at
+// [i*RepDim, (i+1)*RepDim)), writing it rounded to float32 into the
+// caller-owned dst[i] (length RepDim) when dst is non-nil. When reps is
+// non-nil, row r of the concatenation is also written, rounded to float32,
+// into reps[r*RepDim:(r+1)*RepDim]; on the float32 engine the rounding is
+// exact, since the wave buffer holds widened float32 values.
+//
+// The concatenation is cut into waves of streamChunk rows — waves freely
+// span program boundaries — so a batch of many small programs costs a few
+// large GEMM passes instead of one small pass per program. Each wave's rows
+// are split into contiguous ranges across the worker pool (kEncodeRange);
+// ParallelKernel runs the wave inline when it is too small to split or the
+// pool is busy. Rows are summed per program in row order through float64
+// accumulators, the same sum SumReps computes.
 // Every ps[i].N must be >= 1.
 //
 //perfvec:hotpath
-func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, eng engine) {
+func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, reps []float32, eng engine) {
 	cfg := &e.f.Cfg
 	d := cfg.RepDim
 	total := 0
@@ -157,9 +161,6 @@ func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, eng engine) {
 		e.wave = make([]float64, streamChunk*d) //perfvec:allow hotalloc -- built on the encoder's first coalesced pass, reused by every later one
 	}
 
-	// rowWork is a lower bound on the scalar work of one row's forward:
-	// the first layer's GEMM over the row's window, in every architecture.
-	rowWork := cfg.Window * cfg.FeatDim * cfg.Hidden
 	j := &e.job
 	*j = encodeJob{e: e, ps: ps, eng: eng}
 	// (pi, off): the first instruction of the next wave — program index
@@ -168,8 +169,14 @@ func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, eng engine) {
 	for base := 0; base < total; base += streamChunk {
 		n := min(streamChunk, total-base)
 		j.pi, j.off = pi, off
-		tensor.ParallelKernel(n, n*rowWork, kEncodeRange, tensor.KernelArgs{X: j})
-		pi, off = addRows(acc, ps, d, pi, off, e.wave[:n*d])
+		tensor.ParallelKernel(n, n*cfg.rowWork(), kEncodeRange, tensor.KernelArgs{X: j})
+		wave := e.wave[:n*d]
+		pi, off = addRows(acc, ps, d, pi, off, wave)
+		if reps != nil {
+			for i, v := range wave {
+				reps[base*d+i] = float32(v)
+			}
+		}
 	}
 	*j = encodeJob{} // drop the references to this pass's programs
 	if dst == nil {
@@ -182,6 +189,11 @@ func (e *Encoder) encode(ps []*ProgramData, dst [][]float32, eng engine) {
 		}
 	}
 }
+
+// rowWork is a lower bound on the scalar work of one row's forward pass:
+// the first layer's GEMM over the row's window, in every architecture. The
+// encode and evaluation dispatches estimate their work from it.
+func (c *Config) rowWork() int { return c.Window * c.FeatDim * c.Hidden }
 
 // encodeJob is the argument block of one wave's dispatch (kEncodeRange's
 // KernelArgs.X), owned by the caller's Encoder.

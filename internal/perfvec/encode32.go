@@ -28,7 +28,7 @@ import (
 //
 //perfvec:hotpath
 func (e *Encoder) EncodePrograms32(ps []*ProgramData, dst [][]float32) {
-	e.encode(ps, dst, engineF32)
+	e.encode(ps, dst, nil, engineF32)
 }
 
 // oracle64 returns the lazily built float64 image of the model. Safe for
@@ -48,7 +48,7 @@ func (f *Foundation) oracle64() *nn.Oracle64 {
 // ps[i].N must be >= 1.
 func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
 	e := f.AcquireEncoder()
-	e.encode(ps, nil, engineOracle)
+	e.encode(ps, nil, nil, engineOracle)
 	d := f.Cfg.RepDim
 	for i := range ps {
 		copy(dst[i], e.acc[i*d:(i+1)*d])

@@ -33,5 +33,5 @@ func (f *Foundation) q8() (*nn.Q8Encoder, *nn.LinearQ8) {
 //
 //perfvec:hotpath
 func (e *Encoder) EncodeProgramsQ8(ps []*ProgramData, dst [][]float32) {
-	e.encode(ps, dst, engineQ8)
+	e.encode(ps, dst, nil, engineQ8)
 }

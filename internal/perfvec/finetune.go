@@ -17,27 +17,38 @@ import (
 // cached representations, which is exactly the representation-reuse insight
 // applied to fine-tuning.
 func FineTuneTable(f *Foundation, tuning []*ProgramData, epochs int, lr float32, seed int64) *Table {
-	k := tuning[0].K
-	table := NewTable(k, f.Cfg.RepDim, seed)
+	table := NewTable(tuning[0].K, f.Cfg.RepDim, seed)
+	opt := nn.NewAdam(lr)
+	fitCachedReps(f, tuning, epochs, seed, func(tp *tensor.Tape, reps, targets *tensor.Tensor) {
+		preds := tensor.MatMulBT(tp, reps, table.M)
+		tp.Backward(nn.MSE(tp, preds, targets))
+		opt.Step([]*tensor.Tensor{table.M})
+	})
+	return table
+}
 
-	// Cache representations and scaled targets.
+// fitCachedReps is the training loop FineTuneTable and TrainUarchModel
+// share over a frozen foundation model. It computes every tuning program's
+// instruction representations and scaled targets once, then for each epoch
+// and each program draws a random window of up to 512 rows (seeded by seed)
+// and calls step with those rows on a freshly reset tape; step runs the
+// forward, backward and optimizer update of whatever is being fit.
+func fitCachedReps(f *Foundation, tuning []*ProgramData, epochs int, seed int64, step func(tp *tensor.Tape, reps, targets *tensor.Tensor)) {
 	type cached struct {
 		reps    *tensor.Tensor // [N x D]
 		targets *tensor.Tensor // [N x K]
 	}
-	var data []cached
-	for _, p := range tuning {
-		reps := f.InstructionReps(p)
-		targets := tensor.New(p.N, k)
+	data := make([]cached, len(tuning))
+	for c, p := range tuning {
+		targets := tensor.New(p.N, p.K)
 		for i := 0; i < p.N; i++ {
-			for j := 0; j < k; j++ {
-				targets.Set(i, j, p.Targets[i*k+j]*f.Cfg.TargetScale)
+			for j := 0; j < p.K; j++ {
+				targets.Set(i, j, p.Targets[i*p.K+j]*f.Cfg.TargetScale)
 			}
 		}
-		data = append(data, cached{reps, targets})
+		data[c] = cached{f.InstructionReps(p), targets}
 	}
 
-	opt := nn.NewAdam(lr)
 	rng := rand.New(rand.NewSource(seed))
 	const batch = 512
 	tp := tensor.NewTapeArena()
@@ -48,18 +59,9 @@ func FineTuneTable(f *Foundation, tuning []*ProgramData, epochs int, lr float32,
 			if n > batch {
 				start = rng.Intn(n - batch)
 			}
-			end := start + batch
-			if end > n {
-				end = n
-			}
+			end := min(start+batch, n)
 			tp.Reset()
-			reps := tensor.SliceRows(nil, c.reps, start, end)
-			targets := tensor.SliceRows(nil, c.targets, start, end)
-			preds := tensor.MatMulBT(tp, reps, table.M)
-			loss := nn.MSE(tp, preds, targets)
-			tp.Backward(loss)
-			opt.Step([]*tensor.Tensor{table.M})
+			step(tp, tensor.SliceRows(nil, c.reps, start, end), tensor.SliceRows(nil, c.targets, start, end))
 		}
 	}
-	return table
 }

@@ -21,8 +21,9 @@ type Foundation struct {
 	Head    *nn.Linear
 
 	// encoders pools the inference workers every forward-only pass
-	// borrows: perfvec-serve's coalesced batch encodes, InstructionReps'
-	// chunks, and Trainer.Loss; see Encoder and encoderPool in encode.go.
+	// borrows: the coalesced encode behind perfvec-serve's batches and
+	// InstructionReps, and Trainer.Loss; see Encoder and encoderPool in
+	// encode.go.
 	encoders encoderPool
 
 	// The float64 oracle image of the model (widened weights, float64
@@ -81,30 +82,21 @@ func (f *Foundation) Forward(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tenso
 	return f.Head.Forward(tp, nn.ForwardSeq(tp, f.Encoder, xs))
 }
 
-// InstructionReps generates the representation of every instruction in p.
-// Per §III-B this is embarrassingly parallel: chunks of the trace are
-// encoded concurrently through the tensor worker pool (the model is
-// read-only during inference). The result is an [N x RepDim] matrix.
+// InstructionReps generates the representation of every instruction in p:
+// an [N x RepDim] matrix, bitwise equal to the tape forward over p's
+// windows. Per §III-B this is embarrassingly parallel: it runs the
+// coalesced encode's row-parallel waves (Encoder.encode) on the float32
+// engine, with one output row per instruction instead of a program sum. An
+// empty program gives a 0 x RepDim matrix.
 func (f *Foundation) InstructionReps(p *ProgramData) *tensor.Tensor {
-	d := f.Cfg.RepDim
-	out := tensor.New(p.N, d)
-	// The encoder is row-wise batch-invariant, so these chunks give every
-	// row the bits the batch encode's differently shaped ranges give it.
-	nChunks := (p.N + streamChunk - 1) / streamChunk
-	tensor.Parallel(nChunks, func(c0, c1 int) {
-		// Each chunk range runs the float32 forward on a pooled encoder's
-		// arenas, recycled between chunks, so steady-state representation
-		// generation allocates only the output matrix.
-		e := f.AcquireEncoder()
-		defer f.ReleaseEncoder(e)
-		for c := c0; c < c1; c++ {
-			from := c * streamChunk
-			to := min(from+streamChunk, p.N)
-			xs := e.windows(to - from)
-			fillWindowRows(xs, p, from, to, 0)
-			copy(out.Data[from*d:to*d], e.forward(xs, false).Data)
-		}
-	})
+	if p.N == 0 {
+		// tensor.New and encode both reject an empty program.
+		return tensor.FromSlice(nil, 0, f.Cfg.RepDim)
+	}
+	out := tensor.New(p.N, f.Cfg.RepDim)
+	e := f.AcquireEncoder()
+	e.encode([]*ProgramData{p}, nil, out.Data, engineF32)
+	f.ReleaseEncoder(e)
 	return out
 }
 

@@ -222,6 +222,29 @@ func TestInstructionRepsParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestInstructionRepsEmptyProgram pins the empty-program results: neither
+// tensor.New nor the coalesced encode accepts zero rows, so InstructionReps
+// guards N == 0 itself and returns a 0 x RepDim matrix, and ProgramRep
+// returns a zero representation, neither panicking.
+func TestInstructionRepsEmptyProgram(t *testing.T) {
+	cfg := tinyConfig()
+	model := NewFoundation(cfg)
+	p := &ProgramData{Name: "empty", FeatDim: cfg.FeatDim}
+	reps := model.InstructionReps(p)
+	if reps.Rows() != 0 || reps.Cols() != cfg.RepDim {
+		t.Fatalf("InstructionReps of an empty program is %v, want [0 %d]", reps.Shape, cfg.RepDim)
+	}
+	rep := model.ProgramRep(p)
+	if len(rep) != cfg.RepDim {
+		t.Fatalf("ProgramRep of an empty program has %d dims, want %d", len(rep), cfg.RepDim)
+	}
+	for i, v := range rep {
+		if v != 0 {
+			t.Fatalf("ProgramRep of an empty program: dim %d = %v, want 0", i, v)
+		}
+	}
+}
+
 func TestFineTuneUnseenUarch(t *testing.T) {
 	pds, _ := tinyData(t, 2500)
 	d, err := NewDataset(pds, 0.1, 1)

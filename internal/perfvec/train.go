@@ -373,11 +373,12 @@ const evalBatch = 256
 
 // Loss evaluates the (reuse-form) MSE over the given sample ids without
 // updating parameters. Evaluation batches run on the float32 inference
-// graph (see batchLoss), sharded across the tensor worker pool — the model
-// is read-only during evaluation, every shard computes exactly the batches
-// the serial loop would, and the per-batch losses are reduced in ascending
-// batch order, so the result is bitwise identical to the serial evaluation
-// at any worker count, and to the tape-forward loss of the same batches.
+// graph (see batchLoss), sharded across the tensor worker pool by the typed
+// kernel kLossShards — the model is read-only during evaluation, every
+// shard computes exactly the batches the serial loop would, and the
+// per-batch losses are reduced in ascending batch order, so the result is
+// bitwise identical to the serial evaluation at any worker count, and to
+// the tape-forward loss of the same batches.
 //
 // Each shard runs on a pooled Encoder, borrowed up front and returned in
 // reverse order: which encoder serves which shard, and so how many encoders
@@ -393,21 +394,15 @@ func (t *Trainer) Loss(d *Dataset, ids []int) float64 {
 	nChunks := (len(ids) + evalBatch - 1) / evalBatch
 	shards := min(runtime.GOMAXPROCS(0), nChunks)
 	// Locals, not reused Trainer fields: Loss stays safe to call from
-	// concurrent goroutines, at the cost of two small slices per call.
+	// concurrent goroutines, at the cost of two small slices and the job
+	// per call.
 	losses := make([]float64, nChunks) //perfvec:allow hotalloc -- per-call shard sums, sized by ids, kept local for concurrent Loss calls
 	encs := make([]*Encoder, shards)   //perfvec:allow hotalloc -- per-call shard encoders, kept local for concurrent Loss calls
 	for i := range encs {
 		encs[i] = t.Model.AcquireEncoder()
 	}
-	tensor.Parallel(shards, func(w0, w1 int) { //perfvec:allow hotalloc -- one closure per Loss call, not per batch; the batch loop inside is allocation-free
-		for w := w0; w < w1; w++ {
-			for c := w; c < nChunks; c += shards {
-				from := c * evalBatch
-				to := min(from+evalBatch, len(ids))
-				losses[c] = encs[w].batchLoss(d, ids[from:to], t.Table.M) * float64(to-from)
-			}
-		}
-	})
+	j := &lossJob{d: d, table: t.Table.M, ids: ids, losses: losses, encs: encs} //perfvec:allow hotalloc -- one dispatch block per Loss call, not per batch; the batch loop is allocation-free
+	tensor.ParallelKernel(shards, len(ids)*t.Model.Cfg.rowWork(), kLossShards, tensor.KernelArgs{X: j})
 	for i := len(encs) - 1; i >= 0; i-- {
 		t.Model.ReleaseEncoder(encs[i])
 	}
@@ -416,6 +411,34 @@ func (t *Trainer) Loss(d *Dataset, ids []int) float64 {
 		sum += l
 	}
 	return sum / float64(len(ids))
+}
+
+// lossJob is the argument block of Loss's shard dispatch (kLossShards'
+// KernelArgs.X): the dataset and table, the evaluated ids, one loss slot per
+// evalBatch chunk, and one borrowed encoder per shard.
+type lossJob struct {
+	d      *Dataset
+	table  *tensor.Tensor
+	ids    []int
+	losses []float64
+	encs   []*Encoder
+}
+
+// kLossShards evaluates shards [w0, w1) of a Loss call: shard w runs chunks
+// w, w+shards, w+2*shards, ... on encs[w] and stores each chunk's summed
+// loss in its slot. X=*lossJob.
+//
+//perfvec:hotpath
+func kLossShards(w0, w1 int, ka tensor.KernelArgs) {
+	j := ka.X.(*lossJob)
+	shards := len(j.encs)
+	for w := w0; w < w1; w++ {
+		for c := w; c < len(j.losses); c += shards {
+			from := c * evalBatch
+			to := min(from+evalBatch, len(j.ids))
+			j.losses[c] = j.encs[w].batchLoss(j.d, j.ids[from:to], j.table) * float64(to-from)
+		}
+	}
 }
 
 // batchLoss returns the reuse-form MSE of one evaluation batch, bitwise

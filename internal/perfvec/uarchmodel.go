@@ -113,51 +113,15 @@ func (u *UarchModel) Reps32(s *tensor.Slab32, cfgs []*uarch.Config) tensor.Tenso
 // TrainUarchModel fits the model on tuning data gathered from trainCfgs
 // (which must be the K microarchitectures of the tuning ProgramData, in
 // order). The foundation model stays frozen; instruction representations are
-// cached once, exactly as in FineTuneTable.
+// cached once by the loop FineTuneTable also runs (fitCachedReps).
 func TrainUarchModel(f *Foundation, u *UarchModel, tuning []*ProgramData, trainCfgs []*uarch.Config, epochs int, lr float32, seed int64) {
 	u.fitNorm(trainCfgs)
-	k := len(trainCfgs)
-
-	type cached struct {
-		reps    *tensor.Tensor
-		targets *tensor.Tensor
-	}
-	var data []cached
-	for _, p := range tuning {
-		reps := f.InstructionReps(p)
-		targets := tensor.New(p.N, k)
-		for i := 0; i < p.N; i++ {
-			for j := 0; j < k; j++ {
-				targets.Set(i, j, p.Targets[i*k+j]*f.Cfg.TargetScale)
-			}
-		}
-		data = append(data, cached{reps, targets})
-	}
 	in := u.inputs(trainCfgs)
-
 	opt := nn.NewAdam(lr)
-	rng := rand.New(rand.NewSource(seed))
-	const batch = 512
-	tp := tensor.NewTapeArena()
-	for e := 0; e < epochs; e++ {
-		for _, c := range data {
-			n := c.reps.Rows()
-			start := 0
-			if n > batch {
-				start = rng.Intn(n - batch)
-			}
-			end := start + batch
-			if end > n {
-				end = n
-			}
-			tp.Reset()
-			m := u.Net.Forward(tp, in) // [K x D]
-			reps := tensor.SliceRows(nil, c.reps, start, end)
-			targets := tensor.SliceRows(nil, c.targets, start, end)
-			preds := tensor.MatMulBT(tp, reps, m)
-			loss := nn.MSE(tp, preds, targets)
-			tp.Backward(loss)
-			opt.Step(u.Net.Params())
-		}
-	}
+	fitCachedReps(f, tuning, epochs, seed, func(tp *tensor.Tape, reps, targets *tensor.Tensor) {
+		m := u.Net.Forward(tp, in) // [K x D]
+		preds := tensor.MatMulBT(tp, reps, m)
+		tp.Backward(nn.MSE(tp, preds, targets))
+		opt.Step(u.Net.Params())
+	})
 }

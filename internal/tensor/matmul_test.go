@@ -385,29 +385,6 @@ func TestGradMatMulBTCols(t *testing.T) {
 	}
 }
 
-// TestParallelNestedNoDeadlock exercises Parallel calls issued from inside
-// pool workers: the unbuffered dispatch channel plus run-inline fallback must
-// never deadlock, whatever the nesting.
-func TestParallelNestedNoDeadlock(t *testing.T) {
-	prev := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(prev)
-	total := make([]int, 64*64)
-	Parallel(64, func(s, e int) {
-		for i := s; i < e; i++ {
-			Parallel(64, func(s2, e2 int) {
-				for j := s2; j < e2; j++ {
-					total[i*64+j]++
-				}
-			})
-		}
-	})
-	for i, v := range total {
-		if v != 1 {
-			t.Fatalf("index %d visited %d times", i, v)
-		}
-	}
-}
-
 // cutoffCalls counts kCutoffProbe invocations and records whether any one
 // of them received the whole range.
 type cutoffCalls struct {

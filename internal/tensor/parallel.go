@@ -9,16 +9,12 @@ import (
 // parallelThreshold is the estimated number of scalar operations below which
 // an op runs serially: a pool handoff costs on the order of a microsecond, so
 // smaller problems lose more to dispatch than they gain from extra cores.
-// ParallelKernel applies it; Parallel itself splits whenever more than one
-// worker is available.
 const parallelThreshold = 1 << 15
 
-// task is one contiguous chunk of a Parallel or ParallelKernel call,
-// dispatched to the pool. Exactly one of fn (closure form) or kern (typed
-// kernel form, with its argument block carried by value in args) is set.
-// A task with quit set tells the receiving worker to exit (pool shrink).
+// task is one contiguous chunk of a ParallelKernel call, dispatched to the
+// pool: the kernel and its argument block, carried by value. A task with
+// quit set tells the receiving worker to exit (pool shrink).
 type task struct {
-	fn         func(start, end int)
 	kern       Kernel
 	args       KernelArgs
 	start, end int
@@ -47,21 +43,27 @@ type KernelArgs struct {
 }
 
 // Kernel is a pool-dispatchable loop body over [start, end): a top-level
-// function receiving its arguments by value. Unlike the closure form
-// (Parallel), invoking a Kernel allocates nothing — a func literal that
-// escapes into the task queue costs one heap object per call site per
-// invocation, which was the dominant per-op allocation left in the
-// training step once tensors and records were pooled. All tensor-op forward
-// and VJP loops, the GEMM wrappers, and nn's Adam update dispatch through
-// kernels.
+// function receiving its arguments by value. Invoking a Kernel allocates
+// nothing, where a func literal escaping into the task queue would cost one
+// heap object per call site per invocation. Kernels are the pool's only
+// form of work: the tensor ops' forward and VJP loops, the GEMM wrappers,
+// nn's Adam update, and perfvec's encode ranges and evaluation shards.
 type Kernel func(start, end int, a KernelArgs)
 
-// ParallelKernel runs k over [0, n) like Parallel when the estimated scalar
-// work meets parallelThreshold, and serially otherwise. work is the caller's
+// ParallelKernel runs k over [0, n), blocking until every index is done.
+// When the estimated scalar work meets parallelThreshold and more than one
+// worker is available, it splits [0, n) into one contiguous chunk per
+// worker and runs the chunks concurrently on the persistent worker pool;
+// otherwise it runs k(0, n) on the calling goroutine. work is the caller's
 // estimate of total scalar operations: m*n*k for a GEMM, elements times
 // per-element cost for elementwise ops (so a low-row, high-work problem
-// still splits). Chunk boundaries are identical to Parallel's, so the
-// bitwise-determinism contract is unchanged.
+// still splits).
+//
+// Chunk boundaries depend only on n and GOMAXPROCS, and every index is
+// processed by exactly one invocation of k, so kernels whose per-index
+// arithmetic does not depend on chunk grouping produce bitwise-identical
+// results at any worker count. The caller always runs the chunk at index
+// 0 itself.
 func ParallelKernel(n, work int, k Kernel, a KernelArgs) {
 	if work < parallelThreshold {
 		k(0, n, a)
@@ -106,9 +108,10 @@ var (
 	poolTasks chan task
 )
 
-// wgPool recycles the WaitGroup each Parallel call hands to its tasks; the
-// group escapes into the task struct, so without pooling every parallelized
-// op (every GEMM pass of every training step) would heap-allocate one.
+// wgPool recycles the WaitGroup each ParallelKernel call hands to its
+// tasks; the group escapes into the task struct, so without pooling every
+// parallelized op (every GEMM pass of every training step) would
+// heap-allocate one.
 var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // ensurePool sizes the persistent worker pool to the current GOMAXPROCS,
@@ -119,8 +122,8 @@ var wgPool = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 // later call. The fast path (size unchanged) is one atomic load.
 //
 // Pool size only bounds how many chunks can run concurrently; chunk
-// boundaries are computed from GOMAXPROCS in Parallel itself, so results
-// remain bitwise-deterministic even while a resize is pending.
+// boundaries are computed from GOMAXPROCS in ParallelKernel itself, so
+// results remain bitwise-deterministic even while a resize is pending.
 func ensurePool() {
 	n := int32(runtime.GOMAXPROCS(0))
 	if poolSize.Load() == n {
@@ -130,10 +133,10 @@ func ensurePool() {
 	defer poolMu.Unlock()
 	if poolTasks == nil {
 		// Unbuffered: a dispatch succeeds only when a worker is actually
-		// idle; Parallel runs any chunk it cannot hand off on the calling
-		// goroutine. That keeps nested Parallel calls (a worker's chunk
-		// itself calling Parallel) deadlock-free: work never waits in a
-		// queue that only blocked workers could drain.
+		// idle; ParallelKernel runs any chunk it cannot hand off on the
+		// calling goroutine. That keeps nested dispatches (a worker's
+		// chunk itself calling ParallelKernel) deadlock-free: work never
+		// waits in a queue that only blocked workers could drain.
 		poolTasks = make(chan task)
 	}
 	for poolSize.Load() < n {
@@ -153,56 +156,10 @@ func ensurePool() {
 // poolWorker runs chunks until it receives a quit task.
 func poolWorker() {
 	for t := range poolTasks {
-		switch {
-		case t.quit:
+		if t.quit {
 			return
-		case t.kern != nil:
-			t.kern(t.start, t.end, t.args)
-		default:
-			t.fn(t.start, t.end)
 		}
+		t.kern(t.start, t.end, t.args)
 		t.wg.Done()
 	}
-}
-
-// Parallel splits [0, n) into one contiguous chunk per available worker and
-// runs fn on the chunks concurrently, blocking until all complete. Chunk
-// boundaries depend only on n and GOMAXPROCS, and every index is processed by
-// exactly one invocation of fn, so ops whose per-index arithmetic does not
-// depend on chunk grouping produce bitwise-identical results at any worker
-// count.
-//
-// Chunks are executed by a persistent worker pool instead of freshly
-// spawned goroutines, and the pool resizes when GOMAXPROCS changes after
-// first use.
-func Parallel(n int, fn func(start, end int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		fn(0, n)
-		return
-	}
-	ensurePool()
-	chunk := (n + workers - 1) / workers
-	wg := wgPool.Get().(*sync.WaitGroup)
-	for start := chunk; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		t := task{fn: fn, start: start, end: end, wg: wg}
-		wg.Add(1)
-		select {
-		case poolTasks <- t:
-		default:
-			// No idle worker: run the chunk here instead of queueing.
-			fn(t.start, t.end)
-			wg.Done()
-		}
-	}
-	fn(0, chunk) // the caller always works on the first chunk itself
-	wg.Wait()
-	wgPool.Put(wg)
 }

@@ -233,25 +233,3 @@ func TestMatMulMatchesReferenceLarge(t *testing.T) {
 		}
 	}
 }
-
-func TestParallelCoversRange(t *testing.T) {
-	seen := make([]int32, 1000)
-	Parallel(1000, func(start, end int) {
-		for i := start; i < end; i++ {
-			seen[i]++
-		}
-	})
-	for i, v := range seen {
-		if v != 1 {
-			t.Fatalf("index %d visited %d times", i, v)
-		}
-	}
-}
-
-func TestParallelSmallN(t *testing.T) {
-	count := 0
-	Parallel(1, func(start, end int) { count += end - start })
-	if count != 1 {
-		t.Fatalf("Parallel(1) covered %d items", count)
-	}
-}
