@@ -217,7 +217,10 @@
 //     training tape and the float32, int8 and float64 tiers are its four
 //     backends, and the trainer's validation loss runs on the float32 one.
 //     Its kernels are twins of the tape kernels minus the backward-only
-//     stores, so its output is bitwise identical to the tape backend's
+//     stores; on AVX2+FMA hosts both run the exact LSTM cell through a
+//     4-lane vector twin of math.Exp and math.Tanh that repeats the scalar
+//     code's operations, math.Exp's own amd64 FMAs included and no FMA
+//     beyond them, so its output is bitwise identical to the tape backend's
 //     (pinned per-op, per-architecture, and end-to-end through
 //     perfvec.Encoder.EncodePrograms32) — switching the serving default to
 //     it changed no bit of any served representation. Slab32 follows the

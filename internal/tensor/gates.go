@@ -33,6 +33,14 @@ import (
 // backward scratch arguments (gate activations, tanh(c'), ...) are nil
 // outside the tape and their stores are skipped. Go compiles the two
 // widths as separate instantiations, so the loops pay no dictionary cost.
+//
+// The float32-only LSTM kernel (kLSTMGates) hands whole 4-lane groups to
+// an AVX2 twin (gatesexact_amd64.s) that produces the scalar code's bits:
+// math.Exp's amd64 FMA arm instruction for instruction — an FMA the scalar
+// reference performs itself, never one it does not — and math.Tanh's
+// unfused expression. It runs only where math takes that arm
+// (useExactGates). The generic kernels stay the reference, the portable
+// path and the float64 oracle's kernel.
 
 // float is the element type of the shared forward kernels: float32 for the
 // tape and the serving slab, float64 for the oracle.
@@ -72,33 +80,48 @@ func LSTMGates(tp *Tape, pre, bias, c *Tensor) (*Tensor, *Tensor) {
 
 // kLSTMGates: S0=pre, S1=bias, S2=c, S3=h', S4=c', S5=acts, S6=tanh(c')
 // (S5/S6 nil on the forward-only path); I0=H. Partitioned over batch rows.
-func kLSTMGates(r0, r1 int, ka KernelArgs) {
-	lstmGates(r0, r1, ka.I[0], ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4], ka.S[5], ka.S[6])
-}
-
-// lstmGates is the LSTM gate block over rows [r0, r1) of pre[m,4H]: it
-// writes h' and c', and the gate activations and tanh(c') into acts and
-// tanhC when those are non-nil.
+// The whole 4-lane groups of each row run through the exact vector twin
+// where there is one (gatesexact_amd64.s), the remaining columns through
+// lstmGates.
 //
 //perfvec:hotpath
-func lstmGates[F float](r0, r1, H int, pre, bias, c, hNew, cNew, acts, tanhC []F) {
+func kLSTMGates(r0, r1 int, ka KernelArgs) {
+	H := ka.I[0]
+	pre, bias, c, hNew, cNew, acts, tanhC := ka.S[0], ka.S[1], ka.S[2], ka.S[3], ka.S[4], ka.S[5], ka.S[6]
+	j0 := 0
+	if useExactGates && H >= 4 && r1 > r0 {
+		vLSTMGatesExact(&pre[r0*4*H], &bias[0], &c[r0*H], &hNew[r0*H], &cNew[r0*H],
+			elemPtr(acts, r0*4*H), elemPtr(tanhC, r0*H), r1-r0, H)
+		j0 = H &^ 3
+	}
+	if j0 < H {
+		lstmGates(r0, r1, j0, H, pre, bias, c, hNew, cNew, acts, tanhC)
+	}
+}
+
+// lstmGates is the LSTM gate block over columns [j0, H) of rows [r0, r1)
+// of pre[m,4H]: it writes h' and c', and the gate activations and tanh(c')
+// into acts and tanhC when those are non-nil.
+//
+//perfvec:hotpath
+func lstmGates[F float](r0, r1, j0, H int, pre, bias, c, hNew, cNew, acts, tanhC []F) {
 	for r := r0; r < r1; r++ {
 		var ar, tr []F
 		if acts != nil {
 			ar, tr = acts[r*4*H:(r+1)*4*H], tanhC[r*H:(r+1)*H]
 		}
-		lstmRow(pre[r*4*H:(r+1)*4*H], bias, c[r*H:(r+1)*H], hNew[r*H:(r+1)*H], cNew[r*H:(r+1)*H], ar, tr)
+		lstmRow(j0, pre[r*4*H:(r+1)*4*H], bias, c[r*H:(r+1)*H], hNew[r*H:(r+1)*H], cNew[r*H:(r+1)*H], ar, tr)
 	}
 }
 
-// lstmRow is one row of lstmGates, H = len(c). A call per row keeps the
-// row loop's state out of the inner loop, where every math.Exp/math.Tanh
-// call spills and reloads what is live.
+// lstmRow is columns [j0, H) of one row of lstmGates, H = len(c). A call
+// per row keeps the row loop's state out of the inner loop, where every
+// math.Exp/math.Tanh call spills and reloads what is live.
 //
 //perfvec:hotpath
-func lstmRow[F float](zr, bias, c, hNew, cNew, acts, tanhC []F) {
+func lstmRow[F float](j0 int, zr, bias, c, hNew, cNew, acts, tanhC []F) {
 	H := len(c)
-	for j := 0; j < H; j++ {
+	for j := j0; j < H; j++ {
 		i := sigmoid(zr[j] + bias[j])
 		f := sigmoid(zr[H+j] + bias[H+j])
 		g := tanh(zr[2*H+j] + bias[2*H+j])
@@ -524,4 +547,15 @@ func kReLUInPlaceVJP(s, e int, ka KernelArgs) {
 			g[i] = 0
 		}
 	}
+}
+
+// elemPtr is &s[i], or nil for a nil s: the vector kernel's form of an
+// optional output.
+//
+//perfvec:hotpath
+func elemPtr(s []float32, i int) *float32 {
+	if s == nil {
+		return nil
+	}
+	return &s[i]
 }

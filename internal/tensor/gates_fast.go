@@ -4,10 +4,10 @@ import "math"
 
 // Fast float32 gate nonlinearities for the int8 inference tier.
 //
-// Profiling the f32 encode path shows 82% of its CPU time in the exact gate
-// kernel lstmGates (math.Exp/math.Tanh through the libm-accurate scalar
-// paths), not in the GEMMs — so an int8 tier that only quantized the matrix
-// multiplies could never clear its speedup gate. These kernels replace the
+// When this tier was built, 82% of the f32 encode path's CPU time was in
+// the exact gate kernel lstmGates (math.Exp/math.Tanh through the
+// libm-accurate scalar paths), not in the GEMMs — so an int8 tier that only
+// quantized the matrix multiplies could never clear its speedup gate. These kernels replace the
 // libm calls with a range-reduced polynomial exp in pure float32: relative
 // error is below ~5e-7, two orders of magnitude under the int8 tier's
 // quantization noise (~1e-2 scale steps), so the drift harness budget is
@@ -19,14 +19,16 @@ import "math"
 // 8-lane blocks to the AVX2 kernels in gatesfast_amd64.s when available and
 // fall back to the scalar fastExp32 family elsewhere (and for tails). The
 // vector kernels use unfused mul/add in the exact scalar expression order —
-// Go never contracts to FMA on amd64 — so asm and noasm builds of the int8
-// path compute bit-identical gate values; TestFastGateVectorMatchesScalar
-// pins the equality. The LSTM cell, the int8 tier's dominant gate kernel,
+// Go never contracts to FMA on amd64, and fastExp32 performs no FMA of its
+// own for a twin to repeat — so asm and noasm builds of the int8 path
+// compute bit-identical gate values; TestFastGateVectorMatchesScalar pins
+// the equality. The LSTM cell, the int8 tier's dominant gate kernel,
 // goes one step further when H is a multiple of 8: vLSTMGatesF32 fuses the
 // bias add, the four activations, the cell combine and the h multiply into
 // one vector pass per row, a bitwise twin of the slice composition
 // (TestLSTMGatesFastFusedMatchesGo). The tape, the f32 tier and the f64
-// oracle keep the libm-exact kernels of gates.go.
+// oracle keep the libm-exact kernels of gates.go, whose float32 LSTM cell
+// has an exact vector twin of its own (gatesexact_amd64.s).
 
 const (
 	fastLog2E = float32(1.4426950408889634) // 1/ln(2)

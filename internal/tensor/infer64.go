@@ -139,7 +139,7 @@ func LSTMGates64(pre Tensor64, bias []float64, c Tensor64) (h, cNew Tensor64) {
 	}
 	h = NewTensor64(m, H)
 	cNew = NewTensor64(m, H)
-	lstmGates(0, m, H, pre.Data, bias, c.Data, h.Data, cNew.Data, nil, nil)
+	lstmGates(0, m, 0, H, pre.Data, bias, c.Data, h.Data, cNew.Data, nil, nil)
 	return h, cNew
 }
 
