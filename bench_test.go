@@ -255,6 +255,13 @@ func BenchmarkMatMulQ8(b *testing.B)           { benchsuite.MatMulQ8(b) }
 func BenchmarkMatMulQ8ModelShape(b *testing.B) { benchsuite.MatMulQ8ModelShape(b) }
 func BenchmarkEncodeQ8(b *testing.B)           { benchsuite.EncodeQ8(b) }
 
+// BenchmarkEncodeLongF32 and BenchmarkEncodeLongQ8 encode one 15000-row
+// program (a predict-unseen program's size) on each serving tier: one
+// coalesced call long enough that its dispatch, rather than per-program
+// costs, decides the rate. bench_budget.json pins both at 0 allocs/op.
+func BenchmarkEncodeLongF32(b *testing.B) { benchsuite.EncodeLongF32(b) }
+func BenchmarkEncodeLongQ8(b *testing.B)  { benchsuite.EncodeLongQ8(b) }
+
 // BenchmarkSweep measures the batched design-space sweep (candidates
 // embedded once, one GEMM per program over a 2048-config space) and
 // BenchmarkSweepNaive the same prediction matrix via per-config re-embedding

@@ -1,6 +1,7 @@
 // Command perfvec-bench runs the repo's tracked micro-benchmarks
 // (BenchmarkMatMul/MatMul32/MatMulQ8/MatMulQ8ModelShape, BenchmarkBatch,
-// BenchmarkTrainStep, the BenchmarkEncodeF32/EncodeQ8 serving-tier pair,
+// BenchmarkTrainStep, the BenchmarkEncodeF32/EncodeQ8 serving-tier pair
+// and its one-long-program twin BenchmarkEncodeLongF32/EncodeLongQ8,
 // the BenchmarkServe* serving suite, and the BenchmarkSweep/SweepNaive
 // design-space sweep pair) through testing.Benchmark and writes the
 // results as JSON, so the performance trajectory of the training and
@@ -143,6 +144,8 @@ func main() {
 		{"TrainStep", benchsuite.TrainStep},
 		{"EncodeF32", benchsuite.EncodeF32},
 		{"EncodeQ8", benchsuite.EncodeQ8},
+		{"EncodeLongF32", benchsuite.EncodeLongF32},
+		{"EncodeLongQ8", benchsuite.EncodeLongQ8},
 		{"Serve", benchsuite.Serve},
 		{"ServeNaive", benchsuite.ServeNaive},
 		{"ServeSubmitHit", benchsuite.ServeSubmitHit},

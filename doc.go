@@ -44,7 +44,11 @@
 //   - Packed-buffer lifetime: pack panels come from a free-list pool
 //     (packPool) and are owned by the engine only within a single GEMM
 //     call — returned before the call completes, never retained — so the
-//     hot path stays zero-alloc without pinning panel memory.
+//     hot path stays zero-alloc without pinning panel memory. A product
+//     small enough for a Slab32's packing scratch (every GEMM of the
+//     default encoder's row ranges) runs serially on the slab's goroutine
+//     with its panels in that scratch, taking no pool buffer and making no
+//     dispatch.
 //
 // Kernels are leading-dimension-parameterized so fused ops (MatMulBTCat for
 // recurrent cells, MatMulBTCols for attention heads) run on column
@@ -88,13 +92,16 @@
 // worker pool resizes when GOMAXPROCS changes after first use; a typed
 // kernel (tensor.ParallelKernel) is the only way work reaches that pool.
 // Inference pools the same way: InstructionReps, ProgramRep, and the batch
-// encodes run one wave loop on the Foundation's pooled encoders
-// (perfvec.Encoder), whose arenas are recycled per row range. It splits
-// each wave of up to 256 instruction rows into contiguous row ranges across
-// the worker pool, one encoder per range (the caller's runs the first, the
-// others are borrowed from the pool), and either sums the wave's rows per
-// program in row order or, for InstructionReps, writes each row out, so its
-// output is bitwise the same at any GOMAXPROCS.
+// encodes run one encode loop on the Foundation's pooled encoders
+// (perfvec.Encoder), whose arenas are recycled per row range. One dispatch
+// per call runs a claim loop on every worker (the caller's encoder runs
+// one, the others borrow theirs from the pool): each loop takes ranges of
+// up to 128 instruction rows from a shared cursor, hands the graph each
+// range's instruction rows once (the first layer projects every
+// instruction once, not once per window), and either parks the rows in a
+// bounded ring that is summed per program strictly in row order or, for
+// InstructionReps, writes each row out, so its output is bitwise the same
+// at any GOMAXPROCS.
 // cmd/perfvec-bench records MatMul/Batch/TrainStep in BENCH_N.json (with
 // -tape-histogram printing one step's op-record kind histogram for graph
 // profiling), and CI fails any change whose training step or GEMM exceeds
@@ -206,11 +213,11 @@
 // Two inference engines serve, selected by serve.Config's Precision
 // (cmd/perfvec-serve -precision f32|int8), and a third, the float64
 // oracle, is the reference both are held against. All three run through one
-// batch encode loop (perfvec.Encoder's row-parallel wave/fill/accumulate
-// pass) and differ only in the forward backend:
+// batch encode loop (perfvec.Encoder's claim/encode/fold pass) and differ
+// only in the forward backend:
 //
 //   - The forward-only float32 fast path (the default): tensor.Slab32
-//     arenas, tensor's *32 entry points, and nn.ForwardSeq32 run the
+//     arenas, tensor's *32 entry points, and nn.ForwardWindows32 run the
 //     inference graph without tape records, VJP scratch stores, or backward
 //     bookkeeping. internal/nn writes each architecture's forward graph
 //     once, generic over the activation type and a kernel backend; the

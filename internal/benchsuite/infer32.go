@@ -35,10 +35,20 @@ func MatMul32(b *testing.B) {
 
 // encodePrograms builds the fixed batch the encode benchmarks run: a few
 // medium programs plus a tail of small ones, totalling 1024 instruction
-// rows — four full streamChunk encode chunks spanning program boundaries.
+// rows — eight full 128-row encode ranges spanning program boundaries.
 func encodePrograms(cfg perfvec.Config) []*perfvec.ProgramData {
+	return randomPrograms(cfg, 300, 256, 200, 100, 64, 33, 30, 20, 14, 7)
+}
+
+// longRows is the length of the EncodeLong benchmarks' one program: the
+// size of a predict-unseen program (perfbench), where a coalesced encode's
+// per-call dispatch and fold show rather than its per-program costs.
+const longRows = 15000
+
+// randomPrograms builds seeded programs of the given lengths with features
+// uniform in [-1, 1).
+func randomPrograms(cfg perfvec.Config, sizes ...int) []*perfvec.ProgramData {
 	rng := rand.New(rand.NewSource(71))
-	sizes := []int{300, 256, 200, 100, 64, 33, 30, 20, 14, 7}
 	ps := make([]*perfvec.ProgramData, len(sizes))
 	for i, n := range sizes {
 		p := &perfvec.ProgramData{Name: "bench", N: n, FeatDim: cfg.FeatDim,
@@ -56,8 +66,21 @@ func encodePrograms(cfg perfvec.Config) []*perfvec.ProgramData {
 // batch.
 func EncodeF32(b *testing.B) {
 	cfg := perfvec.DefaultConfig()
+	encodeBench(b, cfg, encodePrograms(cfg), false)
+}
+
+// EncodeLongF32 measures the float32 encode of one longRows-row program;
+// EncodeLongQ8 runs the int8 tier over the same program.
+func EncodeLongF32(b *testing.B) {
+	cfg := perfvec.DefaultConfig()
+	encodeBench(b, cfg, randomPrograms(cfg, longRows), false)
+}
+
+// encodeBench runs the batched encode of ps on a pooled encoder — the int8
+// tier when q8 is set, the float32 one otherwise — after one warm-up pass
+// (which also quantizes the weights), and reports rows/s.
+func encodeBench(b *testing.B, cfg perfvec.Config, ps []*perfvec.ProgramData, q8 bool) {
 	f := perfvec.NewFoundation(cfg)
-	ps := encodePrograms(cfg)
 	rows := 0
 	for _, p := range ps {
 		rows += p.N
@@ -68,11 +91,16 @@ func EncodeF32(b *testing.B) {
 	}
 	e := f.AcquireEncoder()
 	defer f.ReleaseEncoder(e)
-	e.EncodePrograms32(ps, dst) // warm the slab and pack pools
+	encode := e.EncodePrograms32
+	if q8 {
+		encode = e.EncodeProgramsQ8
+	}
+	encode(ps, dst) // warm the slabs and pack pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		e.EncodePrograms32(ps, dst)
+		encode(ps, dst)
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
 }

@@ -79,24 +79,11 @@ func MatMulQ8ModelShape(b *testing.B) {
 // batch >= 256 on amd64/AVX2).
 func EncodeQ8(b *testing.B) {
 	cfg := perfvec.DefaultConfig()
-	f := perfvec.NewFoundation(cfg)
-	ps := encodePrograms(cfg)
-	rows := 0
-	for _, p := range ps {
-		rows += p.N
-	}
-	dst := make([][]float32, len(ps))
-	for i := range dst {
-		dst[i] = make([]float32, cfg.RepDim)
-	}
-	e := f.AcquireEncoder()
-	defer f.ReleaseEncoder(e)
-	e.EncodeProgramsQ8(ps, dst) // quantize the weights and warm the slabs
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.EncodeProgramsQ8(ps, dst)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(rows)*float64(b.N)/b.Elapsed().Seconds(), "rows/s")
+	encodeBench(b, cfg, encodePrograms(cfg), true)
+}
+
+// EncodeLongQ8 is EncodeLongF32 on the int8 tier.
+func EncodeLongQ8(b *testing.B) {
+	cfg := perfvec.DefaultConfig()
+	encodeBench(b, cfg, randomPrograms(cfg, longRows), true)
 }

@@ -39,11 +39,6 @@ func (o slabOps) mat(r, c int) tensor.Tensor32 { return o.s.Mat(r, c) }
 func (o slabOps) mats(n int) []tensor.Tensor32 { return o.s.Mats(n) }
 
 //perfvec:hotpath
-func (o slabOps) flatten(xs []tensor.Tensor32) tensor.Tensor32 {
-	return tensor.FlattenSeq32(o.s, xs)
-}
-
-//perfvec:hotpath
 func (o slabOps) concat(a, b tensor.Tensor32) tensor.Tensor32 {
 	return tensor.ConcatCols32(o.s, a, b)
 }
@@ -82,6 +77,43 @@ func (o slabOps) layerNorm(x tensor.Tensor32, g, b *tensor.Tensor) tensor.Tensor
 //perfvec:hotpath
 func (o slabOps) relu(x tensor.Tensor32) tensor.Tensor32 { return tensor.ReLUInPlace32(x) }
 
+// windows32 is the float32 backends' input form.
+type windows32 = Windows[tensor.Tensor32]
+
+//perfvec:hotpath
+func (o slabOps) window(x windows32) (int, int) { return len(x.Start), x.Len }
+
+// step gathers window position t of every output row into a fresh matrix,
+// which the caller may then accumulate into.
+//
+//perfvec:hotpath
+func (o slabOps) step(p windows32, t int) tensor.Tensor32 {
+	out := o.s.Mat(len(p.Start), p.Rows.C)
+	tensor.GatherRows32(out, p.Rows, p.Start, t)
+	return out
+}
+
+// flattenWindows gathers each output row's window, Len contiguous rows.
+//
+//perfvec:hotpath
+func (o slabOps) flattenWindows(x windows32) tensor.Tensor32 {
+	out := o.s.Mat(len(x.Start), x.Len*x.Rows.C)
+	tensor.GatherRows32(out, x.Rows, x.Start, 0)
+	return out
+}
+
+// projected wraps a projection p of x, with the step buffer stepCat gathers
+// into when w is a recurrent cell's fused weight (wider than the input).
+//
+//perfvec:hotpath
+func (o slabOps) projected(x windows32, p tensor.Tensor32, w *tensor.Tensor) windows32 {
+	out := windows32{Rows: p, Start: x.Start, Len: x.Len}
+	if w.Cols() > x.Rows.C {
+		out.pre = o.s.Mat(len(x.Start), p.C)
+	}
+	return out
+}
+
 // f32Ops is the float32 inference backend.
 type f32Ops struct{ slabOps }
 
@@ -100,6 +132,29 @@ func (o f32Ops) linear(x tensor.Tensor32, w, b *tensor.Tensor) tensor.Tensor32 {
 //perfvec:hotpath
 func (o f32Ops) linearCat(x, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32 {
 	return tensor.MatMulBTCat32(o.s, x, h, t32(w))
+}
+
+// project computes the first layer's input projection once per input row
+// — the x-part pass MatMulBTCat32 makes, with the bias broadcast in place
+// after it as linear does — and stepCat adds the h-part pass on top of each
+// step's gathered rows, so every pre-activation element is the same FMA
+// chain the fused op computes.
+//
+//perfvec:hotpath
+func (o f32Ops) project(x windows32, w, b *tensor.Tensor) windows32 {
+	p := o.s.Mat(x.Rows.R, w.Rows())
+	tensor.MatMulBTPart32(o.s, p, x.Rows, t32(w), 0)
+	if b != nil {
+		p = tensor.AddBiasInPlace32(p, b.Data)
+	}
+	return o.projected(x, p, w)
+}
+
+//perfvec:hotpath
+func (o f32Ops) stepCat(p windows32, t int, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32 {
+	tensor.GatherRows32(p.pre, p.Rows, p.Start, t)
+	tensor.MatMulBTPart32(o.s, p.pre, h, t32(w), w.Cols()-h.C)
+	return p.pre
 }
 
 //perfvec:hotpath
@@ -135,14 +190,14 @@ func (o f32Ops) act(a Activation, x tensor.Tensor32) tensor.Tensor32 {
 	panic("nn: unknown activation")
 }
 
-// ForwardSeq32 encodes a sequence of [batch, features] tensors on the slab
-// through the float32 backend. Every SeqEncoder in this package is
-// supported; an unknown implementation panics (the serving layer validates
-// the model kind at construction).
+// ForwardWindows32 encodes the window batch x on the slab through the
+// float32 backend. Every SeqEncoder in this package is supported; an
+// unknown implementation panics (the serving layer validates the model kind
+// at construction).
 //
 //perfvec:hotpath
-func ForwardSeq32(enc SeqEncoder, s *tensor.Slab32, xs []tensor.Tensor32) tensor.Tensor32 {
-	return inferSeq(f32Ops{slabOps{s}}, enc, xs)
+func ForwardWindows32(enc SeqEncoder, s *tensor.Slab32, x Windows[tensor.Tensor32]) tensor.Tensor32 {
+	return inferSeq[tensor.Tensor32](f32Ops{slabOps{s}}, enc, x)
 }
 
 // Forward32 applies the layer on the slab; the bias broadcast runs in place
@@ -150,12 +205,12 @@ func ForwardSeq32(enc SeqEncoder, s *tensor.Slab32, xs []tensor.Tensor32) tensor
 //
 //perfvec:hotpath
 func (l *Linear) Forward32(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
-	return inferLinear(f32Ops{slabOps{s}}, l, x)
+	return inferLinear[tensor.Tensor32, windows32](f32Ops{slabOps{s}}, l, x)
 }
 
 // Forward32 applies all layers with the activation between them.
 //
 //perfvec:hotpath
 func (m *MLP) Forward32(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
-	return inferMLP(f32Ops{slabOps{s}}, m, x)
+	return inferMLP[tensor.Tensor32, windows32](f32Ops{slabOps{s}}, m, x)
 }

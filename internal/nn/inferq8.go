@@ -7,7 +7,7 @@ import (
 // Int8 inference backend. NewQ8Encoder quantizes a trained float32 model's
 // weight matrices once, at model load — per-output-channel symmetric int8,
 // pre-packed into the quantized GEMM engine's strip layout
-// (tensor.QuantizeWeightsBT) — and ForwardSeqQ8 runs the inference graph
+// (tensor.QuantizeWeightsBT) — and ForwardWindowsQ8 runs the inference graph
 // (infer.go) with every large GEMM (input/recurrent projections, attention
 // projections, MLP layers) going through tensor.MatMulQ8* with dynamic
 // per-row activation quantization. Everything between the GEMMs stays
@@ -86,14 +86,13 @@ func NewQ8Encoder(enc SeqEncoder) *Q8Encoder {
 	return o
 }
 
-// ForwardSeqQ8 encodes a sequence of [batch, features] tensors through the
-// int8 backend. s supplies f32 activation scratch exactly as in
-// ForwardSeq32; q supplies the quantization scratch each MatMulQ8 call
-// owns transiently.
+// ForwardWindowsQ8 encodes the window batch x through the int8 backend. s
+// supplies f32 activation scratch exactly as in ForwardWindows32; q
+// supplies the quantization scratch each MatMulQ8 call owns transiently.
 //
 //perfvec:hotpath
-func ForwardSeqQ8(enc *Q8Encoder, s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) tensor.Tensor32 {
-	return inferSeq(q8Ops{slabOps: slabOps{s}, q: q, w: enc.w}, enc.enc, xs)
+func ForwardWindowsQ8(enc *Q8Encoder, s *tensor.Slab32, q *tensor.SlabI8, x Windows[tensor.Tensor32]) tensor.Tensor32 {
+	return inferSeq[tensor.Tensor32](q8Ops{slabOps: slabOps{s}, q: q, w: enc.w}, enc.enc, x)
 }
 
 // OutDim reports the width of the encoding.
@@ -129,6 +128,29 @@ func (o q8Ops) linearCat(x, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32
 	pre := tensor.MatMulQ8(o.s, o.q, x, qw.x, nil)
 	tensor.MatMulQ8Into(o.q, pre, h, qw.h, nil, true)
 	return pre
+}
+
+// project quantizes each input row once: a plain weight's projection
+// carries its bias in the dequantization epilogue, as linear's does; a
+// fused weight's x operand is the one linearCat's first MatMulQ8 uses.
+// Quantization is per row, so every projected row is the one that call
+// computes for the same input row, and stepCat adds the h operand's
+// dequantized product on top of it, as linearCat does.
+//
+//perfvec:hotpath
+func (o q8Ops) project(x windows32, w, b *tensor.Tensor) windows32 {
+	qw := o.w[w].full
+	if qw == nil {
+		qw = o.w[w].x
+	}
+	return o.projected(x, tensor.MatMulQ8(o.s, o.q, x.Rows, qw, data(b)), w)
+}
+
+//perfvec:hotpath
+func (o q8Ops) stepCat(p windows32, t int, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32 {
+	tensor.GatherRows32(p.pre, p.Rows, p.Start, t)
+	tensor.MatMulQ8Into(o.q, p.pre, h, o.w[w].h, nil, true)
+	return p.pre
 }
 
 //perfvec:hotpath

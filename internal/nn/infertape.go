@@ -12,14 +12,39 @@ import (
 // pinned to bit for bit (TestForwardSeq32Bitwise).
 type tapeOps struct{ tp *tensor.Tape }
 
+// tapeIn is the tape backend's input: the per-timestep matrices, plus the
+// weight and bias of a projection, which the tape applies at each step —
+// the ops a training step has always recorded, so its gradients keep their
+// summation order.
+type tapeIn struct {
+	xs   []*tensor.Tensor
+	w, b *tensor.Tensor
+}
+
+//perfvec:hotpath
+func (o tapeOps) window(x tapeIn) (int, int) { return x.xs[0].Rows(), len(x.xs) }
+
+//perfvec:hotpath
+func (o tapeOps) project(x tapeIn, w, b *tensor.Tensor) tapeIn {
+	return tapeIn{xs: x.xs, w: w, b: b}
+}
+
+//perfvec:hotpath
+func (o tapeOps) step(p tapeIn, t int) *tensor.Tensor { return o.linear(p.xs[t], p.w, p.b) }
+
+//perfvec:hotpath
+func (o tapeOps) stepCat(p tapeIn, t int, h, w *tensor.Tensor) *tensor.Tensor {
+	return o.linearCat(p.xs[t], h, w)
+}
+
+//perfvec:hotpath
+func (o tapeOps) flattenWindows(x tapeIn) *tensor.Tensor { return FlattenSeq(o.tp, x.xs) }
+
 //perfvec:hotpath
 func (o tapeOps) mat(r, c int) *tensor.Tensor { return tensor.Zeros(o.tp, r, c) }
 
 //perfvec:hotpath
 func (o tapeOps) mats(n int) []*tensor.Tensor { return o.tp.Tensors(n) }
-
-//perfvec:hotpath
-func (o tapeOps) flatten(xs []*tensor.Tensor) *tensor.Tensor { return FlattenSeq(o.tp, xs) }
 
 //perfvec:hotpath
 func (o tapeOps) concat(a, b *tensor.Tensor) *tensor.Tensor { return tensor.ConcatCols(o.tp, a, b) }
@@ -114,14 +139,14 @@ func (o tapeOps) act(a Activation, x *tensor.Tensor) *tensor.Tensor {
 //
 //perfvec:hotpath
 func ForwardSeq(tp *tensor.Tape, enc SeqEncoder, xs []*tensor.Tensor) *tensor.Tensor {
-	return inferSeq(tapeOps{tp}, enc, xs)
+	return inferSeq[*tensor.Tensor](tapeOps{tp}, enc, tapeIn{xs: xs})
 }
 
 // Forward applies the layer to x[batch, in] on tp.
 //
 //perfvec:hotpath
 func (l *Linear) Forward(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor {
-	return inferLinear(tapeOps{tp}, l, x)
+	return inferLinear[*tensor.Tensor, tapeIn](tapeOps{tp}, l, x)
 }
 
 // Forward applies all layers with the activation between them (none after
@@ -129,5 +154,5 @@ func (l *Linear) Forward(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor {
 //
 //perfvec:hotpath
 func (m *MLP) Forward(tp *tensor.Tape, x *tensor.Tensor) *tensor.Tensor {
-	return inferMLP(tapeOps{tp}, m, x)
+	return inferMLP[*tensor.Tensor, tapeIn](tapeOps{tp}, m, x)
 }

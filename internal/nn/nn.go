@@ -17,7 +17,8 @@ import (
 // features] tensors into a single [batch, OutDim] tensor. All PerfVec
 // foundation-model architectures implement it; their forward pass is the
 // one graph in infer.go, run on a tape by ForwardSeq and on the forward-only
-// backends by ForwardSeq32, ForwardSeqQ8 and Oracle64.
+// backends, over a window batch, by ForwardWindows32, ForwardWindowsQ8 and
+// Oracle64.ForwardWindows.
 type SeqEncoder interface {
 	// OutDim reports the width of the encoding.
 	OutDim() int

@@ -40,14 +40,14 @@ func NewOracle64(enc SeqEncoder, layers ...*Linear) *Oracle64 {
 	return o
 }
 
-// ForwardSeq encodes a sequence of [batch, features] float64 tensors.
-func (o *Oracle64) ForwardSeq(xs []tensor.Tensor64) tensor.Tensor64 {
-	return inferSeq(o.ops, o.enc, xs)
+// ForwardWindows encodes the float64 window batch x.
+func (o *Oracle64) ForwardWindows(x Windows[tensor.Tensor64]) tensor.Tensor64 {
+	return inferSeq[tensor.Tensor64](o.ops, o.enc, x)
 }
 
 // Linear applies l, one of the layers passed to NewOracle64, in float64.
 func (o *Oracle64) Linear(l *Linear, x tensor.Tensor64) tensor.Tensor64 {
-	return inferLinear(o.ops, l, x)
+	return inferLinear[tensor.Tensor64, windows64](o.ops, l, x)
 }
 
 // OutDim reports the width of the encoding.
@@ -71,8 +71,6 @@ func (o f64Ops) p(t *tensor.Tensor) tensor.Tensor64 {
 func (o f64Ops) mat(r, c int) tensor.Tensor64 { return tensor.NewTensor64(r, c) }
 
 func (o f64Ops) mats(n int) []tensor.Tensor64 { return make([]tensor.Tensor64, n) }
-
-func (o f64Ops) flatten(xs []tensor.Tensor64) tensor.Tensor64 { return tensor.FlattenSeq64(xs) }
 
 func (o f64Ops) concat(a, b tensor.Tensor64) tensor.Tensor64 { return tensor.ConcatCols64(a, b) }
 
@@ -110,6 +108,38 @@ func (o f64Ops) linear(x tensor.Tensor64, w, b *tensor.Tensor) tensor.Tensor64 {
 
 func (o f64Ops) linearCat(x, h tensor.Tensor64, w *tensor.Tensor) tensor.Tensor64 {
 	return tensor.MatMulBTCat64(x, h, o.p(w))
+}
+
+// windows64 is the oracle's input form.
+type windows64 = Windows[tensor.Tensor64]
+
+func (o f64Ops) window(x windows64) (int, int) { return len(x.Start), x.Len }
+
+func (o f64Ops) project(x windows64, w, b *tensor.Tensor) windows64 {
+	p := tensor.NewTensor64(x.Rows.R, w.Rows())
+	tensor.MatMulBTPart64(p, x.Rows, o.p(w), 0)
+	if b != nil {
+		p = o.addBias(p, b)
+	}
+	return windows64{Rows: p, Start: x.Start, Len: x.Len}
+}
+
+func (o f64Ops) step(p windows64, t int) tensor.Tensor64 {
+	out := tensor.NewTensor64(len(p.Start), p.Rows.C)
+	tensor.GatherRows64(out, p.Rows, p.Start, t)
+	return out
+}
+
+func (o f64Ops) stepCat(p windows64, t int, h tensor.Tensor64, w *tensor.Tensor) tensor.Tensor64 {
+	pre := o.step(p, t)
+	tensor.MatMulBTPart64(pre, h, o.p(w), w.Cols()-h.C)
+	return pre
+}
+
+func (o f64Ops) flattenWindows(x windows64) tensor.Tensor64 {
+	out := tensor.NewTensor64(len(x.Start), x.Len*x.Rows.C)
+	tensor.GatherRows64(out, x.Rows, x.Start, 0)
+	return out
 }
 
 func (o f64Ops) lstmGates(pre tensor.Tensor64, b *tensor.Tensor, c tensor.Tensor64) (tensor.Tensor64, tensor.Tensor64) {

@@ -8,7 +8,7 @@ import (
 
 // Precision variants of the coalesced batch encode. EncodePrograms32 is the
 // serving fast path: the batch encode loop (encode.go) on the forward-only
-// float32 engine (nn.ForwardSeq32 on the encoder's Slab32). That engine is
+// float32 engine (nn.ForwardWindows32 on the encoder's Slab32). That engine is
 // bitwise identical to the training (tape) forward, so
 // EncodePrograms32's output is bitwise identical to ProgramRep for every
 // program in the batch, and it is row-wise batch-invariant (both pinned in
@@ -42,10 +42,10 @@ func (f *Foundation) oracle64() *nn.Oracle64 {
 }
 
 // EncodePrograms64 runs the coalesced batch encode (encode.go) through the
-// float64 oracle on a pooled encoder: the same row-parallel waves and
-// accumulation as EncodePrograms32, with each range's windows widened
-// exactly and the whole forward graph computed in float64. dst[i] must have length RepDim; every
-// ps[i].N must be >= 1.
+// float64 oracle on a pooled encoder: the same claimed row ranges and
+// in-order accumulation as EncodePrograms32, with each range's window batch
+// widened exactly and the whole forward graph computed in float64. dst[i]
+// must have length RepDim; every ps[i].N must be >= 1.
 func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
 	e := f.AcquireEncoder()
 	e.encode(ps, nil, nil, engineOracle)
@@ -56,20 +56,17 @@ func (f *Foundation) EncodePrograms64(ps []*ProgramData, dst [][]float64) {
 	f.ReleaseEncoder(e)
 }
 
-// forward64 is the oracle's forward pass over the window matrices xs: it
-// widens them (exactly) to float64 and runs encoder and head through
+// forward64 is the oracle's forward pass over the window batch xs: it
+// widens its rows (exactly) to float64 and runs encoder and head through
 // oracle64. It allocates per call — it is the drift reference, not a hot
 // path.
-func (e *Encoder) forward64(xs []tensor.Tensor32) tensor.Tensor64 {
+func (e *Encoder) forward64(xs nn.Windows[tensor.Tensor32]) tensor.Tensor64 {
 	o := e.f.oracle64()
-	xs64 := make([]tensor.Tensor64, len(xs))
-	for t, x := range xs {
-		xs64[t] = tensor.NewTensor64(x.R, x.C)
-		for i, v := range x.Data {
-			xs64[t].Data[i] = float64(v)
-		}
+	rows := tensor.NewTensor64(xs.Rows.R, xs.Rows.C)
+	for i, v := range xs.Rows.Data {
+		rows.Data[i] = float64(v)
 	}
-	return o.Linear(e.f.Head, o.ForwardSeq(xs64))
+	return o.Linear(e.f.Head, o.ForwardWindows(nn.Windows[tensor.Tensor64]{Rows: rows, Start: xs.Start, Len: xs.Len}))
 }
 
 // PredictTotalNs64 is the float64-oracle form of PredictTotalNs: the same

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
+	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -210,4 +212,148 @@ func TestEncoderPoolSteadyState(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestEncodeRejectsForeignFeatDim pins the encode precondition: a program
+// whose feature width differs from the model's is refused by name, not
+// encoded from whichever columns both widths share.
+func TestEncodeRejectsForeignFeatDim(t *testing.T) {
+	cfg := DefaultConfig()
+	f := NewFoundation(cfg)
+	rng := rand.New(rand.NewSource(3))
+	ps := []*ProgramData{
+		encTestProgram(rng, "fits", 4, cfg.FeatDim),
+		encTestProgram(rng, "narrow", 4, cfg.FeatDim-1),
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		want := fmt.Sprintf("%q has %d features per instruction, the model takes %d", "narrow", cfg.FeatDim-1, cfg.FeatDim)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("encode panicked with %q, want a message containing %q", msg, want)
+		}
+	}()
+	reps32(f, ps)
+}
+
+// TestEncodeManyRangesBitwise drives the claim loop through more ranges
+// than its ring has slots, at GOMAXPROCS 1, 2, 3 and 8 (8 oversubscribes a
+// small box, so loops also run inline and park while the fold catches up).
+// The batch holds one long program, hundreds of programs shorter than the
+// window, a range boundary exactly on a program boundary and another three
+// rows after a program start. Each tier is held bit for bit to a reference
+// that runs its backend over WindowsFor's per-window matrices — the float32
+// tier to the tape forward itself, the others with each window its own
+// segment (sampleWindows) — summed per program in row order, so neither the
+// program-segment window batch nor the range split is in the reference.
+// InstructionReps' rows are held to the tape forward's rows.
+func TestEncodeManyRangesBitwise(t *testing.T) {
+	kinds := []ModelKind{ModelLinear, ModelMLP, ModelLSTM, ModelBiLSTM, ModelGRU, ModelTransformer}
+	rng := rand.New(rand.NewSource(53))
+	cfg := DefaultConfig()
+	cfg.Hidden, cfg.RepDim = 8, 8 // the row count is what matters here, not the width
+	// Rows [0, 1280) are one program, so the boundary of range 10 (at 128
+	// rows per range) is a program boundary; the next program ends at 1405,
+	// three rows before the boundary of range 11.
+	sizes := []int{1280, 125}
+	for i := 0; i < 300; i++ {
+		sizes = append(sizes, 1+i%(cfg.Window-2)) // 1..6 rows, shorter than Window-1
+	}
+	sizes = append(sizes, 900)
+	ps := make([]*ProgramData, len(sizes))
+	total := 0
+	for i, n := range sizes {
+		ps[i] = encTestProgram(rng, fmt.Sprintf("p%d", i), n, cfg.FeatDim)
+		total += n
+	}
+	if ranges := total / maxRangeRows; ranges <= ringSlots*8 {
+		t.Fatalf("%d rows make %d ranges, not more than the %d ring slots at GOMAXPROCS=8", total, ranges, ringSlots*8)
+	}
+	for _, kind := range kinds {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg.Model = kind
+			f := NewFoundation(cfg)
+			q8enc, q8head := f.q8()
+			o := f.oracle64()
+			want32 := make([][]float32, len(ps))
+			wantQ8 := make([][]float32, len(ps))
+			want64 := make([][]float64, len(ps))
+			var rows32 [][]float32 // tape rows of the programs InstructionReps checks
+			for i, p := range ps {
+				xs := WindowsFor(nil, p, 0, p.N, cfg.Window)
+				y := f.Forward(nil, xs)
+				want32[i] = SumReps(y)
+				if i == 0 || i == 1 || i == len(ps)-1 {
+					rows32 = append(rows32, y.Data)
+				}
+				xs32, xs64 := sampleWindows(xs)
+				var s tensor.Slab32
+				var q tensor.SlabI8
+				yq := q8head.Forward(&s, &q, nn.ForwardWindowsQ8(q8enc, &s, &q, xs32))
+				wantQ8[i] = SumReps(tensor.FromSlice(yq.Data, yq.R, yq.C))
+				y64 := o.Linear(f.Head, o.ForwardWindows(xs64))
+				want64[i] = make([]float64, cfg.RepDim)
+				for r := 0; r < y64.R; r++ {
+					for j, v := range y64.Row(r) {
+						want64[i][j] += v
+					}
+				}
+			}
+			for _, procs := range []int{1, 2, 3, 8} {
+				prev := runtime.GOMAXPROCS(procs)
+				got32 := reps32(f, ps)
+				gotQ8 := make([][]float32, len(ps))
+				got64 := make([][]float64, len(ps))
+				for i := range ps {
+					gotQ8[i] = make([]float32, cfg.RepDim)
+					got64[i] = make([]float64, cfg.RepDim)
+				}
+				e := f.AcquireEncoder()
+				e.EncodeProgramsQ8(ps, gotQ8)
+				f.ReleaseEncoder(e)
+				f.EncodePrograms64(ps, got64)
+				var gotRows [][]float32
+				for _, i := range []int{0, 1, len(ps) - 1} {
+					gotRows = append(gotRows, f.InstructionReps(ps[i]).Data)
+				}
+				runtime.GOMAXPROCS(prev)
+				for i := range ps {
+					for j := 0; j < cfg.RepDim; j++ {
+						if got32[i][j] != want32[i][j] || gotQ8[i][j] != wantQ8[i][j] || got64[i][j] != want64[i][j] {
+							t.Fatalf("GOMAXPROCS=%d program %d (%d rows) col %d: f32 %v/%v q8 %v/%v f64 %v/%v (must equal the per-window reference bitwise)",
+								procs, i, ps[i].N, j, got32[i][j], want32[i][j], gotQ8[i][j], wantQ8[i][j], got64[i][j], want64[i][j])
+						}
+					}
+				}
+				for k, rows := range gotRows {
+					for j, v := range rows {
+						if v != rows32[k][j] {
+							t.Fatalf("GOMAXPROCS=%d InstructionReps of checked program %d: element %d %v != tape %v", procs, k, j, v, rows32[k][j])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// sampleWindows lays per-window matrices out as a window batch in which
+// each output row's window is its own segment (Start[b] = b·Window), in
+// float32 and widened to float64.
+func sampleWindows(xs []*tensor.Tensor) (nn.Windows[tensor.Tensor32], nn.Windows[tensor.Tensor64]) {
+	n, c, w := xs[0].Rows(), xs[0].Cols(), len(xs)
+	rows32 := tensor.Tensor32{Data: make([]float32, n*w*c), R: n * w, C: c}
+	rows64 := tensor.NewTensor64(n*w, c)
+	start := make([]int32, n)
+	for b := range start {
+		start[b] = int32(b * w)
+		for t, x := range xs {
+			row := x.Data[b*c : (b+1)*c]
+			copy(rows32.Row(b*w+t), row)
+			for j, v := range row {
+				rows64.Row(b*w + t)[j] = float64(v)
+			}
+		}
+	}
+	return nn.Windows[tensor.Tensor32]{Rows: rows32, Start: start, Len: w},
+		nn.Windows[tensor.Tensor64]{Rows: rows64, Start: start, Len: w}
 }

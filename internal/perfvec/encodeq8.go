@@ -5,9 +5,10 @@ import (
 )
 
 // EncodeProgramsQ8: the int8 serving tier's batch encode. The same loop as
-// EncodePrograms32 (encode.go) — identical row-parallel waves, window
-// fill, and float64 per-program accumulation — with the forward pass routed
-// through the quantized engine (nn.ForwardSeqQ8): every large GEMM runs
+// EncodePrograms32 (encode.go) — identical claimed row ranges, window
+// batches, and float64 per-program accumulation — with the forward pass
+// routed through the quantized engine (nn.ForwardWindowsQ8): every large
+// GEMM runs
 // u8xi8 integer dot products over weights quantized once at first use, gate
 // transcendentals run the fast float32 polynomial kernels, and everything
 // else stays float32. Unlike the f32 tier this path is NOT bitwise equal to

@@ -85,9 +85,9 @@ func (f *Foundation) Forward(tp *tensor.Tape, xs []*tensor.Tensor) *tensor.Tenso
 // InstructionReps generates the representation of every instruction in p:
 // an [N x RepDim] matrix, bitwise equal to the tape forward over p's
 // windows. Per §III-B this is embarrassingly parallel: it runs the
-// coalesced encode's row-parallel waves (Encoder.encode) on the float32
-// engine, with one output row per instruction instead of a program sum. An
-// empty program gives a 0 x RepDim matrix.
+// coalesced encode's claimed row ranges (Encoder.encode) on the float32
+// engine, each range writing its rows straight into the result instead of
+// folding a program sum. An empty program gives a 0 x RepDim matrix.
 func (f *Foundation) InstructionReps(p *ProgramData) *tensor.Tensor {
 	if p.N == 0 {
 		// tensor.New and encode both reject an empty program.

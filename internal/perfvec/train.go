@@ -442,8 +442,9 @@ func kLossShards(w0, w1 int, ka tensor.KernelArgs) {
 }
 
 // batchLoss returns the reuse-form MSE of one evaluation batch, bitwise
-// equal to a training step's tape loss on the same batch: the windows are
-// filled by the loop Dataset.Batch uses, the forward is the float32
+// equal to a training step's tape loss on the same batch: each sample's
+// window is its own segment of the window batch (the rows Dataset.Batch
+// fills, zero before the program start), the forward is the float32
 // inference graph (pinned bitwise to the tape forward), the predictions are
 // a MatMulBT32 against the table, and the loop below is nn.MSE's Sub, Mul,
 // float64-accumulated Sum and Scale(1/n). The explicit float32 conversions
@@ -453,10 +454,18 @@ func kLossShards(w0, w1 int, ka tensor.KernelArgs) {
 //perfvec:hotpath
 func (e *Encoder) batchLoss(d *Dataset, ids []int, table *tensor.Tensor) float64 {
 	targetScale := e.f.Cfg.TargetScale
-	xs := e.windows(len(ids))
-	for t, x := range xs {
-		d.fillWindow(x.Data, ids, t, len(xs), 0, len(ids))
+	e.slab.Reset()
+	w, f := e.f.Cfg.Window, d.FeatDim
+	rows := e.slab.Mat(len(ids)*w, f)
+	start := e.startBuf(len(ids))
+	for b, id := range ids {
+		p, i := d.sample(id)
+		lo := i - (w - 1) // instruction of the window's first row
+		src := max(lo, 0)
+		copy(rows.Data[(b*w+src-lo)*f:], p.Features[src*f:(i+1)*f])
+		start[b] = int32(b * w)
 	}
+	xs := nn.Windows[tensor.Tensor32]{Rows: rows, Start: start, Len: w}
 	table32 := tensor.Tensor32{Data: table.Data, R: table.Rows(), C: table.Cols()}
 	preds := tensor.MatMulBT32(&e.slab, e.forward(xs, false), table32)
 	var sum float64

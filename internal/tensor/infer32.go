@@ -20,7 +20,7 @@ func MatMul32(s *Slab32, a, b Tensor32) Tensor32 {
 		panic("tensor: MatMul32 shape mismatch")
 	}
 	out := s.Mat(a.R, b.C)
-	mmNN(out.Data, a.Data, b.Data, a.R, a.C, b.C)
+	gemmPacked(&s.pack, out.Data, a.Data, b.Data, a.R, a.C, b.C, a.C, b.C, b.C, false, false)
 	return out
 }
 
@@ -32,7 +32,7 @@ func MatMulBT32(s *Slab32, a, b Tensor32) Tensor32 {
 		panic("tensor: MatMulBT32 shape mismatch")
 	}
 	out := s.Mat(a.R, b.R)
-	mmNT(out.Data, a.Data, b.Data, a.R, a.C, b.R)
+	gemmPacked(&s.pack, out.Data, a.Data, b.Data, a.R, a.C, b.R, a.C, a.C, b.R, false, true)
 	return out
 }
 
@@ -57,9 +57,24 @@ func MatMulBTCat32(s *Slab32, x, h, w Tensor32) Tensor32 {
 		panic("tensor: MatMulBTCat32 shape mismatch")
 	}
 	out := s.Mat(x.R, w.R)
-	gemmNT(out.Data, x.Data, w.Data, x.R, x.C, w.R, x.C, w.C, w.R)
-	gemmNT(out.Data, h.Data, w.Data[x.C:], h.R, h.C, w.R, h.C, w.C, w.R)
+	MatMulBTPart32(s, out, x, w, 0)
+	MatMulBTPart32(s, out, h, w, x.C)
 	return out
+}
+
+// MatMulBTPart32 accumulates x * w[:, from:from+x.C]^T into dst: one column
+// block of a fused weight, the pass MatMulBTCat32 makes once per operand.
+// Run into a zeroed dst it is that op's x-part, so a caller may compute the
+// x-part of many rows at once and later add each row's h-part on top: every
+// output element is the same ascending-k FMA chain either way. s lends its
+// packing scratch only.
+//
+//perfvec:hotpath
+func MatMulBTPart32(s *Slab32, dst, x, w Tensor32, from int) {
+	if from < 0 || from+x.C > w.C || dst.R != x.R || dst.C != w.R {
+		panic("tensor: MatMulBTPart32 shape mismatch")
+	}
+	gemmPacked(&s.pack, dst.Data, x.Data, w.Data[from:], x.R, x.C, w.R, x.C, w.C, w.R, false, true)
 }
 
 // MatMulBTCols32 returns a[:, from:to] * b[:, from:to]^T — the per-head
@@ -71,7 +86,7 @@ func MatMulBTCols32(s *Slab32, a, b Tensor32, from, to int) Tensor32 {
 		panic("tensor: MatMulBTCols32 column range out of range")
 	}
 	out := s.Mat(a.R, b.R)
-	gemmNT(out.Data, a.Data[from:], b.Data[from:], a.R, to-from, b.R, a.C, b.C, b.R)
+	gemmPacked(&s.pack, out.Data, a.Data[from:], b.Data[from:], a.R, to-from, b.R, a.C, b.C, b.R, false, true)
 	return out
 }
 
@@ -233,16 +248,14 @@ func StackRows32(s *Slab32, xs []Tensor32, row int) Tensor32 {
 	return out
 }
 
-// FlattenSeq32 lays the timesteps of xs side by side: out[i] is the
-// concatenation of xs[0].Row(i), xs[1].Row(i), ... — identical values to
-// the successive-ConcatCols composition the tape path uses.
+// GatherRows32 overwrites dst: its row b becomes the dst.C contiguous
+// elements of src that begin at row start[b]+off. The window-batch input
+// of the forward-only graph reads its timesteps (dst.C = src.C) and its
+// flattened windows (dst.C = window length x src.C) this way.
 //
 //perfvec:hotpath
-func FlattenSeq32(s *Slab32, xs []Tensor32) Tensor32 {
-	rows, cols := xs[0].R, xs[0].C
-	out := s.Mat(rows, cols*len(xs))
-	flattenSeq(out.Data, xs, rows, cols)
-	return out
+func GatherRows32(dst, src Tensor32, start []int32, off int) {
+	gatherRows(dst.Data, src.Data, src.C, start, off)
 }
 
 // ConcatCols32 returns [a|b] on the slab.

@@ -130,7 +130,19 @@ func TestInfer32BitwiseMatchesTape(t *testing.T) {
 	for _, xi := range xs[1:] {
 		flat = ConcatCols(tp, flat, xi)
 	}
-	wantBitwise(t, "FlattenSeq32", FlattenSeq32(s, xs32).Data, flat.Data)
+	// GatherRows32 over the timesteps laid out sample-major reads each
+	// sample's window as one contiguous run of rows: the flattened windows.
+	rows := s.Mat(m*len(xs32), n)
+	start := make([]int32, m)
+	for b := range start {
+		start[b] = int32(b * len(xs32))
+		for i, x := range xs32 {
+			copy(rows.Row(b*len(xs32)+i), x.Row(b))
+		}
+	}
+	gathered := s.Mat(m, n*len(xs32))
+	GatherRows32(gathered, rows, start, 0)
+	wantBitwise(t, "GatherRows32", gathered.Data, flat.Data)
 	wantBitwise(t, "ConcatCols32",
 		ConcatCols32(s, xs32[0], xs32[1]).Data, ConcatCols(tp, xs[0], xs[1]).Data)
 }

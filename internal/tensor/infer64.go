@@ -70,9 +70,23 @@ func MatMulBTCat64(x, h, w Tensor64) Tensor64 {
 		panic("tensor: MatMulBTCat64 shape mismatch")
 	}
 	out := NewTensor64(x.R, w.R)
-	gemm64NT(out.Data, x.Data, w.Data, x.R, x.C, w.R, x.C, w.C, w.R)
-	gemm64NT(out.Data, h.Data, w.Data[x.C:], h.R, h.C, w.R, h.C, w.C, w.R)
+	MatMulBTPart64(out, x, w, 0)
+	MatMulBTPart64(out, h, w, x.C)
 	return out
+}
+
+// MatMulBTPart64 accumulates x * w[:, from:from+x.C]^T into dst; see
+// MatMulBTPart32.
+func MatMulBTPart64(dst, x, w Tensor64, from int) {
+	if from < 0 || from+x.C > w.C || dst.R != x.R || dst.C != w.R {
+		panic("tensor: MatMulBTPart64 shape mismatch")
+	}
+	gemm64NT(dst.Data, x.Data, w.Data[from:], x.R, x.C, w.R, x.C, w.C, w.R)
+}
+
+// GatherRows64 is GatherRows32 in float64.
+func GatherRows64(dst, src Tensor64, start []int32, off int) {
+	gatherRows(dst.Data, src.Data, src.C, start, off)
 }
 
 // MatMulBTCols64 returns a[:, from:to] * b[:, from:to]^T.
@@ -197,14 +211,6 @@ func LayerNorm64(x Tensor64, gamma, beta []float64, eps float64) Tensor64 {
 func StackRows64(xs []Tensor64, row int) Tensor64 {
 	out := NewTensor64(len(xs), xs[0].C)
 	stackRows(out.Data, xs, row)
-	return out
-}
-
-// FlattenSeq64 lays the timesteps of xs side by side per row.
-func FlattenSeq64(xs []Tensor64) Tensor64 {
-	rows, cols := xs[0].R, xs[0].C
-	out := NewTensor64(rows, cols*len(xs))
-	flattenSeq(out.Data, xs, rows, cols)
 	return out
 }
 

@@ -144,8 +144,13 @@ func TestOracleOpsMatchFormulas(t *testing.T) {
 	checkOp(t, "StackRows64", StackRows64(xs, 2).Data, func(i int) float64 {
 		return xs[i/n].Data[2*n+i%n]
 	})
-	checkOp(t, "FlattenSeq64", FlattenSeq64(xs).Data, func(i int) float64 {
-		r, k := i/(3*n), i%(3*n)
-		return xs[k/n].Data[r*n+k%n]
+	// Row b of the gathered matrix starts at row start[b]+1 of the stacked
+	// xs and runs on for two rows.
+	stacked := Tensor64{Data: append(append(append([]float64(nil), a.Data...), b.Data...), x.Data...), R: 3 * m, C: n}
+	start := []int32{int32(m), 0, int32(2*m - 2)}
+	gathered := NewTensor64(len(start), 2*n)
+	GatherRows64(gathered, stacked, start, 1)
+	checkOp(t, "GatherRows64", gathered.Data, func(i int) float64 {
+		return stacked.Data[(int(start[i/(2*n)])+1)*n+i%(2*n)]
 	})
 }

@@ -82,6 +82,12 @@ func packBuf(n int) *[]float32 {
 	return p
 }
 
+// packSerial is the size, in float32s, of a Slab32's packing scratch: a
+// product whose columns fit one NC panel and whose A and B panels fit it
+// together runs serially on that scratch (gemmSerial). Every GEMM of the
+// default encoder's row ranges fits.
+const packSerial = 1 << 14
+
 // mmNN computes dst[m,n] += a[m,k] * b[k,n].
 func mmNN(dst, a, b []float32, m, k, n int) { gemmNN(dst, a, b, m, k, n, k, n, n) }
 
@@ -94,13 +100,13 @@ func mmTN(dst, a, b []float32, m, k, n int) { gemmTN(dst, a, b, m, k, n, k, n, n
 // gemmNN computes dst[i*ldc+j] += sum_l a[i*lda+l] * b[l*ldb+j] for
 // i in [0,m), j in [0,n), l in [0,k).
 func gemmNN(dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
-	gemmPacked(dst, a, b, m, k, n, lda, ldb, ldc, false, false)
+	gemmPacked(nil, dst, a, b, m, k, n, lda, ldb, ldc, false, false)
 }
 
 // gemmNT computes dst[i*ldc+j] += sum_l a[i*lda+l] * b[j*ldb+l] for
 // i in [0,m), j in [0,n), l in [0,k).
 func gemmNT(dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
-	gemmPacked(dst, a, b, m, k, n, lda, ldb, ldc, false, true)
+	gemmPacked(nil, dst, a, b, m, k, n, lda, ldb, ldc, false, true)
 }
 
 // gemmTN computes dst[l*ldc+j] += sum_i a[i*lda+l] * b[i*ldb+j] for
@@ -108,7 +114,7 @@ func gemmNT(dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
 // reduction runs over m. In the packed engine's terms the "A" operand is
 // a^T, selected by the transposed pack orientation.
 func gemmTN(dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
-	gemmPacked(dst, a, b, k, m, n, lda, ldb, ldc, true, false)
+	gemmPacked(nil, dst, a, b, k, m, n, lda, ldb, ldc, true, false)
 }
 
 // gemmPacked is the engine: dst[i*ldc+j] += sum_l A[i,l] * B[l,j] for a
@@ -123,13 +129,28 @@ func gemmTN(dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
 // typed kernel — see ParallelKernel — because GEMMs run in every op's
 // forward and backward pass.
 //
+// A forward-only op passes its slab's packing scratch (nil otherwise). A
+// product small enough to pack into it runs serially instead, on the
+// calling goroutine with no pool buffer and no dispatch: the encoder's row
+// ranges are already spread across the cores, one per claim loop, so a
+// range's GEMMs find few idle workers, and offering them chunks cost a
+// WaitGroup park and pool traffic per GEMM. Serial and parallel execution
+// give the same bits.
+//
 //perfvec:hotpath
-func gemmPacked(dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
+func gemmPacked(scratch *[]float32, dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
 	if m == 0 || n == 0 {
 		return
 	}
 	nStrips := (n + gemmNR - 1) / gemmNR
 	mStrips := (m + gemmMR - 1) / gemmMR
+	if kc := min(gemmKC, k); scratch != nil && n <= gemmNC && (mStrips*gemmMR+nStrips*gemmNR)*kc <= packSerial {
+		if len(*scratch) < packSerial {
+			*scratch = make([]float32, packSerial) //perfvec:allow hotalloc -- once per slab; every later serial GEMM reuses it
+		}
+		gemmSerial(*scratch, dst, a, b, m, k, n, lda, ldb, ldc, aT, bT)
+		return
+	}
 	flags := 0
 	if bT {
 		flags |= gemmFlagBT
@@ -153,26 +174,51 @@ func gemmPacked(dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
 		kc := min(gemmKC, k-pc)
 		pa := packBuf(mStrips * gemmMR * kc)
 		aPack := (*pa)[:mStrips*gemmMR*kc]
-		if aT {
-			packAT(aPack, a, m, kc, pc, lda)
-		} else {
-			packAN(aPack, a, m, kc, pc, lda)
-		}
-		// The b slice is pre-offset to the current KC block so the kernel
-		// needs no pc argument: row pc for a normal B, column pc for a
-		// transposed one.
-		var bOff []float32
-		if bT {
-			bOff = b[pc:]
-		} else {
-			bOff = b[pc*ldb:]
-		}
+		packA(aPack, a, m, kc, pc, lda, aT)
 		ParallelKernel(units, m*kc*n, kGemmPacked, KernelArgs{
-			S: [8][]float32{dst, aPack, bOff},
+			S: [8][]float32{dst, aPack, bBlock(b, pc, ldb, bT)},
 			I: [6]int{kc, m, n, ldb, ldc, flags},
 		})
 		packPool.Put(pa)
 	}
+}
+
+// gemmSerial is gemmPacked on one goroutine, with both packed panels in
+// scratch: per KC block it packs A, then runs the one worker that covers
+// every row and column.
+//
+//perfvec:hotpath
+func gemmSerial(scratch, dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
+	mStrips := (m + gemmMR - 1) / gemmMR
+	for pc := 0; pc < k; pc += gemmKC {
+		kc := min(gemmKC, k-pc)
+		aPack := scratch[:mStrips*gemmMR*kc]
+		packA(aPack, a, m, kc, pc, lda, aT)
+		gemmWorker(dst, aPack, scratch[len(aPack):], bBlock(b, pc, ldb, bT), kc, n, ldb, ldc, bT, 0, m, 0, n)
+	}
+}
+
+// packA packs the KC block at reduction index pc of A into MR-row strips.
+//
+//perfvec:hotpath
+func packA(dst, a []float32, m, kc, pc, lda int, aT bool) {
+	if aT {
+		packAT(dst, a, m, kc, pc, lda)
+		return
+	}
+	packAN(dst, a, m, kc, pc, lda)
+}
+
+// bBlock pre-offsets b to the KC block at reduction index pc, so the
+// workers need no pc argument: row pc for a normal B, column pc for a
+// transposed one.
+//
+//perfvec:hotpath
+func bBlock(b []float32, pc, ldb int, bT bool) []float32 {
+	if bT {
+		return b[pc:]
+	}
+	return b[pc*ldb:]
 }
 
 // kGemmPacked flag bits (I5).
@@ -236,27 +282,30 @@ func kGemmPacked(s0, s1 int, ka KernelArgs) {
 	dst, aPack, b := ka.S[0], ka.S[1], ka.S[2]
 	kc, m, n, ldb, ldc := ka.I[0], ka.I[1], ka.I[2], ka.I[3], ka.I[4]
 	bT := ka.I[5]&gemmFlagBT != 0
+	i0, i1, j0, j1 := 0, m, s0*gemmNR, min(s1*gemmNR, n)
 	if ka.I[5]&gemmFlagRows != 0 {
-		gemmWorker(dst, aPack, b, kc, n, ldb, ldc, bT, s0*gemmMR, min(s1*gemmMR, m), 0, n)
-		return
+		i0, i1, j0, j1 = s0*gemmMR, min(s1*gemmMR, m), 0, n
 	}
-	gemmWorker(dst, aPack, b, kc, n, ldb, ldc, bT, 0, m, s0*gemmNR, min(s1*gemmNR, n))
+	size := (min(gemmNC, j1-j0) + gemmNR - 1) / gemmNR * gemmNR * kc
+	pb := packBuf(size)
+	bBuf := (*pb)[:size]
+	gemmWorker(dst, aPack, bBuf, b, kc, n, ldb, ldc, bT, i0, i1, j0, j1)
+	packPool.Put(pb)
 }
 
 // gemmWorker runs one worker's share of a KC block: output rows [i0,i1),
 // columns [j0,j1), with i0 MR-aligned and j0 NR-aligned. It packs the B
-// panels for its column range (at most NC columns at a time) and runs the
-// micro-kernel over every MR x NR tile, streaming the shared packed-A
-// strips against each L1-resident B strip.
+// panels for its column range (at most NC columns at a time) into bBuf and
+// runs the micro-kernel over every MR x NR tile, streaming the shared
+// packed-A strips against each L1-resident B strip.
 //
 //perfvec:hotpath
-func gemmWorker(dst, aPack, b []float32, kc, n, ldb, ldc int, bT bool, i0, i1, j0, j1 int) {
+func gemmWorker(dst, aPack, bBuf, b []float32, kc, n, ldb, ldc int, bT bool, i0, i1, j0, j1 int) {
 	var tile [gemmMR * gemmNR]float32 // C scratch for boundary tiles
 	for jc := j0; jc < j1; jc += gemmNC {
 		nc := min(gemmNC, j1-jc)
 		ncStrips := (nc + gemmNR - 1) / gemmNR
-		pb := packBuf(ncStrips * gemmNR * kc)
-		bPack := (*pb)[:ncStrips*gemmNR*kc]
+		bPack := bBuf[:ncStrips*gemmNR*kc]
 		if bT {
 			packBT(bPack, b, jc, nc, kc, ldb)
 		} else {
@@ -294,7 +343,6 @@ func gemmWorker(dst, aPack, b []float32, kc, n, ldb, ldc int, bT bool, i0, i1, j
 				}
 			}
 		}
-		packPool.Put(pb)
 	}
 }
 

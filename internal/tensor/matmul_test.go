@@ -266,6 +266,50 @@ func TestGEMMParallelMatchesSerial(t *testing.T) {
 	}
 }
 
+// TestGEMMScratchMatchesPool pins the serial slab-scratch path of the
+// engine to the pooled parallel path bit for bit, on shapes that fit the
+// scratch (the default encoder's range GEMMs, and a reduction two KC blocks
+// deep) and on shapes past it (too many rows, more columns than one NC
+// panel), which fall back to the pool.
+func TestGEMMScratchMatchesPool(t *testing.T) {
+	for _, aT := range []bool{false, true} {
+		for _, bT := range []bool{false, true} {
+			t.Run(fmt.Sprintf("aT=%v,bT=%v", aT, bT), func(t *testing.T) {
+				withFMA(t, func(t *testing.T) {
+					rng := rand.New(rand.NewSource(11))
+					var scratch []float32
+					for _, sh := range [][3]int{{135, 51, 128}, {128, 32, 128}, {6, gemmKC + 40, 16}, {61, 67, 57}, {1, 8, gemmNC + 1}, {200, 51, 128}} {
+						m, k, n := sh[0], sh[1], sh[2]
+						a, b := randSlice(rng, m*k), randSlice(rng, k*n)
+						lda, ldb := k, n
+						if aT {
+							lda = m
+						}
+						if bT {
+							ldb = k
+						}
+						pooled := make([]float32, m*n)
+						onScratch := make([]float32, m*n)
+						prev := runtime.GOMAXPROCS(4)
+						gemmPacked(nil, pooled, a, b, m, k, n, lda, ldb, n, aT, bT)
+						gemmPacked(&scratch, onScratch, a, b, m, k, n, lda, ldb, n, aT, bT)
+						runtime.GOMAXPROCS(prev)
+						for i := range pooled {
+							if pooled[i] != onScratch[i] {
+								t.Fatalf("aT=%v bT=%v %dx%dx%d: elem %d differs bitwise: % x vs % x",
+									aT, bT, m, k, n, i, pooled[i], onScratch[i])
+							}
+						}
+					}
+					if len(scratch) != packSerial {
+						t.Fatalf("scratch holds %d floats after the small products, want %d", len(scratch), packSerial)
+					}
+				})
+			})
+		}
+	}
+}
+
 func outLen(kind string, m, k, n int) int {
 	if kind == "TN" {
 		return k * n

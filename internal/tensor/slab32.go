@@ -1,5 +1,7 @@
 package tensor
 
+import "math/bits"
+
 // Forward-only float32 inference arena. The training path allocates tensors
 // through Tape/Arena because autodiff needs per-op records and gradient
 // buffers; inference needs neither, so the serving fast path runs on Slab32:
@@ -44,6 +46,13 @@ type Slab32 struct {
 	mats  []Tensor32
 	moff  int
 	grows int
+	// taken and mtaken count the float32s and headers handed out since
+	// the last Reset, across growths.
+	taken, mtaken int
+	// pack is the GEMM engine's packing scratch for the small products of
+	// the ops that run on the slab (see gemmPacked): allocated at the
+	// first, reused by every later one, never part of a pass.
+	pack []float32
 }
 
 // Take returns a zeroed slice of n float32s valid until the next Reset.
@@ -64,6 +73,7 @@ func (s *Slab32) Take(n int) []float32 {
 	}
 	out := s.buf[s.off : s.off+n : s.off+n]
 	s.off += n
+	s.taken += n
 	clear(out)
 	return out
 }
@@ -94,6 +104,7 @@ func (s *Slab32) Mats(n int) []Tensor32 {
 	}
 	out := s.mats[s.moff : s.moff+n : s.moff+n]
 	s.moff += n
+	s.mtaken += n
 	for i := range out {
 		out[i] = Tensor32{}
 	}
@@ -102,7 +113,48 @@ func (s *Slab32) Mats(n int) []Tensor32 {
 
 // Reset recycles the slab: everything previously taken is dead and the
 // backing arrays are reused from the start.
-func (s *Slab32) Reset() { s.off, s.moff = 0, 0 }
+func (s *Slab32) Reset() { s.off, s.moff, s.taken, s.mtaken = 0, 0, 0, 0 }
+
+// Taken reports the float32s and matrix headers handed out since the last
+// Reset.
+//
+//perfvec:hotpath
+func (s *Slab32) Taken() (floats, mats int) { return s.taken, s.mtaken }
+
+// Reserve grows the backing arrays, when they are smaller, so that a pass
+// starting at the next Reset can take floats float32s and mats headers
+// without growing: workers that share out passes of varying size reserve
+// the largest any of them has taken, so that none grows in steady state
+// whichever passes it draws. It rounds up to a power of two, the sizes
+// Take's doubling reaches, so a reserved worker holds what one that ran the
+// largest pass itself would, and a high-water mark that creeps up does not
+// reallocate every worker each time. It also makes the packing scratch,
+// which a worker would otherwise make at the first small GEMM it runs. A
+// growth here is counted like any other; it is as safe at any time as one
+// in Take.
+//
+//perfvec:hotpath
+func (s *Slab32) Reserve(floats, mats int) {
+	if len(s.buf) < floats {
+		s.buf = make([]float32, pow2(floats)) //perfvec:allow hotalloc -- warm-up growth to a peer's high-water mark; steady state reuses it
+		s.off = 0
+		s.grows++
+	}
+	if len(s.mats) < mats {
+		s.mats = make([]Tensor32, pow2(mats)) //perfvec:allow hotalloc -- warm-up growth to a peer's high-water mark; steady state reuses it
+		s.moff = 0
+		s.grows++
+	}
+	if s.pack == nil {
+		s.pack = make([]float32, packSerial) //perfvec:allow hotalloc -- warm-up, once per slab
+		s.grows++
+	}
+}
+
+// pow2 returns the smallest power of two at or above n (n >= 1).
+//
+//perfvec:hotpath
+func pow2(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 // Grows reports how many backing-array growths the slab has performed —
 // zero between Resets once warmed up, which the alloc tests pin.

@@ -26,6 +26,9 @@ type SlabI8 struct {
 	f32   []float32
 	foff  int
 	grows int
+	// taken counts the u8, i32 and f32 elements handed out since the last
+	// Reset, across growths; peak is the most taken between two Resets.
+	taken, peak [3]int
 }
 
 // TakeU8 returns a zeroed slice of n bytes valid until the next Reset.
@@ -46,6 +49,7 @@ func (s *SlabI8) TakeU8(n int) []uint8 {
 	}
 	out := s.u8[s.uoff : s.uoff+n : s.uoff+n]
 	s.uoff += n
+	s.taken[0] += n
 	clear(out)
 	return out
 }
@@ -68,6 +72,7 @@ func (s *SlabI8) TakeI32(n int) []int32 {
 	}
 	out := s.i32[s.ioff : s.ioff+n : s.ioff+n]
 	s.ioff += n
+	s.taken[1] += n
 	clear(out)
 	return out
 }
@@ -91,13 +96,47 @@ func (s *SlabI8) TakeF32(n int) []float32 {
 	}
 	out := s.f32[s.foff : s.foff+n : s.foff+n]
 	s.foff += n
+	s.taken[2] += n
 	clear(out)
 	return out
 }
 
 // Reset recycles the slab: everything previously taken is dead and the
 // backing arrays are reused from the start.
-func (s *SlabI8) Reset() { s.uoff, s.ioff, s.foff = 0, 0, 0 }
+func (s *SlabI8) Reset() {
+	s.uoff, s.ioff, s.foff = 0, 0, 0
+	for i, n := range s.taken {
+		s.peak[i] = max(s.peak[i], n)
+	}
+	s.taken = [3]int{}
+}
+
+// Peak reports the most u8, i32 and f32 elements taken between two Resets.
+//
+//perfvec:hotpath
+func (s *SlabI8) Peak() (u8, i32, f32 int) {
+	return max(s.peak[0], s.taken[0]), max(s.peak[1], s.taken[1]), max(s.peak[2], s.taken[2])
+}
+
+// Reserve grows the pools, when they are smaller, so that a call starting
+// at the next Reset can take u8, i32 and f32 elements without growing,
+// rounded up to a power of two; see Slab32.Reserve.
+//
+//perfvec:hotpath
+func (s *SlabI8) Reserve(u8, i32, f32 int) {
+	if len(s.u8) < u8 {
+		s.u8, s.uoff = make([]uint8, pow2(u8)), 0 //perfvec:allow hotalloc -- warm-up growth to a peer's high-water mark; steady state reuses it
+		s.grows++
+	}
+	if len(s.i32) < i32 {
+		s.i32, s.ioff = make([]int32, pow2(i32)), 0 //perfvec:allow hotalloc -- warm-up growth to a peer's high-water mark; steady state reuses it
+		s.grows++
+	}
+	if len(s.f32) < f32 {
+		s.f32, s.foff = make([]float32, pow2(f32)), 0 //perfvec:allow hotalloc -- warm-up growth to a peer's high-water mark; steady state reuses it
+		s.grows++
+	}
+}
 
 // Grows reports how many backing-array growths the slab has performed —
 // zero between Resets once warmed up, which the alloc tests pin.

@@ -60,20 +60,6 @@ func stackRows[F float, M rowMatrix[F]](out []F, xs []M, row int) {
 	}
 }
 
-// flattenSeq writes row i of out[rows, cols*len(xs)] as the concatenation
-// of row i of each xs[t] (each [rows, cols]).
-//
-//perfvec:hotpath
-func flattenSeq[F float, M rowMatrix[F]](out []F, xs []M, rows, cols int) {
-	w := cols * len(xs)
-	for i := 0; i < rows; i++ {
-		or := out[i*w : (i+1)*w]
-		for t, x := range xs {
-			copy(or[t*cols:(t+1)*cols], x.Row(i))
-		}
-	}
-}
-
 // concatCols writes [a|b] into out, where a has m rows of na columns and b
 // m rows of nb.
 //
@@ -83,5 +69,21 @@ func concatCols[F float](out, a, b []F, m, na, nb int) {
 	for i := 0; i < m; i++ {
 		copy(out[i*w:i*w+na], a[i*na:(i+1)*na])
 		copy(out[i*w+na:(i+1)*w], b[i*nb:(i+1)*nb])
+	}
+}
+
+// gatherRows fills the len(start) rows of out (each len(out)/len(start)
+// wide): row b holds the contiguous elements of src (c columns per row)
+// that begin at row start[b]+off.
+//
+//perfvec:hotpath
+func gatherRows[F float](out, src []F, c int, start []int32, off int) {
+	if len(start) == 0 {
+		return
+	}
+	w := len(out) / len(start)
+	for b, r := range start {
+		i := (int(r) + off) * c
+		copy(out[b*w:(b+1)*w], src[i:i+w])
 	}
 }
