@@ -263,13 +263,18 @@ func BenchmarkEncodeLongF32(b *testing.B) { benchsuite.EncodeLongF32(b) }
 func BenchmarkEncodeLongQ8(b *testing.B)  { benchsuite.EncodeLongQ8(b) }
 
 // BenchmarkSweep measures the batched design-space sweep (candidates
-// embedded once, one GEMM per program over a 2048-config space) and
-// BenchmarkSweepNaive the same prediction matrix via per-config re-embedding
-// and K=1 GEMMs. The configs/s ratio between them is the fleet-scale DSE
+// embedded and packed once, four programs in one product over a
+// 2048-config space) and BenchmarkSweepNaive the same prediction matrix
+// via per-config re-embedding and K=1 GEMMs. The configs/s ratio between them is the fleet-scale DSE
 // amortization win (acceptance floor: >= 10x at >= 1024 configs), and
 // bench_budget.json pins the batched path at 0 allocs/op.
 func BenchmarkSweep(b *testing.B)      { benchsuite.Sweep(b) }
 func BenchmarkSweepNaive(b *testing.B) { benchsuite.SweepNaive(b) }
+
+// BenchmarkSweepPrograms is one predict-unseen sweep: 8 programs against a
+// 4096-config space in one product split across the worker pool.
+// bench_budget.json pins it at 0 allocs/op.
+func BenchmarkSweepPrograms(b *testing.B) { benchsuite.SweepPrograms(b) }
 
 // BenchmarkMatMulModelShape measures the same backend on the trainer's
 // predictor shape (batch x repdim against a uarch table).

@@ -2,8 +2,9 @@
 // (BenchmarkMatMul/MatMul32/MatMulQ8/MatMulQ8ModelShape, BenchmarkBatch,
 // BenchmarkTrainStep, the BenchmarkEncodeF32/EncodeQ8 serving-tier pair
 // and its one-long-program twin BenchmarkEncodeLongF32/EncodeLongQ8,
-// the BenchmarkServe* serving suite, and the BenchmarkSweep/SweepNaive
-// design-space sweep pair) through testing.Benchmark and writes the
+// the BenchmarkServe* serving suite, the BenchmarkSweep/SweepNaive
+// design-space sweep pair and BenchmarkSweepPrograms, one predict-unseen
+// sweep) through testing.Benchmark and writes the
 // results as JSON, so the performance trajectory of the training and
 // serving hot paths is recorded across changes (the BENCH_N.json files at
 // the repository root are such snapshots). The report's machine section
@@ -152,6 +153,7 @@ func main() {
 		{"ServePredict", benchsuite.ServePredict},
 		{"Sweep", benchsuite.Sweep},
 		{"SweepNaive", benchsuite.SweepNaive},
+		{"SweepPrograms", benchsuite.SweepPrograms},
 	}
 	rep := report{
 		GeneratedAt: time.Now().UTC().Format(time.RFC3339),

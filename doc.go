@@ -186,24 +186,28 @@
 // thousands of deduplicated candidate configurations (a deterministic
 // grid-stratified PCG draw: the spec is a complete cache key, so the same
 // spec names the same space everywhere). perfvec.Sweeper embeds the whole
-// space once into a packed candidate matrix (UarchModel.Reps32, row-for-row
-// bitwise the single-config Rep) and then ranks all K candidates for a
-// program with one GEMM per sweep (PredictSweep32) — and because each GEMM
+// space once (UarchModel.Reps32, row-for-row bitwise the single-config Rep)
+// and packs the representations once into the GEMM engine's B panels
+// (tensor.PackBT32). A sweep then packs only the program side:
+// dse.SweepPrograms gathers every program's representation into one matrix
+// and ranks all K candidates for all of them in one product on the panels
+// (tensor.MatMulPackedBT32), split across the worker pool. Because each
 // output element is the same ascending-k FMA chain regardless of batch
-// composition, every batched prediction is bit-for-bit the single-uarch
-// one. The sweep hot path is //perfvec:hotpath-annotated, draws scratch
-// from a pooled slab free list (zero steady-state allocations, pinned by
-// bench_budget.json), and dse.SweepPrograms fans programs across workers
-// with bitwise-invariant results at any worker count. Amortizing the
-// embedding and batching the predictor makes the batched sweep two orders
-// of magnitude faster than per-config re-embedding in configs/s
-// (BenchmarkSweep vs BenchmarkSweepNaive; cmd/perfvec-bench -budget gates
-// the ratio at >= 10x at 2048 configs, measured interleaved in one process). dse.RunPerfVec encodes each target program once
-// through the f32 fast path and sweeps the paper's §VI-A space through the
-// same engine; cmd/perfvec-dse adds a generated fleet-scale space on top
-// (-space-size), and serve exposes the whole path as the
-// POST /v1/sweep batch endpoint, where a cached program representation
-// makes a thousands-of-candidates sweep cost zero encoder passes.
+// composition, and packing only moves elements, every batched prediction is
+// bit-for-bit the single-uarch one (PredictTotalNs32) at any worker count.
+// The sweep hot path is //perfvec:hotpath-annotated and draws scratch from
+// a pooled slab free list (zero steady-state allocations, pinned by
+// bench_budget.json). Amortizing the embedding and batching the predictor
+// makes the batched sweep about three orders of magnitude faster than
+// per-config re-embedding in configs/s (BenchmarkSweep vs
+// BenchmarkSweepNaive; cmd/perfvec-bench -budget gates the ratio at >= 10x
+// at 2048 configs, measured interleaved in one process). dse.RunPerfVec
+// encodes each target program once through the f32 fast path and sweeps
+// the paper's §VI-A space through the same engine; cmd/perfvec-dse adds a
+// generated fleet-scale space on top (-space-size), and serve exposes the
+// whole path as the POST /v1/sweep batch endpoint, where a cached program
+// representation makes a thousands-of-candidates sweep cost zero encoder
+// passes.
 //
 // # Precision policy
 //

@@ -16,18 +16,17 @@ const sweepBenchK = 2048
 
 // sweepBenchRig builds the fleet-sweep benchmark fixture: a fresh default
 // foundation, a calibrated microarchitecture model, a generated candidate
-// space of sweepBenchK configurations, and four pseudorandom program
+// space of k configurations, and nProgs pseudorandom program
 // representations with output rows. The predictor is pure linear algebra
 // over representations, so random reps measure exactly what encoded ones
 // would.
-func sweepBenchRig() (*perfvec.Foundation, *perfvec.UarchModel, []*uarch.Config, [][]float32, [][]float64) {
+func sweepBenchRig(k, nProgs int) (*perfvec.Foundation, *perfvec.UarchModel, []*uarch.Config, [][]float32, [][]float64) {
 	cfg := perfvec.DefaultConfig()
 	f := perfvec.NewFoundation(cfg)
 	um := perfvec.NewUarchModel(cfg.RepDim, 24, 5)
-	cfgs := uarch.GenerateSpace(uarch.SpaceSpec{Size: sweepBenchK, Seed: 13})
+	cfgs := uarch.GenerateSpace(uarch.SpaceSpec{Size: k, Seed: 13})
 	um.Calibrate(cfgs)
 	rng := rand.New(rand.NewSource(31))
-	const nProgs = 4
 	progReps := make([][]float32, nProgs)
 	out := make([][]float64, nProgs)
 	for i := range progReps {
@@ -35,29 +34,39 @@ func sweepBenchRig() (*perfvec.Foundation, *perfvec.UarchModel, []*uarch.Config,
 		for j := range progReps[i] {
 			progReps[i][j] = rng.Float32()*2 - 1
 		}
-		out[i] = make([]float64, sweepBenchK)
+		out[i] = make([]float64, k)
 	}
 	return f, um, cfgs, progReps, out
 }
 
-// Sweep measures the batched design-space sweep: candidates embedded once
-// into a packed matrix, then one GEMM per program ranks all sweepBenchK
-// configurations. Steady state is allocation-free (bench_budget.json pins
-// 0); the configs/s metric against SweepNaive is the amortization win the
-// acceptance floor (>= 10x at >= 1024 configs) gates.
-func Sweep(b *testing.B) {
-	f, um, cfgs, progReps, out := sweepBenchRig()
+// sweepPrograms measures dse.SweepPrograms at the given worker argument
+// over a space packed once, after one warm-up call fills the slab pool.
+func sweepPrograms(b *testing.B, k, nProgs, workers int) {
+	f, um, cfgs, progReps, out := sweepBenchRig(k, nProgs)
 	sw := perfvec.NewSweeper(f, um)
 	sw.SetSpace(cfgs)
-	dse.SweepPrograms(sw, progReps, out, 1) // warm the slab pool
+	dse.SweepPrograms(sw, progReps, out, workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0
 	for i := 0; i < b.N; i++ {
-		n += dse.SweepPrograms(sw, progReps, out, 1)
+		n += dse.SweepPrograms(sw, progReps, out, workers)
 	}
 	b.ReportMetric(float64(n)/b.Elapsed().Seconds(), "configs/s")
 }
+
+// Sweep measures the batched design-space sweep: candidates embedded and
+// packed once, then four programs ranked against all sweepBenchK
+// configurations in one product on the calling goroutine. Steady state is
+// allocation-free (bench_budget.json pins 0); the configs/s metric against
+// SweepNaive is the amortization win the acceptance floor (>= 10x at
+// >= 1024 configs) gates.
+func Sweep(b *testing.B) { sweepPrograms(b, sweepBenchK, 4, 1) }
+
+// SweepPrograms measures one predict-unseen sweep: 8 programs against a
+// 4096-config space, with the product split across the worker pool
+// (workers 0). bench_budget.json pins it at 0 allocs/op.
+func SweepPrograms(b *testing.B) { sweepPrograms(b, 4096, 8, 0) }
 
 // SweepNaive measures the same (program, candidate) prediction matrix the
 // pre-batching way: re-embed every configuration for every program and
@@ -65,7 +74,7 @@ func Sweep(b *testing.B) {
 // batched-sweep speedup ratio; its results are the bitwise oracle the sweep
 // tests pin against.
 func SweepNaive(b *testing.B) {
-	f, um, cfgs, progReps, out := sweepBenchRig()
+	f, um, cfgs, progReps, out := sweepBenchRig(sweepBenchK, 4)
 	b.ReportAllocs()
 	b.ResetTimer()
 	n := 0

@@ -40,10 +40,10 @@ type PerfVecResult struct {
 //     objective-minimizing design per program.
 //
 // The prediction phase is the fleet-scale path: the design space is embedded
-// once as a candidate matrix, every target program is encoded once through
-// the coalesced float32 encoder, and each program's predictions come from a
-// single batched GEMM over the candidate matrix, fanned across GOMAXPROCS
-// workers. Results are identical at any worker count.
+// and packed once, every target program is encoded once through the
+// coalesced float32 encoder, and all programs' predictions come from one
+// product on the packed candidates (SweepPrograms), split across the worker
+// pool. Results are identical at any worker count.
 func RunPerfVec(
 	f *perfvec.Foundation,
 	space []Design,

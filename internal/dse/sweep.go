@@ -1,66 +1,29 @@
 package dse
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"repro/internal/perfvec"
 	"repro/internal/tensor"
 	"repro/internal/uarch"
 )
 
-// Fleet-scale sweep execution: programs fan out across workers, each worker
-// evaluating its program against the sweeper's embedded candidate space in
-// one predictor GEMM. The per-config path (SweepNaive) is kept as the bitwise
-// oracle and the throughput baseline the batched engine is benchmarked
-// against.
+// Fleet-scale sweep execution: all programs are evaluated against the
+// sweeper's embedded candidate space in one predictor product on its
+// pre-packed panels. The per-config path (SweepNaive) is kept as the
+// bitwise oracle and the throughput baseline the batched engine is
+// benchmarked against.
 
 // SweepPrograms evaluates every program representation against the sweeper's
 // embedded candidate space, writing out[p][j] = predicted ns of program p on
-// candidate j. Programs are claimed by an atomic counter across workers
-// (workers <= 0 means GOMAXPROCS); per-row results are identical at any
-// worker count because each sweep row is an independent GEMM on a pooled
-// slab. Returns the number of (program, candidate) predictions made.
+// candidate j. The representations are gathered into one [P x RepDim]
+// matrix and run as one product (perfvec.Sweeper.SweepBatch): workers == 1
+// keeps it on the calling goroutine, any other value lets the tensor worker
+// pool split its column strips. Results are bitwise identical at any worker
+// count. Returns the number of (program, candidate) predictions made.
+//
+//perfvec:hotpath
 func SweepPrograms(sw *perfvec.Sweeper, progReps [][]float32, out [][]float64, workers int) int {
-	k := sw.K()
-	if len(out) != len(progReps) {
-		panic("dse: SweepPrograms out length mismatch")
-	}
-	for _, row := range out {
-		if len(row) < k {
-			panic("dse: SweepPrograms out row shorter than space")
-		}
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(progReps) {
-		workers = len(progReps)
-	}
-	if workers <= 1 {
-		for i, pr := range progReps {
-			sw.Sweep(pr, out[i])
-		}
-		return len(progReps) * k
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(progReps) {
-					return
-				}
-				sw.Sweep(progReps[i], out[i])
-			}
-		}()
-	}
-	wg.Wait()
-	return len(progReps) * k
+	sw.SweepBatch(progReps, out, workers == 1)
+	return len(progReps) * sw.K()
 }
 
 // SweepNaive is the per-config oracle the batched sweep is pinned against:

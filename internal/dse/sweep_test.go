@@ -102,3 +102,54 @@ func TestSweepProgramsWorkers(t *testing.T) {
 		requireSweepBitwise(t, "workers="+strconv.Itoa(workers), got, want)
 	}
 }
+
+// TestSweepProgramsBatchedMatchesNaive pins the one batched product against
+// the per-config oracle bit for bit. 7 and 13 programs leave a partial MR
+// row strip; 7 and 4097 candidates leave a partial NR column strip. One
+// sweeper's space switches 4096 -> 7 -> 4097, so the later spaces run on
+// panels a larger space left behind, and on panels regrown past it.
+func TestSweepProgramsBatchedMatchesNaive(t *testing.T) {
+	f, um, _, progReps := sweepRig(t, 4097, 13)
+	sw := perfvec.NewSweeper(f, um)
+	for _, k := range []int{4096, 7, 4097} {
+		cfgs := uarch.GenerateSpace(uarch.SpaceSpec{Size: k, Seed: 21})
+		sw.SetSpace(cfgs)
+		if sw.K() != k {
+			t.Fatalf("K() = %d after SetSpace of %d configs", sw.K(), k)
+		}
+		if k == 4096 {
+			SweepPrograms(sw, progReps, makeRows(len(progReps), k), 0)
+			continue
+		}
+		want := makeRows(len(progReps), k)
+		SweepNaive(f, um, cfgs, progReps, want)
+		for _, p := range []int{7, 13} {
+			for _, workers := range []int{0, 1} {
+				got := makeRows(p, k)
+				if n := SweepPrograms(sw, progReps[:p], got, workers); n != p*k {
+					t.Fatalf("SweepPrograms reported %d configs, want %d", n, p*k)
+				}
+				requireSweepBitwise(t, "k="+strconv.Itoa(k)+" programs="+strconv.Itoa(p)+" workers="+strconv.Itoa(workers), got, want[:p])
+			}
+		}
+	}
+}
+
+// TestSweepProgramsSteadyStateAllocFree pins the batched sweep at zero
+// allocations once the sweeper's slab pool is warm, pooled (workers 0) and
+// on the calling goroutine (workers 1).
+func TestSweepProgramsSteadyStateAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	f, um, cfgs, progReps := sweepRig(t, 4096, 8)
+	sw := perfvec.NewSweeper(f, um)
+	sw.SetSpace(cfgs)
+	out := makeRows(len(progReps), len(cfgs))
+	for _, workers := range []int{0, 1} {
+		SweepPrograms(sw, progReps, out, workers)
+		if allocs := testing.AllocsPerRun(20, func() { SweepPrograms(sw, progReps, out, workers) }); allocs != 0 {
+			t.Fatalf("workers=%d: SweepPrograms made %v allocs per call in steady state, want 0", workers, allocs)
+		}
+	}
+}

@@ -114,10 +114,10 @@ func TestDriftEpsilon(t *testing.T) {
 	}
 }
 
-// TestDriftRowBoundaries exercises the chunking boundary totals: a single
+// TestDriftRowBoundaries exercises the range boundary totals: a single
 // program of exactly 1, 7, 256, and (LSTM only, for runtime) 4096
-// instructions — below, inside, exactly at, and many multiples of the
-// streamChunk encode chunk.
+// instructions — one row, inside one encode range, exactly two full ranges
+// of maxRangeRows, and many of them.
 func TestDriftRowBoundaries(t *testing.T) {
 	for _, kind := range driftKinds {
 		totals := []int{1, 7, 256}

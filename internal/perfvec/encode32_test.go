@@ -22,9 +22,10 @@ func reps32(f *Foundation, ps []*ProgramData) [][]float32 {
 // for every model kind, a coalesced EncodePrograms32 pass is bitwise
 // identical to the single-request path (ProgramRep) for every program in
 // the batch, across batch compositions that exercise every remainder shape:
-// programs smaller than, equal to, and larger than the streamChunk encode
-// chunk, chunk boundaries landing inside and exactly on program boundaries,
-// and single-program batches.
+// programs smaller than one encode range, spanning several, and of exact
+// multiples of maxRangeRows, range boundaries landing inside and exactly on
+// program boundaries, and single-program batches. (The size comments' "chunk"
+// is the 256-row unit the encode once used: two full ranges.)
 func TestEncodePrograms32Bitwise(t *testing.T) {
 	kinds := []ModelKind{ModelLinear, ModelMLP, ModelLSTM, ModelBiLSTM, ModelGRU, ModelTransformer}
 	sizes := [][]int{

@@ -63,10 +63,11 @@ func TestForwardRowwiseBatchInvariant(t *testing.T) {
 // TestEncodeProgramsBitwise checks that a coalesced encode pass is bitwise
 // identical to the tape graph's forward (an arena tape over the whole
 // program, summed by SumReps) for every program in the batch, across batch
-// compositions that exercise every remainder shape: programs smaller than,
-// equal to, and larger than the streamChunk encode chunk, chunk boundaries
-// landing inside and exactly on program boundaries, and single-program
-// batches. It ties the serving path to the graph training uses, not only to
+// compositions that exercise every remainder shape: programs smaller than
+// one encode range, spanning several, and of exact multiples of
+// maxRangeRows, range boundaries landing inside and exactly on program
+// boundaries, and single-program batches (the size comments' "chunk" is the
+// 256-row unit the encode once used: two full ranges). It ties the serving path to the graph training uses, not only to
 // the single-request path that shares its kernels.
 func TestEncodeProgramsBitwise(t *testing.T) {
 	cfg := DefaultConfig()

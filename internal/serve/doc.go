@@ -39,7 +39,7 @@
 //   - SweepCached(key, spec, rep, out) is the amortized form: the program
 //     representation comes from the cache (ErrNotCached when absent), so a
 //     sweep over thousands of candidates costs zero encoder passes. The
-//     sweeper embeds a space once and reuses the packed candidate matrix
+//     sweeper embeds and packs a space once and reuses the packed panels
 //     until a different spec arrives; specs are complete cache keys, so
 //     clients alternating a handful of spaces pay the embedding once each.
 //

@@ -128,7 +128,7 @@ type Service struct {
 	// Sweep state: the embedded candidate space, shared by every sweep until
 	// a request names a different spec. Readers sweep under the read lock;
 	// embedding a new space takes the write lock because SetSpace recycles
-	// the candidate matrix in place.
+	// the packed candidate panels in place.
 	sweepMu    sync.RWMutex
 	sweeper    *perfvec.Sweeper
 	sweepSpec  uarch.SpaceSpec

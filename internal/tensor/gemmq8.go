@@ -34,8 +34,8 @@ import "runtime"
 // synthetic out-of-range bytes to prove they clip identically.
 //
 // Unlike the f32 engine there are no MC/NC cache loops and no pack pools:
-// packed A is u8 (a quarter the f32 footprint — one streamChunk x KC block
-// is at most 128 KiB, L2-resident) and B needs no per-call packing at all,
+// packed A is u8 (a quarter the f32 footprint — a KC block of a 128-row
+// encode range is at most 64 KiB, L2-resident) and B needs no per-call packing at all,
 // so the worker simply streams row tiles against each L1-resident B strip.
 // All per-call scratch comes from the caller's SlabI8, which MatMulQ8Into
 // resets at entry: a quantized GEMM owns the slab for exactly one call.

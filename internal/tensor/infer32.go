@@ -48,6 +48,58 @@ func MatMulBT32Into(dst Tensor32, a, b Tensor32) {
 	mmNT(dst.Data, a.Data, b.Data, a.R, a.C, b.R)
 }
 
+// MatMulPackedBT32 returns a[m,k] * b^T on the slab for a b packed once by
+// PackBT32: bitwise MatMulBT32 on the unpacked matrix. Per KC block it packs
+// A into the slab's packing scratch and splits b's column strips through
+// ParallelKernel; no worker packs or borrows a B buffer.
+//
+//perfvec:hotpath
+func MatMulPackedBT32(s *Slab32, a Tensor32, b *PackedBT32) Tensor32 {
+	return matMulPackedBT32(s, a, b, false)
+}
+
+// MatMulPackedBT32Serial is MatMulPackedBT32 on the calling goroutine, for
+// callers that keep a product off the worker pool. The bits are the same.
+//
+//perfvec:hotpath
+func MatMulPackedBT32Serial(s *Slab32, a Tensor32, b *PackedBT32) Tensor32 {
+	return matMulPackedBT32(s, a, b, true)
+}
+
+// matMulPackedBT32 is both forms: the serial one hands ParallelKernel a
+// zero work estimate, which runs every strip on the caller.
+//
+//perfvec:hotpath
+func matMulPackedBT32(s *Slab32, a Tensor32, b *PackedBT32, serial bool) Tensor32 {
+	if a.C != b.k {
+		panic("tensor: MatMulPackedBT32 shape mismatch")
+	}
+	m, k, n := a.R, a.C, b.n
+	out := s.Mat(m, n)
+	if m == 0 || n == 0 {
+		return out
+	}
+	mStrips := (m + gemmMR - 1) / gemmMR
+	nStrips := (n + gemmNR - 1) / gemmNR
+	if need := mStrips * gemmMR * min(b.kc, k); len(s.pack) < need {
+		s.pack = make([]float32, max(need, packSerial)) //perfvec:allow hotalloc -- once per slab, or when a taller A first needs more
+	}
+	for pc := 0; pc < k; pc += b.kc {
+		kc := min(b.kc, k-pc)
+		aPack := s.pack[:mStrips*gemmMR*kc]
+		packAN(aPack, a.Data, m, kc, pc, k)
+		work := m * kc * n
+		if serial {
+			work = 0
+		}
+		ParallelKernel(nStrips, work, kGemmPackedBT, KernelArgs{
+			S: [8][]float32{out.Data, aPack, b.data[nStrips*gemmNR*pc:]},
+			I: [6]int{kc, m, n},
+		})
+	}
+	return out
+}
+
 // MatMulBTCat32 returns [x|h] * w^T without materializing the concatenation
 // — the recurrent cells' hot op, identical to MatMulBTCat.
 //

@@ -33,6 +33,10 @@ import (
 // structure, using an exactly emulated fused multiply-add so the two paths
 // agree bitwise (see TestGEMMAsmMatchesGeneric).
 //
+// A transposed B that many products share is packed once instead
+// (PackedBT32, in the same strip layout): MatMulPackedBT32's workers read
+// its strips in place and pack only A.
+//
 // Layout is parameterized by leading dimensions (lda/ldb/ldc), which lets
 // the fused ops in ops.go (MatMulBTCat, MatMulBTCols) run the engine
 // directly on column sub-views of a matrix without materializing copies.
@@ -296,53 +300,116 @@ func kGemmPacked(s0, s1 int, ka KernelArgs) {
 // gemmWorker runs one worker's share of a KC block: output rows [i0,i1),
 // columns [j0,j1), with i0 MR-aligned and j0 NR-aligned. It packs the B
 // panels for its column range (at most NC columns at a time) into bBuf and
-// runs the micro-kernel over every MR x NR tile, streaming the shared
-// packed-A strips against each L1-resident B strip.
+// runs gemmTiles on each.
 //
 //perfvec:hotpath
 func gemmWorker(dst, aPack, bBuf, b []float32, kc, n, ldb, ldc int, bT bool, i0, i1, j0, j1 int) {
-	var tile [gemmMR * gemmNR]float32 // C scratch for boundary tiles
 	for jc := j0; jc < j1; jc += gemmNC {
 		nc := min(gemmNC, j1-jc)
-		ncStrips := (nc + gemmNR - 1) / gemmNR
-		bPack := bBuf[:ncStrips*gemmNR*kc]
+		bPack := bBuf[:(nc+gemmNR-1)/gemmNR*gemmNR*kc]
 		if bT {
 			packBT(bPack, b, jc, nc, kc, ldb)
 		} else {
 			packBN(bPack, b, jc, nc, kc, ldb)
 		}
-		for ic := i0; ic < i1; ic += gemmMC {
-			mc := min(gemmMC, i1-ic)
-			for t := 0; t < ncStrips; t++ {
-				bs := bPack[t*gemmNR*kc:]
-				jt := jc + t*gemmNR
-				nr := min(gemmNR, n-jt)
-				for ir := 0; ir < mc; ir += gemmMR {
-					i := ic + ir
-					mr := min(gemmMR, i1-i)
-					as := aPack[(i/gemmMR)*gemmMR*kc:]
-					if mr == gemmMR && nr == gemmNR {
-						gemmMicro(dst[i*ldc+jt:], as, bs, kc, ldc)
-						continue
-					}
-					// Boundary tile: run the same kernel on an NR-strided
-					// scratch tile holding the valid C region (zero
-					// elsewhere), then copy the valid region back. The
-					// packed panels zero-fill past m and n, so the padded
-					// lanes accumulate zeros and every real element sees
-					// the identical fused-multiply-add chain it would see
-					// in a full tile.
-					clear(tile[:])
-					for r := 0; r < mr; r++ {
-						copy(tile[r*gemmNR:r*gemmNR+nr], dst[(i+r)*ldc+jt:(i+r)*ldc+jt+nr])
-					}
-					gemmMicro(tile[:], as, bs, kc, gemmNR)
-					for r := 0; r < mr; r++ {
-						copy(dst[(i+r)*ldc+jt:(i+r)*ldc+jt+nr], tile[r*gemmNR:r*gemmNR+nr])
-					}
+		gemmTiles(dst, aPack, bPack, kc, n, ldc, i0, i1, jc, nc)
+	}
+}
+
+// gemmTiles runs the micro-kernel over every MR x NR tile of output rows
+// [i0,i1) and columns [jc,jc+nc) of one KC block, streaming the packed-A
+// strips against each L1-resident B strip. bPack holds the column range's
+// packed NR strips, strip t at bPack[t*NR*kc:]: the panel gemmWorker
+// packs, or a slice of a PackedBT32's block.
+//
+//perfvec:hotpath
+func gemmTiles(dst, aPack, bPack []float32, kc, n, ldc, i0, i1, jc, nc int) {
+	var tile [gemmMR * gemmNR]float32 // C scratch for boundary tiles
+	ncStrips := (nc + gemmNR - 1) / gemmNR
+	for ic := i0; ic < i1; ic += gemmMC {
+		mc := min(gemmMC, i1-ic)
+		for t := 0; t < ncStrips; t++ {
+			bs := bPack[t*gemmNR*kc:]
+			jt := jc + t*gemmNR
+			nr := min(gemmNR, n-jt)
+			for ir := 0; ir < mc; ir += gemmMR {
+				i := ic + ir
+				mr := min(gemmMR, i1-i)
+				as := aPack[(i/gemmMR)*gemmMR*kc:]
+				if mr == gemmMR && nr == gemmNR {
+					gemmMicro(dst[i*ldc+jt:], as, bs, kc, ldc)
+					continue
+				}
+				// Boundary tile: run the same kernel on an NR-strided
+				// scratch tile holding the valid C region (zero
+				// elsewhere), then copy the valid region back. The
+				// packed panels zero-fill past m and n, so the padded
+				// lanes accumulate zeros and every real element sees
+				// the identical fused-multiply-add chain it would see
+				// in a full tile.
+				clear(tile[:])
+				for r := 0; r < mr; r++ {
+					copy(tile[r*gemmNR:r*gemmNR+nr], dst[(i+r)*ldc+jt:(i+r)*ldc+jt+nr])
+				}
+				gemmMicro(tile[:], as, bs, kc, gemmNR)
+				for r := 0; r < mr; r++ {
+					copy(dst[(i+r)*ldc+jt:(i+r)*ldc+jt+nr], tile[r*gemmNR:r*gemmNR+nr])
 				}
 			}
 		}
+	}
+}
+
+// PackedBT32 is a transposed B operand (storage n x k, read as k x n)
+// packed once for products that reuse it against many A: for each KC block
+// in turn, all of its NR-column strips, each laid out as gemmWorker packs
+// it per call (columns past n zero-filled). The block at reduction index pc
+// starts at data[nPad*pc], where nPad is n rounded up to NR, and columns
+// [jc, jc+nc) of it, jc NR-aligned, are the panel gemmTiles reads at offset
+// jc*kc. The KC depth is recorded at packing, so a product runs the blocks
+// the operand was packed with.
+type PackedBT32 struct {
+	data     []float32
+	n, k, kc int
+}
+
+// N returns the operand's logical columns (the storage's rows).
+func (p *PackedBT32) N() int { return p.n }
+
+// K returns the operand's reduction depth (the storage's columns).
+func (p *PackedBT32) K() int { return p.k }
+
+// PackBT32 packs b ([n x k], read as b^T) into p, reusing p's storage when
+// it holds enough floats: packing a new operand into an old one recycles it
+// in place. Packing only moves elements, so a product on p gives the bits
+// MatMulBT32 gives on b.
+func PackBT32(p *PackedBT32, b Tensor32) {
+	n, k := b.R, b.C
+	nPad := (n + gemmNR - 1) / gemmNR * gemmNR
+	if cap(p.data) < nPad*k {
+		p.data = make([]float32, nPad*k)
+	}
+	p.data = p.data[:nPad*k]
+	p.n, p.k, p.kc = n, k, gemmKC
+	for pc := 0; pc < k; pc += p.kc {
+		kc := min(p.kc, k-pc)
+		packBT(p.data[nPad*pc:nPad*(pc+kc)], b.Data[pc:], 0, n, kc, k)
+	}
+}
+
+// kGemmPackedBT is the per-worker body of a product on a PackedBT32:
+// S0=dst, S1=packed A (all strips for the current KC block), S2=the
+// operand's packed KC block; I0=kc, I1=m, I2=n. The partition units
+// [s0,s1) are NR-column strips, and the worker covers all rows of its
+// column range. It packs nothing: its B strips are already in place.
+//
+//perfvec:hotpath
+func kGemmPackedBT(s0, s1 int, ka KernelArgs) {
+	dst, aPack, bBlk := ka.S[0], ka.S[1], ka.S[2]
+	kc, m, n := ka.I[0], ka.I[1], ka.I[2]
+	j1 := min(s1*gemmNR, n)
+	for jc := s0 * gemmNR; jc < j1; jc += gemmNC {
+		gemmTiles(dst, aPack, bBlk[jc*kc:], kc, n, n, 0, m, jc, min(gemmNC, j1-jc))
 	}
 }
 

@@ -310,6 +310,50 @@ func TestGEMMScratchMatchesPool(t *testing.T) {
 	}
 }
 
+// TestMatMulPackedBT32MatchesMatMulBT32 pins the product on a pre-packed B
+// to MatMulBT32 bit for bit: one to three MR row strips with partial ones,
+// one and two KC blocks (k = gemmKC+3), and NR/NC column boundaries up to a
+// sweep-sized 4096 columns, with the pooled form at GOMAXPROCS 1 and 2
+// and the serial form. One operand is repacked for every shape, so each
+// shape also runs on storage a larger one left behind.
+func TestMatMulPackedBT32MatchesMatMulBT32(t *testing.T) {
+	withFMA(t, func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		var packed PackedBT32
+		var s Slab32
+		for _, k := range []int{1, 32, gemmKC + 3} {
+			for _, n := range []int{1, 15, 16, 17, gemmNC + 5, 4096} {
+				b := Tensor32{Data: randSlice(rng, n*k), R: n, C: k}
+				PackBT32(&packed, b)
+				if packed.N() != n || packed.K() != k {
+					t.Fatalf("PackBT32 of [%d x %d] reports N=%d K=%d", n, k, packed.N(), packed.K())
+				}
+				for _, m := range []int{1, 5, 6, 7, 13} {
+					a := Tensor32{Data: randSlice(rng, m*k), R: m, C: k}
+					s.Reset()
+					want := MatMulBT32(&s, a, b)
+					for _, procs := range []int{0, 1, 2} {
+						var got Tensor32
+						if procs == 0 {
+							got = MatMulPackedBT32Serial(&s, a, &packed)
+						} else {
+							prev := runtime.GOMAXPROCS(procs)
+							got = MatMulPackedBT32(&s, a, &packed)
+							runtime.GOMAXPROCS(prev)
+						}
+						for i, w := range want.Data {
+							if math.Float32bits(got.Data[i]) != math.Float32bits(w) {
+								t.Fatalf("%dx%dx%d GOMAXPROCS=%d (0: serial form): elem %d: packed %v, MatMulBT32 %v (must be bitwise identical)",
+									m, k, n, procs, i, got.Data[i], w)
+							}
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
 func outLen(kind string, m, k, n int) int {
 	if kind == "TN" {
 		return k * n

@@ -13,7 +13,7 @@ import (
 // secondary knobs from a seeded PCG, with exact-duplicate configurations
 // deduplicated. The same SpaceSpec always yields the same space, on any
 // process — the property that lets a sweep service cache the embedded
-// candidate matrix by spec.
+// candidates by spec.
 
 // Grid axes: the primary design dimensions every generated space covers
 // exhaustively before any random replication. Their cross product with the
