@@ -1,9 +1,8 @@
 // Command perfvec-vet is the repo's static-analysis suite: a multichecker
 // over the go/analysis-style passes in internal/analysis that enforce the
-// performance invariants PRs 3-5 established dynamically — arena/tape tensor
-// lifetime (arenalife), per-function zero-allocation hot paths (hotalloc),
-// closure-free typed kernel dispatch (kernelcapture), and engine-call-scoped
-// pack buffers (packlife).
+// performance invariants PRs 3-4 established dynamically — arena/tape tensor
+// lifetime (arenalife), per-function zero-allocation hot paths (hotalloc) and
+// closure-free typed kernel dispatch (kernelcapture).
 //
 // It loads packages via the go tool:
 //
@@ -18,7 +17,6 @@ import (
 	"repro/internal/analysis/arenalife"
 	"repro/internal/analysis/hotalloc"
 	"repro/internal/analysis/kernelcapture"
-	"repro/internal/analysis/packlife"
 )
 
 func main() {
@@ -26,6 +24,5 @@ func main() {
 		arenalife.Analyzer,
 		hotalloc.Analyzer,
 		kernelcapture.Analyzer,
-		packlife.Analyzer,
 	)
 }

@@ -30,7 +30,8 @@
 //     Workers partition the output's NR-column strips (or its MR-row
 //     strips, when the columns cannot feed every worker and the rows can)
 //     and share the packed A block read-only; column-partitioned workers
-//     pack the B panels for their own column range.
+//     pack the B strips for their own column range, and a row-partitioned
+//     product's narrow B is packed once before dispatch.
 //   - Micro-kernel contract: gemmMicro6x16 (gemm_amd64.s) loads the 6x16 C
 //     tile into twelve YMM accumulators, performs kc fused-multiply-add
 //     steps (two B vectors, six A broadcasts each) with software prefetch
@@ -41,14 +42,16 @@
 //     float64 double rounding), so assembly and portable results are
 //     bitwise identical, as are serial and parallel runs at any worker
 //     count.
-//   - Packed-buffer lifetime: pack panels come from a free-list pool
-//     (packPool) and are owned by the engine only within a single GEMM
-//     call — returned before the call completes, never retained — so the
-//     hot path stays zero-alloc without pinning panel memory. A product
-//     small enough for a Slab32's packing scratch (every GEMM of the
-//     default encoder's row ranges) runs serially on the slab's goroutine
-//     with its panels in that scratch, taking no pool buffer and making no
-//     dispatch.
+//   - Packing scratch ownership: every GEMM packs its panels into the
+//     grow-only scratch of its owner — the Slab32 an inference op runs on,
+//     the recording Tape, or a slice local to a nil-tape call — holding one
+//     KC block of packed A followed by the whole padded B block, each
+//     column unit packing its own disjoint strips, so the hot path stays
+//     zero-alloc with no buffer shared between owners. A slab product
+//     small enough for the slab's serial rule (every GEMM of the default
+//     encoder's row ranges) runs on the slab's goroutine with no
+//     dispatch, and so does every op of a gradient worker's tape when the
+//     workers fill the cores (Tape.SetSerial).
 //
 // Kernels are leading-dimension-parameterized so fused ops (MatMulBTCat for
 // recurrent cells, MatMulBTCols for attention heads) run on column
@@ -132,8 +135,8 @@
 // The performance invariants above are not only measured — they are enforced
 // at compile time by perfvec-vet (cmd/perfvec-vet), a custom go/analysis
 // suite built on the standard library (internal/analysis) that loads every
-// package itself, and is a required CI step. Four
-// analyzers cover the four invariant classes:
+// package itself, and is a required CI step. Three
+// analyzers cover the three invariant classes:
 //
 //   - arenalife: a *tensor.Tensor or []*tensor.Tensor slab produced through
 //     a tape or arena is step-lifetime — valid only until the owning
@@ -152,9 +155,6 @@
 //   - kernelcapture: every value used as a tensor.Kernel must be a named
 //     top-level function — func literals and method values heap-allocate
 //     per dispatch, the exact pre-PR-4 bug shape.
-//   - packlife: pack-pool buffers acquired in the GEMM engine must be
-//     returned to the pool on every path out of the acquiring function and
-//     must never escape it.
 //
 // A deliberate exception is waived one line at a time with
 // `//perfvec:allow <analyzer> -- justification`; the justification is

@@ -3,10 +3,10 @@
 // library's go/ast, go/types, and go/importer.
 //
 // The repo's performance invariants — arena/tape tensor lifetime (PR 3),
-// closure-free typed kernels (PR 4), packed-buffer engine-call lifetime
-// (PR 5), and the zero-allocation training hot path — were until now enforced
-// only by after-the-fact regression tests. The analyzers in the subpackages
-// (arenalife, hotalloc, kernelcapture, packlife) enforce them at vet time
+// closure-free typed kernels (PR 4), and the zero-allocation training hot
+// path — were until now enforced only by after-the-fact regression tests.
+// The analyzers in the subpackages (arenalife, hotalloc, kernelcapture)
+// enforce them at vet time
 // instead; cmd/perfvec-vet is the multichecker binary that runs them,
 // loading packages itself via `go list -export`.
 //

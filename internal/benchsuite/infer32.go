@@ -95,7 +95,7 @@ func encodeBench(b *testing.B, cfg perfvec.Config, ps []*perfvec.ProgramData, q8
 	if q8 {
 		encode = e.EncodeProgramsQ8
 	}
-	encode(ps, dst) // warm the slabs and pack pools
+	encode(ps, dst) // warm the slabs and their packing scratch
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

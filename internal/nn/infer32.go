@@ -58,7 +58,7 @@ func (o slabOps) scores(q, k tensor.Tensor32, from, to int) tensor.Tensor32 {
 
 //perfvec:hotpath
 func (o slabOps) attentionValue(dst, att, v tensor.Tensor32, from, to int) {
-	tensor.AttentionValue32(dst, att, v, from, to)
+	tensor.AttentionValue32(o.s, dst, att, v, from, to)
 }
 
 //perfvec:hotpath

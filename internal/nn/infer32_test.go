@@ -96,7 +96,7 @@ func TestOracle64Close(t *testing.T) {
 }
 
 // TestForwardSeq32SteadyStateAllocs pins the forward-only encode to zero
-// heap allocations once the slab and pack pools are warm.
+// heap allocations once the slab and its packing scratch are warm.
 func TestForwardSeq32SteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates; alloc pin runs in the non-race suite")

@@ -98,27 +98,34 @@ func TestEncodePrograms32BatchInvariant(t *testing.T) {
 }
 
 // TestEncodePrograms32SteadyStateAllocs pins the f32 coalesced encode to
-// zero heap allocations once the encoder's slab, accumulator scratch, and
-// the GEMM pack pools are warm.
+// zero heap allocations, for every architecture, once the encoder's slab,
+// its packing scratch and its accumulator scratch are warm: every GEMM of
+// the encode (the recurrent cells', the MLP's, the transformer's attention
+// scores and AttentionValue32) must pack into the slab's own scratch.
 func TestEncodePrograms32SteadyStateAllocs(t *testing.T) {
-	cfg := DefaultConfig()
-	f := NewFoundation(cfg)
-	rng := rand.New(rand.NewSource(29))
-	ps := []*ProgramData{
-		encTestProgram(rng, "a", 64, cfg.FeatDim),
-		encTestProgram(rng, "b", 200, cfg.FeatDim),
-	}
-	dst := [][]float32{make([]float32, cfg.RepDim), make([]float32, cfg.RepDim)}
-	e := f.AcquireEncoder()
-	defer f.ReleaseEncoder(e)
-	pass := func() { e.EncodePrograms32(ps, dst) }
-	for i := 0; i < 3; i++ {
-		pass()
-	}
-	if raceEnabled {
-		return // the race detector's own allocations break AllocsPerRun
-	}
-	if n := testing.AllocsPerRun(20, pass); n > 0 {
-		t.Fatalf("steady-state EncodePrograms32 allocates %.1f/op, want 0", n)
+	for _, kind := range modelKinds {
+		t.Run(string(kind), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Model = kind
+			f := NewFoundation(cfg)
+			rng := rand.New(rand.NewSource(29))
+			ps := []*ProgramData{
+				encTestProgram(rng, "a", 64, cfg.FeatDim),
+				encTestProgram(rng, "b", 200, cfg.FeatDim),
+			}
+			dst := [][]float32{make([]float32, cfg.RepDim), make([]float32, cfg.RepDim)}
+			e := f.AcquireEncoder()
+			defer f.ReleaseEncoder(e)
+			pass := func() { e.EncodePrograms32(ps, dst) }
+			for i := 0; i < 3; i++ {
+				pass()
+			}
+			if raceEnabled {
+				return // the race detector's own allocations break AllocsPerRun
+			}
+			if n := testing.AllocsPerRun(20, pass); n > 0 {
+				t.Fatalf("%s: steady-state EncodePrograms32 allocates %.1f/op, want 0", kind, n)
+			}
+		})
 	}
 }

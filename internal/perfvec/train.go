@@ -38,13 +38,15 @@ type Trainer struct {
 
 // shardJob is one minibatch shard handed to a gradWorker's persistent
 // goroutine: the worker backpropagates the shard's loss scaled by frac and
-// signals wg. Plain struct over a channel — dispatching a step spawns no
-// goroutines and allocates nothing.
+// signals wg. serial keeps the whole shard on the worker's goroutine, for
+// steps whose workers fill the cores. Plain struct over a channel —
+// dispatching a step spawns no goroutines and allocates nothing.
 type shardJob struct {
-	d     *Dataset
-	shard []int
-	frac  float32
-	wg    *sync.WaitGroup
+	d      *Dataset
+	shard  []int
+	frac   float32
+	serial bool
+	wg     *sync.WaitGroup
 }
 
 // gradWorker is one data-parallel training replica: a shadow of the model
@@ -65,12 +67,19 @@ type gradWorker struct {
 	jobs   chan shardJob
 }
 
-// run is the worker goroutine: one shard forward/backward per job.
+// run is the worker goroutine: one shard forward/backward per job. A
+// serial job runs its batch assembly and every tape op on this goroutine:
+// the other workers hold the other cores, so a split would only park.
 func (w *gradWorker) run() {
 	cfg := w.model.Cfg
 	for job := range w.jobs {
 		w.tape.Reset()
-		xs, targets := job.d.Batch(w.tape, job.shard, cfg.Window, cfg.TargetScale, cfg.BatchWorkers)
+		w.tape.SetSerial(job.serial)
+		batchWorkers := cfg.BatchWorkers
+		if job.serial {
+			batchWorkers = 1
+		}
+		xs, targets := job.d.Batch(w.tape, job.shard, cfg.Window, cfg.TargetScale, batchWorkers)
 		reps := w.model.Forward(w.tape, xs)
 		preds := tensor.MatMulBT(w.tape, reps, w.table.M)
 		loss := tensor.Scale(w.tape, nn.MSE(w.tape, preds, targets), job.frac)
@@ -265,6 +274,9 @@ func (t *Trainer) stepReuse(d *Dataset, batch []int, opt nn.Optimizer) float64 {
 	}
 
 	chunk := (len(batch) + nW - 1) / nW
+	// Workers that fill the cores run their shards serially: a split of a
+	// worker's op would only hand chunks to pool goroutines with no core.
+	serial := nW >= runtime.GOMAXPROCS(0)
 	for wi := 0; wi < nW; wi++ {
 		from := wi * chunk
 		to := min(from+chunk, len(batch))
@@ -276,8 +288,9 @@ func (t *Trainer) stepReuse(d *Dataset, batch []int, opt nn.Optimizer) float64 {
 		t.stepWG.Add(1)
 		w.jobs <- shardJob{
 			d: d, shard: batch[from:to],
-			frac: float32(to-from) / float32(len(batch)),
-			wg:   &t.stepWG,
+			frac:   float32(to-from) / float32(len(batch)),
+			serial: serial,
+			wg:     &t.stepWG,
 		}
 	}
 	t.stepWG.Wait()

@@ -70,7 +70,7 @@ func LSTMGates(tp *Tape, pre, bias, c *Tensor) (*Tensor, *Tensor) {
 	cNew := tp.alloc(m, H)
 	acts := tp.alloc(m, 4*H) // σ/tanh gate activations, kept for backward
 	tanhC := tp.alloc(m, H)  // tanh(c'), kept for backward
-	ParallelKernel(m, m*4*H*ewTransc, kLSTMGates, KernelArgs{
+	tp.parallel(m, m*4*H*ewTransc, kLSTMGates, KernelArgs{
 		S: [8][]float32{pre.Data, bias.Data, c.Data, hNew.Data, cNew.Data, acts.Data, tanhC.Data},
 		I: [6]int{H},
 	})
@@ -153,7 +153,7 @@ func vjpLSTMGates(tp *Tape, r *opRecord) {
 	// grad): the bias reduction below must see exactly this op's
 	// contribution, not whatever pre.Grad already accumulated.
 	dpre := tp.alloc(m, 4*H).Data
-	ParallelKernel(m, m*H*16, kLSTMGatesVJP, KernelArgs{
+	tp.parallel(m, m*H*16, kLSTMGatesVJP, KernelArgs{
 		S: [8][]float32{r.s1.Data, c.Data, r.s2.Data, dpre, pre.ensureGrad(), c.ensureGrad(), gh, gc},
 		I: [6]int{H},
 	})
@@ -223,7 +223,7 @@ func GRUGates(tp *Tape, pre, bias, h *Tensor) (*Tensor, *Tensor) {
 	z := tp.alloc(m, H)
 	rh := tp.alloc(m, H)
 	rAct := tp.alloc(m, H)
-	ParallelKernel(m, m*2*H*ewTransc, kGRUGates, KernelArgs{
+	tp.parallel(m, m*2*H*ewTransc, kGRUGates, KernelArgs{
 		S: [8][]float32{pre.Data, bias.Data, h.Data, z.Data, rAct.Data, rh.Data},
 		I: [6]int{H},
 	})
@@ -270,7 +270,7 @@ func vjpGRUGates(tp *Tape, r *opRecord) {
 	pre, bias, h := r.a, r.b, r.c
 	m, H := h.Rows(), h.Cols()
 	dpre := tp.alloc(m, 2*H).Data // this op's pre-activation grads (see vjpLSTMGates)
-	ParallelKernel(m, m*2*H*4, kGRUGatesVJP, KernelArgs{
+	tp.parallel(m, m*2*H*4, kGRUGatesVJP, KernelArgs{
 		S: [8][]float32{h.Data, r.out.Data, r.s1.Data, dpre, pre.ensureGrad(), h.ensureGrad(), gz, grh},
 		I: [6]int{H},
 	})
@@ -326,7 +326,7 @@ func GateCombine(tp *Tape, z, nPre, bias, h *Tensor) *Tensor {
 	}
 	out := tp.alloc(m, H)
 	nAct := tp.alloc(m, H)
-	ParallelKernel(m, m*H*ewTransc, kGateCombine, KernelArgs{
+	tp.parallel(m, m*H*ewTransc, kGateCombine, KernelArgs{
 		S: [8][]float32{nPre.Data, bias.Data, z.Data, h.Data, nAct.Data, out.Data},
 		I: [6]int{H},
 	})
@@ -372,7 +372,7 @@ func vjpGateCombine(tp *Tape, r *opRecord) {
 	z, nPre, bias, h := r.a, r.b, r.c, r.d
 	m, H := h.Rows(), h.Cols()
 	dpre := tp.alloc(m, H).Data // this op's candidate pre-activation grads
-	ParallelKernel(m, m*H*6, kGateCombineVJP, KernelArgs{
+	tp.parallel(m, m*H*6, kGateCombineVJP, KernelArgs{
 		S: [8][]float32{z.Data, h.Data, r.s1.Data, g, dpre, z.ensureGrad(), nPre.ensureGrad(), h.ensureGrad()},
 		I: [6]int{H},
 	})
@@ -434,7 +434,7 @@ func AddBiasInPlace(tp *Tape, a, bias *Tensor) *Tensor {
 	if bias.Len() != n {
 		panic(fmt.Sprintf("tensor: AddBiasInPlace bias length %d != cols %d", bias.Len(), n))
 	}
-	ParallelKernel(m, m*n, kAddBias,
+	tp.parallel(m, m*n, kAddBias,
 		KernelArgs{S: [8][]float32{a.Data, a.Data, bias.Data}, I: [6]int{n}})
 	tp.record(opRecord{kind: opAddBiasInPlace, a: a, b: bias})
 	return a
@@ -443,7 +443,7 @@ func AddBiasInPlace(tp *Tape, a, bias *Tensor) *Tensor {
 // vjpAddBiasInPlace: a, b=bias.
 //
 //perfvec:hotpath
-func vjpAddBiasInPlace(_ *Tape, r *opRecord) {
+func vjpAddBiasInPlace(tp *Tape, r *opRecord) {
 	g := r.a.Grad
 	if g == nil {
 		return
@@ -462,7 +462,7 @@ func vjpAddBiasInPlace(_ *Tape, r *opRecord) {
 // backward rewrites a.Grad in place (g ← g·y·(1-y)), so records earlier on
 // the tape observe the pre-activation gradient.
 func SigmoidInPlace(tp *Tape, a *Tensor) *Tensor {
-	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kSigmoid,
+	tp.parallel(len(a.Data), len(a.Data)*ewTransc, kSigmoid,
 		KernelArgs{S: [8][]float32{a.Data, a.Data}})
 	tp.record(opRecord{kind: opSigmoidInPlace, a: a})
 	return a
@@ -471,12 +471,12 @@ func SigmoidInPlace(tp *Tape, a *Tensor) *Tensor {
 // vjpSigmoidInPlace: a.
 //
 //perfvec:hotpath
-func vjpSigmoidInPlace(_ *Tape, r *opRecord) {
+func vjpSigmoidInPlace(tp *Tape, r *opRecord) {
 	g := r.a.Grad
 	if g == nil {
 		return
 	}
-	ParallelKernel(len(g), len(g), kSigmoidInPlaceVJP,
+	tp.parallel(len(g), len(g), kSigmoidInPlaceVJP,
 		KernelArgs{S: [8][]float32{g, r.a.Data}})
 }
 
@@ -491,7 +491,7 @@ func kSigmoidInPlaceVJP(s, e int, ka KernelArgs) {
 
 // TanhInPlace applies tanh elementwise to a in place and returns a.
 func TanhInPlace(tp *Tape, a *Tensor) *Tensor {
-	ParallelKernel(len(a.Data), len(a.Data)*ewTransc, kTanh,
+	tp.parallel(len(a.Data), len(a.Data)*ewTransc, kTanh,
 		KernelArgs{S: [8][]float32{a.Data, a.Data}})
 	tp.record(opRecord{kind: opTanhInPlace, a: a})
 	return a
@@ -500,12 +500,12 @@ func TanhInPlace(tp *Tape, a *Tensor) *Tensor {
 // vjpTanhInPlace: a.
 //
 //perfvec:hotpath
-func vjpTanhInPlace(_ *Tape, r *opRecord) {
+func vjpTanhInPlace(tp *Tape, r *opRecord) {
 	g := r.a.Grad
 	if g == nil {
 		return
 	}
-	ParallelKernel(len(g), len(g), kTanhInPlaceVJP,
+	tp.parallel(len(g), len(g), kTanhInPlaceVJP,
 		KernelArgs{S: [8][]float32{g, r.a.Data}})
 }
 
@@ -521,7 +521,7 @@ func kTanhInPlaceVJP(s, e int, ka KernelArgs) {
 // ReLUInPlace applies max(·,0) elementwise to a in place and returns a. The
 // output sign carries the mask (y > 0 ⟺ pre > 0), so no mask is stored.
 func ReLUInPlace(tp *Tape, a *Tensor) *Tensor {
-	ParallelKernel(len(a.Data), len(a.Data), kReLU,
+	tp.parallel(len(a.Data), len(a.Data), kReLU,
 		KernelArgs{S: [8][]float32{a.Data, a.Data}})
 	tp.record(opRecord{kind: opReLUInPlace, a: a})
 	return a
@@ -530,12 +530,12 @@ func ReLUInPlace(tp *Tape, a *Tensor) *Tensor {
 // vjpReLUInPlace: a.
 //
 //perfvec:hotpath
-func vjpReLUInPlace(_ *Tape, r *opRecord) {
+func vjpReLUInPlace(tp *Tape, r *opRecord) {
 	g := r.a.Grad
 	if g == nil {
 		return
 	}
-	ParallelKernel(len(g), len(g), kReLUInPlaceVJP,
+	tp.parallel(len(g), len(g), kReLUInPlaceVJP,
 		KernelArgs{S: [8][]float32{g, r.a.Data}})
 }
 

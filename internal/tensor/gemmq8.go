@@ -33,7 +33,7 @@ import "runtime"
 // instruction defines, and TestGEMMQ8MicroSaturation feeds both kernels
 // synthetic out-of-range bytes to prove they clip identically.
 //
-// Unlike the f32 engine there are no MC/NC cache loops and no pack pools:
+// Unlike the f32 engine there are no MC/NC cache loops:
 // packed A is u8 (a quarter the f32 footprint — a KC block of a 128-row
 // encode range is at most 64 KiB, L2-resident) and B needs no per-call packing at all,
 // so the worker simply streams row tiles against each L1-resident B strip.

@@ -20,7 +20,7 @@ func MatMul32(s *Slab32, a, b Tensor32) Tensor32 {
 		panic("tensor: MatMul32 shape mismatch")
 	}
 	out := s.Mat(a.R, b.C)
-	gemmPacked(&s.pack, out.Data, a.Data, b.Data, a.R, a.C, b.C, a.C, b.C, b.C, false, false)
+	s.gemm(out.Data, a.Data, b.Data, a.R, a.C, b.C, a.C, b.C, b.C, false)
 	return out
 }
 
@@ -32,26 +32,14 @@ func MatMulBT32(s *Slab32, a, b Tensor32) Tensor32 {
 		panic("tensor: MatMulBT32 shape mismatch")
 	}
 	out := s.Mat(a.R, b.R)
-	gemmPacked(&s.pack, out.Data, a.Data, b.Data, a.R, a.C, b.R, a.C, a.C, b.R, false, true)
+	s.gemm(out.Data, a.Data, b.Data, a.R, a.C, b.R, a.C, a.C, b.R, true)
 	return out
-}
-
-// MatMulBT32Into computes a * b^T into the caller's dst (which must be
-// zeroed: the GEMM engine accumulates). The encoder head uses this to write
-// final representations straight into the caller's buffer.
-//
-//perfvec:hotpath
-func MatMulBT32Into(dst Tensor32, a, b Tensor32) {
-	if a.C != b.C || dst.R != a.R || dst.C != b.R {
-		panic("tensor: MatMulBT32Into shape mismatch")
-	}
-	mmNT(dst.Data, a.Data, b.Data, a.R, a.C, b.R)
 }
 
 // MatMulPackedBT32 returns a[m,k] * b^T on the slab for a b packed once by
 // PackBT32: bitwise MatMulBT32 on the unpacked matrix. Per KC block it packs
 // A into the slab's packing scratch and splits b's column strips through
-// ParallelKernel; no worker packs or borrows a B buffer.
+// ParallelKernel; no unit packs B.
 //
 //perfvec:hotpath
 func MatMulPackedBT32(s *Slab32, a Tensor32, b *PackedBT32) Tensor32 {
@@ -79,22 +67,22 @@ func matMulPackedBT32(s *Slab32, a Tensor32, b *PackedBT32, serial bool) Tensor3
 	if m == 0 || n == 0 {
 		return out
 	}
-	mStrips := (m + gemmMR - 1) / gemmMR
+	mPad := (m + gemmMR - 1) / gemmMR * gemmMR
 	nStrips := (n + gemmNR - 1) / gemmNR
-	if need := mStrips * gemmMR * min(b.kc, k); len(s.pack) < need {
+	if need := mPad * min(b.kc, k); len(s.pack) < need {
 		s.pack = make([]float32, max(need, packSerial)) //perfvec:allow hotalloc -- once per slab, or when a taller A first needs more
 	}
 	for pc := 0; pc < k; pc += b.kc {
 		kc := min(b.kc, k-pc)
-		aPack := s.pack[:mStrips*gemmMR*kc]
+		aPack := s.pack[:mPad*kc]
 		packAN(aPack, a.Data, m, kc, pc, k)
 		work := m * kc * n
 		if serial {
 			work = 0
 		}
-		ParallelKernel(nStrips, work, kGemmPackedBT, KernelArgs{
+		ParallelKernel(nStrips, work, kGemmPacked, KernelArgs{
 			S: [8][]float32{out.Data, aPack, b.data[nStrips*gemmNR*pc:]},
-			I: [6]int{kc, m, n},
+			I: [6]int{kc, m, n, 0, n},
 		})
 	}
 	return out
@@ -126,7 +114,7 @@ func MatMulBTPart32(s *Slab32, dst, x, w Tensor32, from int) {
 	if from < 0 || from+x.C > w.C || dst.R != x.R || dst.C != w.R {
 		panic("tensor: MatMulBTPart32 shape mismatch")
 	}
-	gemmPacked(&s.pack, dst.Data, x.Data, w.Data[from:], x.R, x.C, w.R, x.C, w.C, w.R, false, true)
+	s.gemm(dst.Data, x.Data, w.Data[from:], x.R, x.C, w.R, x.C, w.C, w.R, true)
 }
 
 // MatMulBTCols32 returns a[:, from:to] * b[:, from:to]^T — the per-head
@@ -138,7 +126,7 @@ func MatMulBTCols32(s *Slab32, a, b Tensor32, from, to int) Tensor32 {
 		panic("tensor: MatMulBTCols32 column range out of range")
 	}
 	out := s.Mat(a.R, b.R)
-	gemmPacked(&s.pack, out.Data, a.Data[from:], b.Data[from:], a.R, to-from, b.R, a.C, b.C, b.R, false, true)
+	s.gemm(out.Data, a.Data[from:], b.Data[from:], a.R, to-from, b.R, a.C, b.C, b.R, true)
 	return out
 }
 
@@ -148,14 +136,15 @@ func MatMulBTCols32(s *Slab32, a, b Tensor32, from, to int) Tensor32 {
 // the leading-dimension-aware engine reads v's column block and writes
 // dst's column block in place, and since packing reads the identical
 // logical B elements and ldc only addresses the stores, the values are
-// bitwise identical to the slice-multiply-concat composition.
+// bitwise identical to the slice-multiply-concat composition. s lends its
+// packing scratch only.
 //
 //perfvec:hotpath
-func AttentionValue32(dst Tensor32, att, v Tensor32, from, to int) {
+func AttentionValue32(s *Slab32, dst Tensor32, att, v Tensor32, from, to int) {
 	if from < 0 || to > v.C || to > dst.C || from >= to || att.C != v.R || dst.R != att.R {
 		panic("tensor: AttentionValue32 shape mismatch")
 	}
-	gemmNN(dst.Data[from:], att.Data, v.Data[from:], att.R, att.C, to-from, att.C, v.C, dst.C)
+	s.gemm(dst.Data[from:], att.Data, v.Data[from:], att.R, att.C, to-from, att.C, v.C, dst.C, false)
 }
 
 // Add32 returns a + b on the slab.

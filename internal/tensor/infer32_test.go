@@ -47,10 +47,6 @@ func TestInfer32BitwiseMatchesTape(t *testing.T) {
 	wantBitwise(t, "MatMulBT32",
 		MatMulBT32(s, asT32(a), asT32(bt)).Data, MatMulBT(tp, a, bt).Data)
 
-	into := s.Mat(m, n)
-	MatMulBT32Into(into, asT32(a), asT32(bt))
-	wantBitwise(t, "MatMulBT32Into", into.Data, MatMulBT(tp, a, bt).Data)
-
 	x, h, w := randTensor(rng, m, k), randTensor(rng, m, 4), randTensor(rng, n, k+4)
 	wantBitwise(t, "MatMulBTCat32",
 		MatMulBTCat32(s, asT32(x), asT32(h), asT32(w)).Data, MatMulBTCat(tp, x, h, w).Data)
@@ -62,8 +58,8 @@ func TestInfer32BitwiseMatchesTape(t *testing.T) {
 	// AttentionValue32 against the slice-multiply-concat composition.
 	att, v := randTensor(rng, m, m), randTensor(rng, m, n)
 	dst := s.Mat(m, n)
-	AttentionValue32(dst, asT32(att), asT32(v), 0, 5)
-	AttentionValue32(dst, asT32(att), asT32(v), 5, n)
+	AttentionValue32(s, dst, asT32(att), asT32(v), 0, 5)
+	AttentionValue32(s, dst, asT32(att), asT32(v), 5, n)
 	ref := ConcatCols(tp, MatMul(tp, att, SliceCols(tp, v, 0, 5)), MatMul(tp, att, SliceCols(tp, v, 5, n)))
 	wantBitwise(t, "AttentionValue32", dst.Data, ref.Data)
 
@@ -292,7 +288,7 @@ func TestInfer32SteadyStateAllocs(t *testing.T) {
 		LSTMGates32(s, pre, bias, cell)
 	}
 	for i := 0; i < 3; i++ {
-		pass() // warm the slab and the pack-buffer pool
+		pass() // warm the slab and its packing scratch
 	}
 	grows := s.Grows()
 	for i := 0; i < 5; i++ {

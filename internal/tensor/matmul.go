@@ -1,9 +1,6 @@
 package tensor
 
-import (
-	"runtime"
-	"sync"
-)
+import "runtime"
 
 // Packed, cache-blocked GEMM engine shared by the forward and backward
 // passes — a BLIS-style decomposition replacing the three divergent panel
@@ -33,8 +30,10 @@ import (
 // structure, using an exactly emulated fused multiply-add so the two paths
 // agree bitwise (see TestGEMMAsmMatchesGeneric).
 //
-// A transposed B that many products share is packed once instead
-// (PackedBT32, in the same strip layout): MatMulPackedBT32's workers read
+// Every product's packed panels live in its owner's packing scratch: a
+// Slab32's, a recording Tape's, or a slice local to a nil-tape call. A
+// transposed B that many products share is packed once instead
+// (PackedBT32, in the same strip layout): MatMulPackedBT32's units read
 // its strips in place and pack only A.
 //
 // Layout is parameterized by leading dimensions (lda/ldb/ldc), which lets
@@ -68,57 +67,30 @@ const (
 // the compile-time defaults there as the fallback. Tuning is bitwise-safe —
 // see the determinism note in blocking.go.
 
-// packPool recycles the engine's packing buffers: one shared A panel per KC
-// block plus one B panel per worker per column range. GEMMs run in every
-// op's forward and backward pass, so per-call allocation would put steady GC
-// pressure on the training loop. Lifetime rule: a packed buffer is owned by
-// the engine only for the duration of the gemmPacked call that took it —
-// panels are returned to the pool before the call completes, never retained
-// or handed out.
-var packPool = sync.Pool{New: func() any { return new([]float32) }}
-
-// packBuf returns a pooled scratch slice with capacity at least n.
-func packBuf(n int) *[]float32 {
-	p := packPool.Get().(*[]float32)
-	if cap(*p) < n {
-		*p = make([]float32, n)
-	}
-	return p
-}
-
-// packSerial is the size, in float32s, of a Slab32's packing scratch: a
-// product whose columns fit one NC panel and whose A and B panels fit it
-// together runs serially on that scratch (gemmSerial). Every GEMM of the
-// default encoder's row ranges fits.
+// packSerial is the size, in float32s, of the packing scratch an owner
+// makes at its first product: a slab product whose columns fit one NC panel
+// and whose A and B blocks fit it together runs serially on its slab (see
+// Slab32.gemm). Every GEMM of the default encoder's row ranges fits.
 const packSerial = 1 << 14
 
-// mmNN computes dst[m,n] += a[m,k] * b[k,n].
-func mmNN(dst, a, b []float32, m, k, n int) { gemmNN(dst, a, b, m, k, n, k, n, n) }
-
-// mmNT computes dst[m,n] += a[m,k] * b[n,k]^T.
-func mmNT(dst, a, b []float32, m, k, n int) { gemmNT(dst, a, b, m, k, n, k, k, n) }
-
-// mmTN computes dst[k,n] += a[m,k]^T * b[m,n].
-func mmTN(dst, a, b []float32, m, k, n int) { gemmTN(dst, a, b, m, k, n, k, n, n) }
-
 // gemmNN computes dst[i*ldc+j] += sum_l a[i*lda+l] * b[l*ldb+j] for
-// i in [0,m), j in [0,n), l in [0,k).
-func gemmNN(dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
-	gemmPacked(nil, dst, a, b, m, k, n, lda, ldb, ldc, false, false)
+// i in [0,m), j in [0,n), l in [0,k), on tp's packing scratch.
+func gemmNN(tp *Tape, dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
+	tp.gemm(dst, a, b, m, k, n, lda, ldb, ldc, false, false)
 }
 
 // gemmNT computes dst[i*ldc+j] += sum_l a[i*lda+l] * b[j*ldb+l] for
-// i in [0,m), j in [0,n), l in [0,k).
-func gemmNT(dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
-	gemmPacked(nil, dst, a, b, m, k, n, lda, ldb, ldc, false, true)
+// i in [0,m), j in [0,n), l in [0,k), on tp's packing scratch.
+func gemmNT(tp *Tape, dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
+	tp.gemm(dst, a, b, m, k, n, lda, ldb, ldc, false, true)
 }
 
 // gemmTN computes dst[l*ldc+j] += sum_i a[i*lda+l] * b[i*ldb+j] for
 // l in [0,k), j in [0,n), i in [0,m): the output has k rows and the
 // reduction runs over m. In the packed engine's terms the "A" operand is
 // a^T, selected by the transposed pack orientation.
-func gemmTN(dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
-	gemmPacked(nil, dst, a, b, k, m, n, lda, ldb, ldc, true, false)
+func gemmTN(tp *Tape, dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
+	tp.gemm(dst, a, b, k, m, n, lda, ldb, ldc, true, false)
 }
 
 // gemmPacked is the engine: dst[i*ldc+j] += sum_l A[i,l] * B[l,j] for a
@@ -126,79 +98,63 @@ func gemmTN(dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
 // is k x m with leading dimension lda) and B is b (bT: read as b^T, so b's
 // storage is n x k with leading dimension ldb).
 //
-// The KC loop lives here, outside the parallel dispatch: A is packed once
-// per KC block into a pooled buffer shared read-only by every worker, then
-// the NR-column strips of the output are partitioned across the pool (each
-// worker packs the B panels for the column range it owns). Dispatch is a
-// typed kernel — see ParallelKernel — because GEMMs run in every op's
-// forward and backward pass.
-//
-// A forward-only op passes its slab's packing scratch (nil otherwise). A
-// product small enough to pack into it runs serially instead, on the
-// calling goroutine with no pool buffer and no dispatch: the encoder's row
-// ranges are already spread across the cores, one per claim loop, so a
-// range's GEMMs find few idle workers, and offering them chunks cost a
-// WaitGroup park and pool traffic per GEMM. Serial and parallel execution
-// give the same bits.
+// scratch is the packing scratch of the product's owner — a Slab32, a
+// recording Tape, or a slice local to the call — grown here to hold one KC
+// block of packed A followed by the whole padded B block. The KC loop lives
+// here, outside the dispatch: A is packed once per KC block and read by
+// every unit, then the units split through ParallelKernel as a typed
+// kernel. Column units pack their own NR strips of B into their own
+// disjoint regions of the B block; for row units the B block is packed here
+// once, before dispatch. serial keeps every unit on the calling goroutine:
+// the owner's goroutine already has a core to itself, or the product is too
+// small to share. Serial and parallel execution give the same bits.
 //
 //perfvec:hotpath
-func gemmPacked(scratch *[]float32, dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
+func gemmPacked(scratch *[]float32, serial bool, dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
 	if m == 0 || n == 0 {
 		return
 	}
-	nStrips := (n + gemmNR - 1) / gemmNR
 	mStrips := (m + gemmMR - 1) / gemmMR
-	if kc := min(gemmKC, k); scratch != nil && n <= gemmNC && (mStrips*gemmMR+nStrips*gemmNR)*kc <= packSerial {
-		if len(*scratch) < packSerial {
-			*scratch = make([]float32, packSerial) //perfvec:allow hotalloc -- once per slab; every later serial GEMM reuses it
-		}
-		gemmSerial(*scratch, dst, a, b, m, k, n, lda, ldb, ldc, aT, bT)
-		return
+	nStrips := (n + gemmNR - 1) / gemmNR
+	mPad, nPad := mStrips*gemmMR, nStrips*gemmNR
+	if need := (mPad + nPad) * min(gemmKC, k); len(*scratch) < need {
+		*scratch = make([]float32, max(need, packSerial)) //perfvec:allow hotalloc -- grow-only owner scratch: once per owner, or when a larger product first needs more
 	}
 	flags := 0
 	if bT {
 		flags |= gemmFlagBT
 	}
-	// Partition axis: column strips are preferred — each worker packs B
+	// Partition axis: column strips are preferred — each unit packs B
 	// only for its own column range, so every panel is packed exactly once.
 	// Only when the columns cannot feed the pool (fewer NR-column strips
 	// than workers) and the rows offer more units does the partition switch
-	// to MR-row strips; each worker then packs the full (narrow) B panel
-	// itself, trading a small duplicated pack for row parallelism the
-	// column count cannot provide. Either way the packed A block is shared
-	// read-only and a tile's k-reduction never crosses workers, so results
-	// stay bitwise identical whichever axis is chosen and at any worker
-	// count (TestGEMMParallelMatchesSerial compares across both).
+	// to MR-row strips over a (narrow) B packed once up front. Either way
+	// the packed A block is shared read-only and a tile's k-reduction never
+	// crosses units, so results stay bitwise identical whichever axis is
+	// chosen and at any worker count (TestGEMMParallelMatchesSerial
+	// compares across both).
 	units := nStrips
-	if mStrips > nStrips && nStrips < runtime.GOMAXPROCS(0) {
+	if !serial && mStrips > nStrips && nStrips < runtime.GOMAXPROCS(0) {
 		units = mStrips
 		flags |= gemmFlagRows
 	}
 	for pc := 0; pc < k; pc += gemmKC {
 		kc := min(gemmKC, k-pc)
-		pa := packBuf(mStrips * gemmMR * kc)
-		aPack := (*pa)[:mStrips*gemmMR*kc]
+		aPack, bPack := (*scratch)[:mPad*kc], (*scratch)[mPad*kc:(mPad+nPad)*kc]
 		packA(aPack, a, m, kc, pc, lda, aT)
-		ParallelKernel(units, m*kc*n, kGemmPacked, KernelArgs{
-			S: [8][]float32{dst, aPack, bBlock(b, pc, ldb, bT)},
+		src := bBlock(b, pc, ldb, bT)
+		if flags&gemmFlagRows != 0 {
+			packB(bPack, src, 0, n, kc, ldb, bT)
+			src = nil
+		}
+		work := m * kc * n
+		if serial {
+			work = 0
+		}
+		ParallelKernel(units, work, kGemmPacked, KernelArgs{
+			S: [8][]float32{dst, aPack, bPack, src},
 			I: [6]int{kc, m, n, ldb, ldc, flags},
 		})
-		packPool.Put(pa)
-	}
-}
-
-// gemmSerial is gemmPacked on one goroutine, with both packed panels in
-// scratch: per KC block it packs A, then runs the one worker that covers
-// every row and column.
-//
-//perfvec:hotpath
-func gemmSerial(scratch, dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
-	mStrips := (m + gemmMR - 1) / gemmMR
-	for pc := 0; pc < k; pc += gemmKC {
-		kc := min(gemmKC, k-pc)
-		aPack := scratch[:mStrips*gemmMR*kc]
-		packA(aPack, a, m, kc, pc, lda, aT)
-		gemmWorker(dst, aPack, scratch[len(aPack):], bBlock(b, pc, ldb, bT), kc, n, ldb, ldc, bT, 0, m, 0, n)
 	}
 }
 
@@ -274,53 +230,50 @@ func packAT(dst, a []float32, m, kc, pc, lda int) {
 	}
 }
 
-// kGemmPacked is the per-worker body: S0=dst, S1=packed A (all strips for
-// the current KC block), S2=b offset to the KC block; I0=kc, I1=m, I2=n,
-// I3=ldb, I4=ldc, I5=gemmFlag bits. The partition units [s0,s1) are
-// NR-column strips (worker covers all rows of its column range) or, for
-// narrow-tall outputs, MR-row strips (worker covers all columns of its row
-// range).
+// kGemmPacked is the per-unit body of every float32 product: S0=dst,
+// S1=packed A (all strips for the current KC block), S2=the padded B
+// block's packed strips, S3=b offset to the KC block, or nil when S2
+// already holds every strip; I0=kc, I1=m, I2=n, I3=ldb, I4=ldc,
+// I5=gemmFlag bits. The partition units [s0,s1) are NR-column strips — the
+// unit packs its own strips of S3, NC columns at a time, into its own
+// region of S2 and covers all rows — or, for narrow-tall outputs, MR-row
+// strips covering all columns of the packed block.
 //
 //perfvec:hotpath
 func kGemmPacked(s0, s1 int, ka KernelArgs) {
-	dst, aPack, b := ka.S[0], ka.S[1], ka.S[2]
-	kc, m, n, ldb, ldc := ka.I[0], ka.I[1], ka.I[2], ka.I[3], ka.I[4]
-	bT := ka.I[5]&gemmFlagBT != 0
-	i0, i1, j0, j1 := 0, m, s0*gemmNR, min(s1*gemmNR, n)
-	if ka.I[5]&gemmFlagRows != 0 {
-		i0, i1, j0, j1 = s0*gemmMR, min(s1*gemmMR, m), 0, n
+	dst, aPack, bPack, b := ka.S[0], ka.S[1], ka.S[2], ka.S[3]
+	kc, m, n, ldb, ldc, flags := ka.I[0], ka.I[1], ka.I[2], ka.I[3], ka.I[4], ka.I[5]
+	if flags&gemmFlagRows != 0 {
+		gemmTiles(dst, aPack, bPack, kc, n, ldc, s0*gemmMR, min(s1*gemmMR, m), 0, n)
+		return
 	}
-	size := (min(gemmNC, j1-j0) + gemmNR - 1) / gemmNR * gemmNR * kc
-	pb := packBuf(size)
-	bBuf := (*pb)[:size]
-	gemmWorker(dst, aPack, bBuf, b, kc, n, ldb, ldc, bT, i0, i1, j0, j1)
-	packPool.Put(pb)
+	j1 := min(s1*gemmNR, n)
+	for jc := s0 * gemmNR; jc < j1; jc += gemmNC {
+		nc := min(gemmNC, j1-jc)
+		panel := bPack[jc*kc:]
+		if b != nil {
+			packB(panel, b, jc, nc, kc, ldb, flags&gemmFlagBT != 0)
+		}
+		gemmTiles(dst, aPack, panel, kc, n, ldc, 0, m, jc, nc)
+	}
 }
 
-// gemmWorker runs one worker's share of a KC block: output rows [i0,i1),
-// columns [j0,j1), with i0 MR-aligned and j0 NR-aligned. It packs the B
-// panels for its column range (at most NC columns at a time) into bBuf and
-// runs gemmTiles on each.
+// packB packs columns [jc, jc+nc) of the KC block b into NR-column strips.
 //
 //perfvec:hotpath
-func gemmWorker(dst, aPack, bBuf, b []float32, kc, n, ldb, ldc int, bT bool, i0, i1, j0, j1 int) {
-	for jc := j0; jc < j1; jc += gemmNC {
-		nc := min(gemmNC, j1-jc)
-		bPack := bBuf[:(nc+gemmNR-1)/gemmNR*gemmNR*kc]
-		if bT {
-			packBT(bPack, b, jc, nc, kc, ldb)
-		} else {
-			packBN(bPack, b, jc, nc, kc, ldb)
-		}
-		gemmTiles(dst, aPack, bPack, kc, n, ldc, i0, i1, jc, nc)
+func packB(dst, b []float32, jc, nc, kc, ldb int, bT bool) {
+	if bT {
+		packBT(dst, b, jc, nc, kc, ldb)
+		return
 	}
+	packBN(dst, b, jc, nc, kc, ldb)
 }
 
 // gemmTiles runs the micro-kernel over every MR x NR tile of output rows
 // [i0,i1) and columns [jc,jc+nc) of one KC block, streaming the packed-A
 // strips against each L1-resident B strip. bPack holds the column range's
-// packed NR strips, strip t at bPack[t*NR*kc:]: the panel gemmWorker
-// packs, or a slice of a PackedBT32's block.
+// packed NR strips, strip t at bPack[t*NR*kc:]: the panel a column unit of
+// kGemmPacked packs, or a slice of a packed B block.
 //
 //perfvec:hotpath
 func gemmTiles(dst, aPack, bPack []float32, kc, n, ldc, i0, i1, jc, nc int) {
@@ -362,7 +315,7 @@ func gemmTiles(dst, aPack, bPack []float32, kc, n, ldc, i0, i1, jc, nc int) {
 
 // PackedBT32 is a transposed B operand (storage n x k, read as k x n)
 // packed once for products that reuse it against many A: for each KC block
-// in turn, all of its NR-column strips, each laid out as gemmWorker packs
+// in turn, all of its NR-column strips, each laid out as kGemmPacked packs
 // it per call (columns past n zero-filled). The block at reduction index pc
 // starts at data[nPad*pc], where nPad is n rounded up to NR, and columns
 // [jc, jc+nc) of it, jc NR-aligned, are the panel gemmTiles reads at offset
@@ -394,22 +347,6 @@ func PackBT32(p *PackedBT32, b Tensor32) {
 	for pc := 0; pc < k; pc += p.kc {
 		kc := min(p.kc, k-pc)
 		packBT(p.data[nPad*pc:nPad*(pc+kc)], b.Data[pc:], 0, n, kc, k)
-	}
-}
-
-// kGemmPackedBT is the per-worker body of a product on a PackedBT32:
-// S0=dst, S1=packed A (all strips for the current KC block), S2=the
-// operand's packed KC block; I0=kc, I1=m, I2=n. The partition units
-// [s0,s1) are NR-column strips, and the worker covers all rows of its
-// column range. It packs nothing: its B strips are already in place.
-//
-//perfvec:hotpath
-func kGemmPackedBT(s0, s1 int, ka KernelArgs) {
-	dst, aPack, bBlk := ka.S[0], ka.S[1], ka.S[2]
-	kc, m, n := ka.I[0], ka.I[1], ka.I[2]
-	j1 := min(s1*gemmNR, n)
-	for jc := s0 * gemmNR; jc < j1; jc += gemmNC {
-		gemmTiles(dst, aPack, bBlk[jc*kc:], kc, n, n, 0, m, jc, min(gemmNC, j1-jc))
 	}
 }
 

@@ -47,6 +47,13 @@ func refTN(dst, a, b []float32, m, k, n int) {
 	}
 }
 
+// mmNN, mmNT and mmTN run the engine's three transpose cases on dense
+// operands through a nil tape: a scratch local to the call, and the worker
+// pool once the product is large enough to split.
+func mmNN(dst, a, b []float32, m, k, n int) { gemmNN(nil, dst, a, b, m, k, n, k, n, n) }
+func mmNT(dst, a, b []float32, m, k, n int) { gemmNT(nil, dst, a, b, m, k, n, k, k, n) }
+func mmTN(dst, a, b []float32, m, k, n int) { gemmTN(nil, dst, a, b, m, k, n, k, n, n) }
+
 // gemmShapes covers tile-aligned sizes, odd and prime sizes that do not
 // divide any block dimension, degenerate single-row/col cases, and the
 // model-sized shapes the trainer actually produces.
@@ -266,19 +273,30 @@ func TestGEMMParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGEMMScratchMatchesPool pins the serial slab-scratch path of the
-// engine to the pooled parallel path bit for bit, on shapes that fit the
-// scratch (the default encoder's range GEMMs, and a reduction two KC blocks
-// deep) and on shapes past it (too many rows, more columns than one NC
-// panel), which fall back to the pool.
+// TestGEMMScratchMatchesPool pins the engine's serial path on its owner's
+// packing scratch to its parallel path on the worker pool, bit for bit, at
+// GOMAXPROCS 1, 2 and 4: on the default encoder's range GEMMs, a reduction
+// two KC blocks deep, more rows or columns than the slab's serial rule
+// takes, and narrow outputs that partition over MR-row strips (one or two
+// column strips) beside wide ones that partition over NR-column strips. One
+// scratch serves every product as the shapes grow and shrink, and it is
+// filled with NaN before each, so a unit that read a B region it had not
+// packed itself — or that the caller had not packed for it — would fail.
 func TestGEMMScratchMatchesPool(t *testing.T) {
+	nan := float32(math.NaN())
 	for _, aT := range []bool{false, true} {
 		for _, bT := range []bool{false, true} {
 			t.Run(fmt.Sprintf("aT=%v,bT=%v", aT, bT), func(t *testing.T) {
 				withFMA(t, func(t *testing.T) {
 					rng := rand.New(rand.NewSource(11))
 					var scratch []float32
-					for _, sh := range [][3]int{{135, 51, 128}, {128, 32, 128}, {6, gemmKC + 40, 16}, {61, 67, 57}, {1, 8, gemmNC + 1}, {200, 51, 128}} {
+					product := func(dst, a, b []float32, m, k, n, lda, ldb int, serial bool) {
+						for i := range scratch {
+							scratch[i] = nan
+						}
+						gemmPacked(&scratch, serial, dst, a, b, m, k, n, lda, ldb, n, aT, bT)
+					}
+					for _, sh := range [][3]int{{135, 51, 128}, {128, 32, 128}, {6, gemmKC + 40, 16}, {61, 67, 57}, {1, 8, gemmNC + 1}, {200, 51, 128}, {97, 33, 10}, {66, gemmKC + 9, 30}, {7, 300, 40}} {
 						m, k, n := sh[0], sh[1], sh[2]
 						a, b := randSlice(rng, m*k), randSlice(rng, k*n)
 						lda, ldb := k, n
@@ -288,21 +306,20 @@ func TestGEMMScratchMatchesPool(t *testing.T) {
 						if bT {
 							ldb = k
 						}
-						pooled := make([]float32, m*n)
-						onScratch := make([]float32, m*n)
-						prev := runtime.GOMAXPROCS(4)
-						gemmPacked(nil, pooled, a, b, m, k, n, lda, ldb, n, aT, bT)
-						gemmPacked(&scratch, onScratch, a, b, m, k, n, lda, ldb, n, aT, bT)
-						runtime.GOMAXPROCS(prev)
-						for i := range pooled {
-							if pooled[i] != onScratch[i] {
-								t.Fatalf("aT=%v bT=%v %dx%dx%d: elem %d differs bitwise: % x vs % x",
-									aT, bT, m, k, n, i, pooled[i], onScratch[i])
+						serial := make([]float32, m*n)
+						product(serial, a, b, m, k, n, lda, ldb, true)
+						for _, procs := range []int{1, 2, 4} {
+							parallel := make([]float32, m*n)
+							prev := runtime.GOMAXPROCS(procs)
+							product(parallel, a, b, m, k, n, lda, ldb, false)
+							runtime.GOMAXPROCS(prev)
+							for i := range serial {
+								if serial[i] != parallel[i] {
+									t.Fatalf("aT=%v bT=%v %dx%dx%d GOMAXPROCS=%d: elem %d differs bitwise: serial % x vs parallel % x",
+										aT, bT, m, k, n, procs, i, serial[i], parallel[i])
+								}
 							}
 						}
-					}
-					if len(scratch) != packSerial {
-						t.Fatalf("scratch holds %d floats after the small products, want %d", len(scratch), packSerial)
 					}
 				})
 			})

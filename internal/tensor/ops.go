@@ -12,8 +12,10 @@ import (
 // accumulation order, same chunking — gradients are bitwise identical to the
 // closure tape's.
 //
-// Elementwise loops dispatch through ParallelKernel as top-level k* kernel
-// functions with by-value argument blocks (see parallel.go): a func literal
+// Elementwise loops dispatch through ParallelKernel (by way of the tape's
+// parallel, which keeps a serial tape's loops on its goroutine) as
+// top-level k* kernel functions with by-value argument blocks (see
+// parallel.go): a func literal
 // handed to the pool escapes and costs one heap object per op invocation,
 // and those closure objects were the step's dominant remaining allocation
 // once tensors and records were pooled. Each kernel documents its KernelArgs
@@ -34,7 +36,7 @@ func MatMul(tp *Tape, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %v x %v", a.Shape, b.Shape))
 	}
 	out := tp.alloc(m, n)
-	mmNN(out.Data, a.Data, b.Data, m, k, n)
+	gemmNN(tp, out.Data, a.Data, b.Data, m, k, n, k, n, n)
 	tp.record(opRecord{kind: opMatMul, a: a, b: b, out: out})
 	return out
 }
@@ -42,7 +44,7 @@ func MatMul(tp *Tape, a, b *Tensor) *Tensor {
 // vjpMatMul: a, b, out.
 //
 //perfvec:hotpath
-func vjpMatMul(_ *Tape, r *opRecord) {
+func vjpMatMul(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -50,8 +52,8 @@ func vjpMatMul(_ *Tape, r *opRecord) {
 	a, b := r.a, r.b
 	m, k := a.Rows(), a.Cols()
 	n := b.Cols()
-	mmNT(a.ensureGrad(), g, b.Data, m, n, k)
-	mmTN(b.ensureGrad(), a.Data, g, m, k, n)
+	gemmNT(tp, a.ensureGrad(), g, b.Data, m, n, k, n, n, k)
+	gemmTN(tp, b.ensureGrad(), a.Data, g, m, k, n, k, n, n)
 }
 
 // MatMulBT returns a[m,k] * b[n,k]^T, i.e. the rows of a dotted with the rows
@@ -64,7 +66,7 @@ func MatMulBT(tp *Tape, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulBT shape mismatch %v x %v^T", a.Shape, b.Shape))
 	}
 	out := tp.alloc(m, n)
-	mmNT(out.Data, a.Data, b.Data, m, k, n)
+	gemmNT(tp, out.Data, a.Data, b.Data, m, k, n, k, k, n)
 	tp.record(opRecord{kind: opMatMulBT, a: a, b: b, out: out})
 	return out
 }
@@ -72,7 +74,7 @@ func MatMulBT(tp *Tape, a, b *Tensor) *Tensor {
 // vjpMatMulBT: a, b, out.
 //
 //perfvec:hotpath
-func vjpMatMulBT(_ *Tape, r *opRecord) {
+func vjpMatMulBT(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -81,8 +83,8 @@ func vjpMatMulBT(_ *Tape, r *opRecord) {
 	m, k := a.Rows(), a.Cols()
 	n := b.Rows()
 	// dA += dC * B ; dB += dC^T * A
-	mmNN(a.ensureGrad(), g, b.Data, m, n, k)
-	mmTN(b.ensureGrad(), g, a.Data, m, n, k)
+	gemmNN(tp, a.ensureGrad(), g, b.Data, m, n, k, n, k, k)
+	gemmTN(tp, b.ensureGrad(), g, a.Data, m, n, k, n, k, k)
 }
 
 // MatMulBTCat returns [x|h] * w^T without materializing the column
@@ -98,8 +100,8 @@ func MatMulBTCat(tp *Tape, x, h, w *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: MatMulBTCat shape mismatch [%v|%v] x %v^T", x.Shape, h.Shape, w.Shape))
 	}
 	out := tp.alloc(m, n)
-	gemmNT(out.Data, x.Data, w.Data, m, xc, n, xc, wc, n)
-	gemmNT(out.Data, h.Data, w.Data[xc:], m, hc, n, hc, wc, n)
+	gemmNT(tp, out.Data, x.Data, w.Data, m, xc, n, xc, wc, n)
+	gemmNT(tp, out.Data, h.Data, w.Data[xc:], m, hc, n, hc, wc, n)
 	tp.record(opRecord{kind: opMatMulBTCat, a: x, b: h, c: w, out: out})
 	return out
 }
@@ -107,7 +109,7 @@ func MatMulBTCat(tp *Tape, x, h, w *Tensor) *Tensor {
 // vjpMatMulBTCat: a=x, b=h, c=w, out.
 //
 //perfvec:hotpath
-func vjpMatMulBTCat(_ *Tape, r *opRecord) {
+func vjpMatMulBTCat(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -118,11 +120,11 @@ func vjpMatMulBTCat(_ *Tape, r *opRecord) {
 	n, wc := w.Rows(), w.Cols()
 	gx, gh, gw := x.ensureGrad(), h.ensureGrad(), w.ensureGrad()
 	// dX += dC * W[:, :xc] ; dH += dC * W[:, xc:]
-	gemmNN(gx, g, w.Data, m, n, xc, n, wc, xc)
-	gemmNN(gh, g, w.Data[xc:], m, n, hc, n, wc, hc)
+	gemmNN(tp, gx, g, w.Data, m, n, xc, n, wc, xc)
+	gemmNN(tp, gh, g, w.Data[xc:], m, n, hc, n, wc, hc)
 	// dW[:, :xc] += dC^T * X ; dW[:, xc:] += dC^T * H
-	gemmTN(gw, g, x.Data, m, n, xc, n, xc, wc)
-	gemmTN(gw[xc:], g, h.Data, m, n, hc, n, hc, wc)
+	gemmTN(tp, gw, g, x.Data, m, n, xc, n, xc, wc)
+	gemmTN(tp, gw[xc:], g, h.Data, m, n, hc, n, hc, wc)
 }
 
 // MatMulBTCols returns a[:, from:to] * b[:, from:to]^T without materializing
@@ -137,7 +139,7 @@ func MatMulBTCols(tp *Tape, a, b *Tensor, from, to int) *Tensor {
 	}
 	w := to - from
 	out := tp.alloc(m, n)
-	gemmNT(out.Data, a.Data[from:], b.Data[from:], m, w, n, ac, bc, n)
+	gemmNT(tp, out.Data, a.Data[from:], b.Data[from:], m, w, n, ac, bc, n)
 	tp.record(opRecord{kind: opMatMulBTCols, a: a, b: b, out: out, i0: from, i1: to})
 	return out
 }
@@ -145,7 +147,7 @@ func MatMulBTCols(tp *Tape, a, b *Tensor, from, to int) *Tensor {
 // vjpMatMulBTCols: a, b, out; i0=from, i1=to.
 //
 //perfvec:hotpath
-func vjpMatMulBTCols(_ *Tape, r *opRecord) {
+func vjpMatMulBTCols(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -155,8 +157,8 @@ func vjpMatMulBTCols(_ *Tape, r *opRecord) {
 	n, bc := b.Rows(), b.Cols()
 	w := r.i1 - from
 	ga, gb := a.ensureGrad(), b.ensureGrad()
-	gemmNN(ga[from:], g, b.Data[from:], m, n, w, n, bc, ac)
-	gemmTN(gb[from:], g, a.Data[from:], m, n, w, n, ac, bc)
+	gemmNN(tp, ga[from:], g, b.Data[from:], m, n, w, n, bc, ac)
+	gemmTN(tp, gb[from:], g, a.Data[from:], m, n, w, n, ac, bc)
 }
 
 // AttentionValue writes att[m,n] * v[:, from:to] into columns [from, to) of
@@ -171,14 +173,14 @@ func AttentionValue(tp *Tape, dst, att, v *Tensor, from, to int) {
 	if from < 0 || to > vc || to > dc || from >= to || n != v.Rows() || dst.Rows() != m {
 		panic(fmt.Sprintf("tensor: AttentionValue [%d,%d) out of range for %v x %v into %v", from, to, att.Shape, v.Shape, dst.Shape))
 	}
-	gemmNN(dst.Data[from:], att.Data, v.Data[from:], m, n, to-from, n, vc, dc)
+	gemmNN(tp, dst.Data[from:], att.Data, v.Data[from:], m, n, to-from, n, vc, dc)
 	tp.record(opRecord{kind: opAttentionValue, a: att, b: v, out: dst, i0: from, i1: to})
 }
 
 // vjpAttentionValue: a=att, b=v, out=dst; i0=from, i1=to.
 //
 //perfvec:hotpath
-func vjpAttentionValue(_ *Tape, r *opRecord) {
+func vjpAttentionValue(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -186,8 +188,8 @@ func vjpAttentionValue(_ *Tape, r *opRecord) {
 	att, v, from := r.a, r.b, r.i0
 	m, n, vc, dc := att.Rows(), att.Cols(), v.Cols(), r.out.Cols()
 	w := r.i1 - from
-	gemmNT(att.ensureGrad(), g[from:], v.Data[from:], m, w, n, dc, vc, n)
-	gemmTN(v.ensureGrad()[from:], att.Data, g[from:], m, n, w, n, dc, vc)
+	gemmNT(tp, att.ensureGrad(), g[from:], v.Data[from:], m, w, n, dc, vc, n)
+	gemmTN(tp, v.ensureGrad()[from:], att.Data, g[from:], m, n, w, n, dc, vc)
 }
 
 // Add returns a + b for tensors of identical shape.
@@ -196,7 +198,7 @@ func Add(tp *Tape, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Add shape mismatch %v vs %v", a.Shape, b.Shape))
 	}
 	out := tp.alloc(a.Shape...)
-	ParallelKernel(len(out.Data), len(out.Data), kAdd,
+	tp.parallel(len(out.Data), len(out.Data), kAdd,
 		KernelArgs{S: [8][]float32{out.Data, a.Data, b.Data}})
 	tp.record(opRecord{kind: opAdd, a: a, b: b, out: out})
 	return out
@@ -217,12 +219,12 @@ func add[F float](out, a, b []F) {
 // vjpAdd: a, b, out.
 //
 //perfvec:hotpath
-func vjpAdd(_ *Tape, r *opRecord) {
+func vjpAdd(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
 	}
-	ParallelKernel(len(g), len(g), kAddVJP,
+	tp.parallel(len(g), len(g), kAddVJP,
 		KernelArgs{S: [8][]float32{g, r.a.ensureGrad(), r.b.ensureGrad()}})
 }
 
@@ -242,7 +244,7 @@ func AddBias(tp *Tape, a, bias *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: AddBias bias length %d != cols %d", bias.Len(), n))
 	}
 	out := tp.alloc(m, n)
-	ParallelKernel(m, m*n, kAddBias,
+	tp.parallel(m, m*n, kAddBias,
 		KernelArgs{S: [8][]float32{out.Data, a.Data, bias.Data}, I: [6]int{n}})
 	tp.record(opRecord{kind: opAddBias, a: a, b: bias, out: out})
 	return out
@@ -269,7 +271,7 @@ func addBias[F float](r0, r1, n int, out, a, bias []F) {
 // vjpAddBias: a, b=bias, out.
 //
 //perfvec:hotpath
-func vjpAddBias(_ *Tape, r *opRecord) {
+func vjpAddBias(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -294,7 +296,7 @@ func Sub(tp *Tape, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Sub shape mismatch %v vs %v", a.Shape, b.Shape))
 	}
 	out := tp.alloc(a.Shape...)
-	ParallelKernel(len(out.Data), len(out.Data), kSub,
+	tp.parallel(len(out.Data), len(out.Data), kSub,
 		KernelArgs{S: [8][]float32{out.Data, a.Data, b.Data}})
 	tp.record(opRecord{kind: opSub, a: a, b: b, out: out})
 	return out
@@ -311,12 +313,12 @@ func kSub(s, e int, ka KernelArgs) {
 // vjpSub: a, b, out.
 //
 //perfvec:hotpath
-func vjpSub(_ *Tape, r *opRecord) {
+func vjpSub(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
 	}
-	ParallelKernel(len(g), len(g), kSubVJP,
+	tp.parallel(len(g), len(g), kSubVJP,
 		KernelArgs{S: [8][]float32{g, r.a.ensureGrad(), r.b.ensureGrad()}})
 }
 
@@ -335,7 +337,7 @@ func Mul(tp *Tape, a, b *Tensor) *Tensor {
 		panic(fmt.Sprintf("tensor: Mul shape mismatch %v vs %v", a.Shape, b.Shape))
 	}
 	out := tp.alloc(a.Shape...)
-	ParallelKernel(len(out.Data), len(out.Data), kMul,
+	tp.parallel(len(out.Data), len(out.Data), kMul,
 		KernelArgs{S: [8][]float32{out.Data, a.Data, b.Data}})
 	tp.record(opRecord{kind: opMul, a: a, b: b, out: out})
 	return out
@@ -352,13 +354,13 @@ func kMul(s, e int, ka KernelArgs) {
 // vjpMul: a, b, out.
 //
 //perfvec:hotpath
-func vjpMul(_ *Tape, r *opRecord) {
+func vjpMul(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
 	}
 	a, b := r.a, r.b
-	ParallelKernel(len(g), len(g), kMulVJP,
+	tp.parallel(len(g), len(g), kMulVJP,
 		KernelArgs{S: [8][]float32{g, a.ensureGrad(), b.ensureGrad(), a.Data, b.Data}})
 }
 
@@ -374,7 +376,7 @@ func kMulVJP(s, e int, ka KernelArgs) {
 // Scale returns s * a.
 func Scale(tp *Tape, a *Tensor, s float32) *Tensor {
 	out := tp.alloc(a.Shape...)
-	ParallelKernel(len(out.Data), len(out.Data), kScale,
+	tp.parallel(len(out.Data), len(out.Data), kScale,
 		KernelArgs{S: [8][]float32{out.Data, a.Data}, F: [6]float32{s}})
 	tp.record(opRecord{kind: opScale, a: a, out: out, f0: s})
 	return out
@@ -392,12 +394,12 @@ func kScale(s, e int, ka KernelArgs) {
 // vjpScale: a, out; f0=s.
 //
 //perfvec:hotpath
-func vjpScale(_ *Tape, r *opRecord) {
+func vjpScale(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
 	}
-	ParallelKernel(len(g), len(g), kScaleVJP,
+	tp.parallel(len(g), len(g), kScaleVJP,
 		KernelArgs{S: [8][]float32{g, r.a.ensureGrad()}, F: [6]float32{r.f0}})
 }
 
@@ -415,7 +417,7 @@ func kScaleVJP(s, e int, ka KernelArgs) {
 // gruStepUnfused in gates_test.go) and SigmoidInPlace are pinned against.
 func Sigmoid(tp *Tape, a *Tensor) *Tensor {
 	out := tp.alloc(a.Shape...)
-	ParallelKernel(len(out.Data), len(out.Data)*ewTransc, kSigmoid,
+	tp.parallel(len(out.Data), len(out.Data)*ewTransc, kSigmoid,
 		KernelArgs{S: [8][]float32{out.Data, a.Data}})
 	tp.record(opRecord{kind: opSigmoid, a: a, out: out})
 	return out
@@ -436,12 +438,12 @@ func sigmoidEach[F float](out, a []F) {
 // vjpSigmoid: a, out.
 //
 //perfvec:hotpath
-func vjpSigmoid(_ *Tape, r *opRecord) {
+func vjpSigmoid(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
 	}
-	ParallelKernel(len(g), len(g), kSigmoidVJP,
+	tp.parallel(len(g), len(g), kSigmoidVJP,
 		KernelArgs{S: [8][]float32{g, r.a.ensureGrad(), r.out.Data}})
 }
 
@@ -458,7 +460,7 @@ func kSigmoidVJP(s, e int, ka KernelArgs) {
 // unfused reference of the gate kernels and TanhInPlace (gates_test.go).
 func Tanh(tp *Tape, a *Tensor) *Tensor {
 	out := tp.alloc(a.Shape...)
-	ParallelKernel(len(out.Data), len(out.Data)*ewTransc, kTanh,
+	tp.parallel(len(out.Data), len(out.Data)*ewTransc, kTanh,
 		KernelArgs{S: [8][]float32{out.Data, a.Data}})
 	tp.record(opRecord{kind: opTanh, a: a, out: out})
 	return out
@@ -479,12 +481,12 @@ func tanhEach[F float](out, a []F) {
 // vjpTanh: a, out.
 //
 //perfvec:hotpath
-func vjpTanh(_ *Tape, r *opRecord) {
+func vjpTanh(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
 	}
-	ParallelKernel(len(g), len(g), kTanhVJP,
+	tp.parallel(len(g), len(g), kTanhVJP,
 		KernelArgs{S: [8][]float32{g, r.a.ensureGrad(), r.out.Data}})
 }
 
@@ -502,7 +504,7 @@ func kTanhVJP(s, e int, ka KernelArgs) {
 // (TestInPlaceEpiloguesBitwise).
 func ReLU(tp *Tape, a *Tensor) *Tensor {
 	out := tp.alloc(a.Shape...)
-	ParallelKernel(len(out.Data), len(out.Data), kReLU,
+	tp.parallel(len(out.Data), len(out.Data), kReLU,
 		KernelArgs{S: [8][]float32{out.Data, a.Data}})
 	tp.record(opRecord{kind: opReLU, a: a, out: out})
 	return out
@@ -526,12 +528,12 @@ func reluEach[F float](out, a []F) {
 // vjpReLU: a, out.
 //
 //perfvec:hotpath
-func vjpReLU(_ *Tape, r *opRecord) {
+func vjpReLU(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
 	}
-	ParallelKernel(len(g), len(g), kReLUVJP,
+	tp.parallel(len(g), len(g), kReLUVJP,
 		KernelArgs{S: [8][]float32{g, r.a.ensureGrad(), r.a.Data}})
 }
 
@@ -549,7 +551,7 @@ func kReLUVJP(s, e int, ka KernelArgs) {
 func SoftmaxRows(tp *Tape, a *Tensor) *Tensor {
 	m, n := a.Rows(), a.Cols()
 	out := tp.alloc(m, n)
-	ParallelKernel(m, m*n*ewTransc, kSoftmaxRows,
+	tp.parallel(m, m*n*ewTransc, kSoftmaxRows,
 		KernelArgs{S: [8][]float32{out.Data, a.Data}, I: [6]int{n}, F: [6]float32{1}})
 	tp.record(opRecord{kind: opSoftmaxRows, a: a, out: out})
 	return out
@@ -594,13 +596,13 @@ func softmaxRows[F float](r0, r1, n int, out, a []F, scale F) {
 // vjpSoftmaxRows: a, out.
 //
 //perfvec:hotpath
-func vjpSoftmaxRows(_ *Tape, r *opRecord) {
+func vjpSoftmaxRows(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
 	}
 	m, n := r.out.Rows(), r.out.Cols()
-	ParallelKernel(m, m*n, kSoftmaxRowsVJP,
+	tp.parallel(m, m*n, kSoftmaxRowsVJP,
 		KernelArgs{S: [8][]float32{g, r.a.ensureGrad(), r.out.Data}, I: [6]int{n}, F: [6]float32{1}})
 }
 
@@ -638,7 +640,7 @@ func kSoftmaxRowsVJP(r0, r1 int, ka KernelArgs) {
 func AttentionSoftmax(tp *Tape, a *Tensor, scale float32) *Tensor {
 	m, n := a.Rows(), a.Cols()
 	out := tp.alloc(m, n)
-	ParallelKernel(m, m*n*ewTransc, kSoftmaxRows,
+	tp.parallel(m, m*n*ewTransc, kSoftmaxRows,
 		KernelArgs{S: [8][]float32{out.Data, a.Data}, I: [6]int{n}, F: [6]float32{scale}})
 	tp.record(opRecord{kind: opAttentionSoftmax, a: a, out: out, f0: scale})
 	return out
@@ -649,13 +651,13 @@ func AttentionSoftmax(tp *Tape, a *Tensor, scale float32) *Tensor {
 // exact sequence the unfused SoftmaxRows-then-Scale backward performed.
 //
 //perfvec:hotpath
-func vjpAttentionSoftmax(_ *Tape, r *opRecord) {
+func vjpAttentionSoftmax(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
 	}
 	m, n := r.out.Rows(), r.out.Cols()
-	ParallelKernel(m, m*n, kSoftmaxRowsVJP,
+	tp.parallel(m, m*n, kSoftmaxRowsVJP,
 		KernelArgs{S: [8][]float32{g, r.a.ensureGrad(), r.out.Data}, I: [6]int{n}, F: [6]float32{r.f0}})
 }
 
@@ -674,7 +676,7 @@ func ConcatCols(tp *Tape, a, b *Tensor) *Tensor {
 // vjpConcatCols: a, b, out.
 //
 //perfvec:hotpath
-func vjpConcatCols(_ *Tape, r *opRecord) {
+func vjpConcatCols(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -714,7 +716,7 @@ func SliceCols(tp *Tape, a *Tensor, from, to int) *Tensor {
 // vjpSliceCols: a, out; i0=from, i1=to.
 //
 //perfvec:hotpath
-func vjpSliceCols(_ *Tape, r *opRecord) {
+func vjpSliceCols(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -749,7 +751,7 @@ func SliceRows(tp *Tape, a *Tensor, from, to int) *Tensor {
 // vjpSliceRows: a, out; i0=from.
 //
 //perfvec:hotpath
-func vjpSliceRows(_ *Tape, r *opRecord) {
+func vjpSliceRows(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -780,7 +782,7 @@ func Transpose(tp *Tape, a *Tensor) *Tensor {
 // vjpTranspose: a, out.
 //
 //perfvec:hotpath
-func vjpTranspose(_ *Tape, r *opRecord) {
+func vjpTranspose(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -810,7 +812,7 @@ func Sum(tp *Tape, a *Tensor) *Tensor {
 // vjpSum: a, out.
 //
 //perfvec:hotpath
-func vjpSum(_ *Tape, r *opRecord) {
+func vjpSum(tp *Tape, r *opRecord) {
 	g := r.out.Grad
 	if g == nil {
 		return
@@ -841,7 +843,7 @@ func LayerNorm(tp *Tape, x, gamma, beta *Tensor, eps float32) *Tensor {
 	// activations and per-row scales, so they are step-lifetime.
 	xhat := tp.alloc(m, n)
 	invStd := tp.alloc(m)
-	ParallelKernel(m, m*n*4, kLayerNorm, KernelArgs{
+	tp.parallel(m, m*n*4, kLayerNorm, KernelArgs{
 		S: [8][]float32{out.Data, x.Data, gamma.Data, beta.Data, xhat.Data, invStd.Data},
 		I: [6]int{n},
 		F: [6]float32{eps},

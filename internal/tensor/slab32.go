@@ -49,10 +49,25 @@ type Slab32 struct {
 	// taken and mtaken count the float32s and headers handed out since
 	// the last Reset, across growths.
 	taken, mtaken int
-	// pack is the GEMM engine's packing scratch for the small products of
-	// the ops that run on the slab (see gemmPacked): allocated at the
-	// first, reused by every later one, never part of a pass.
+	// pack is the GEMM engine's packing scratch for the products of the
+	// ops that run on the slab (see gemm): grow-only, made at the first,
+	// reused by every later one, never part of a pass.
 	pack []float32
+}
+
+// gemm runs the packed engine for an op on the slab, on the slab's packing
+// scratch. A product whose columns fit one NC panel and whose packed
+// blocks fit packSerial runs serially, on the calling goroutine: the
+// encoder's row ranges are already spread across the cores, one per claim
+// loop, so a range's GEMMs find few idle workers. A larger one, such as a
+// sweep space's forward, splits across the worker pool.
+//
+//perfvec:hotpath
+func (s *Slab32) gemm(dst, a, b []float32, m, k, n, lda, ldb, ldc int, bT bool) {
+	mPad := (m + gemmMR - 1) / gemmMR * gemmMR
+	nPad := (n + gemmNR - 1) / gemmNR * gemmNR
+	serial := n <= gemmNC && (mPad+nPad)*min(gemmKC, k) <= packSerial
+	gemmPacked(&s.pack, serial, dst, a, b, m, k, n, lda, ldb, ldc, false, bT)
 }
 
 // Take returns a zeroed slice of n float32s valid until the next Reset.

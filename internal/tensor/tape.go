@@ -19,11 +19,20 @@ package tensor
 // shadow parameter tensors — parameters share Data but not Grad — and reuses
 // the tapes across steps via Reset, which retains the record slice's
 // capacity. Ops recorded on one tape may still parallelize internally: the
-// kernels in matmul.go and the elementwise loops in ops.go split their own
-// work across the worker pool in parallel.go.
+// GEMMs in matmul.go and the row kernels in ops.go and gates.go split their
+// work across the worker pool in parallel.go — unless SetSerial keeps them
+// on the tape's own goroutine, as a gradient worker's tape does when the
+// workers already fill the cores. Either way every GEMM packs its panels
+// into the tape's own scratch, and the bits are the same.
 type Tape struct {
 	recs  []opRecord
 	arena *Arena
+	// pack is the GEMM engine's packing scratch for every product the tape
+	// records or replays (see gemmPacked): grow-only and untouched by
+	// Reset, like Slab32.pack.
+	pack []float32
+	// serial runs every op on the calling goroutine (SetSerial).
+	serial bool
 	// recGrows counts record-slice capacity growths — the record analogue of
 	// the arena's miss counter. Steady-state training must stop growing after
 	// the warm-up step; the regression tests assert it.
@@ -42,6 +51,37 @@ func (tp *Tape) alloc(shape ...int) *Tensor {
 		return New(shape...)
 	}
 	return tp.arena.Get(shape...)
+}
+
+// SetSerial makes every op recorded on tp, and every VJP its Backward
+// replays, run on the calling goroutine instead of splitting its work
+// across the worker pool: for a goroutine whose peers already occupy every
+// core, where a split would only park on workers with no core to run on.
+// The bits do not change.
+func (tp *Tape) SetSerial(serial bool) { tp.serial = serial }
+
+// parallel runs k over [0, n) through ParallelKernel, or on the calling
+// goroutine when tp is serial.
+//
+//perfvec:hotpath
+func (tp *Tape) parallel(n, work int, k Kernel, a KernelArgs) {
+	if tp != nil && tp.serial {
+		work = 0
+	}
+	ParallelKernel(n, work, k, a)
+}
+
+// gemm runs the packed engine on tp's packing scratch, or on a scratch
+// local to the call for a nil tape, which allocates every output too.
+//
+//perfvec:hotpath
+func (tp *Tape) gemm(dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
+	if tp == nil {
+		var scratch []float32
+		gemmPacked(&scratch, false, dst, a, b, m, k, n, lda, ldb, ldc, aT, bT)
+		return
+	}
+	gemmPacked(&tp.pack, tp.serial, dst, a, b, m, k, n, lda, ldb, ldc, aT, bT)
 }
 
 // Zeros returns a zeroed step-lifetime tensor allocated through tp's arena
