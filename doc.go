@@ -243,9 +243,10 @@
 //     u8 x i8 integer GEMMs (VPMADDUBSW/VPMADDWD on AVX2, a bit-identical
 //     portable twin elsewhere) with per-channel dequantization fused into
 //     the epilogue, and fast polynomial gate nonlinearities (vectorized
-//     8-wide on AVX2, bit-identical to their scalar fallback). SlabI8
-//     extends the arena discipline to the quantized scratch, so the tier
-//     holds the zero-steady-state-allocation property. It trades a pinned
+//     8-wide on AVX2, bit-identical to their scalar fallback). Its
+//     quantization scratch comes from the same Slab32, in pools each
+//     quantized GEMM resets at entry, so the tier holds the
+//     zero-steady-state-allocation property. It trades a pinned
 //     epsilon for throughput: >= 1.5x the f32 fast path on batched encodes
 //     (cmd/perfvec-bench -budget gates the EncodeQ8/EncodeF32 pair, measured
 //     interleaved in one process), with every

@@ -38,10 +38,12 @@ func TestHotAllocInferSlab(t *testing.T) {
 }
 
 // TestHotAllocQuantSlab runs the analyzer over the quantized GEMM fixture:
-// the multi-typed slab idiom SlabI8 and MatMulQ8 use (one grow-only pool per
-// element type — u8 codes, i32 accumulators, f32 scales — each warm-up
-// growth waived) next to the same quantize/multiply/dequant pass with the
-// slab forgotten (every per-call scratch allocation flagged).
+// the slab idiom Slab32 and MatMulQ8 use (one generic grow-only pool type,
+// one pool per element type — u8 codes, i32 accumulators, f32 scales — the
+// warm-up growth waived once in the generic method) next to a generic pool
+// whose growth is not waived (flagged in the generic method) and the same
+// quantize/multiply/dequant pass with the slab forgotten (every per-call
+// scratch allocation flagged).
 func TestHotAllocQuantSlab(t *testing.T) {
 	analysistest.Run(t, "testdata/quant", hotalloc.Analyzer)
 }

@@ -1,67 +1,62 @@
-// Quantized GEMM fixture: the multi-typed slab idiom internal/tensor's
-// SlabI8 and the MatMulQ8 pipeline follow — one grow-only bump pool per
-// element type (packed u8 activation codes, i32 accumulators, f32
-// quantization scales), each warm-up growth carrying its waiver, everything
-// recycled wholesale by Reset — next to the same quantize/multiply/dequant
-// pass written without the slab, where every call allocates its codes,
-// accumulators, and scales from the heap.
+// Quantized GEMM fixture: the slab idiom internal/tensor's Slab32 and the
+// MatMulQ8 pipeline follow — one generic grow-only bump pool type, one
+// pool per element type (packed u8 activation codes, i32 accumulators, f32
+// quantization scales), the warm-up growth waived once in the generic
+// method, everything recycled wholesale by reset — next to a generic pool
+// whose growth carries no waiver (flagged inside the generic method) and
+// the same quantize/multiply/dequant pass written without the slab, where
+// every call allocates its codes, accumulators, and scales from the heap.
 package fixture
 
+type pool[T any] struct {
+	buf []T
+	off int
+}
+
+//perfvec:hotpath
+func (p *pool[T]) take(n int) []T {
+	if p.off+n > len(p.buf) {
+		p.buf = make([]T, max(2*len(p.buf), n)) //perfvec:allow hotalloc -- slab warm-up growth; steady state reuses the high-water buffer
+		p.off = 0
+	}
+	out := p.buf[p.off : p.off+n : p.off+n]
+	p.off += n
+	clear(out)
+	return out
+}
+
+//perfvec:hotpath
+func (p *pool[T]) reset() { p.off = 0 }
+
+// leakyPool is the same pool with its growth's waiver forgotten: the make
+// in the generic method is flagged like any other.
+type leakyPool[T any] struct {
+	buf []T
+	off int
+}
+
+//perfvec:hotpath
+func (p *leakyPool[T]) take(n int) []T {
+	if p.off+n > len(p.buf) {
+		p.buf = make([]T, max(2*len(p.buf), n)) // want `make in hot path take`
+		p.off = 0
+	}
+	out := p.buf[p.off : p.off+n : p.off+n]
+	p.off += n
+	return out
+}
+
 type slabQ struct {
-	u8   []uint8
-	uoff int
-	i32  []int32
-	ioff int
-	f32  []float32
-	foff int
+	u8  pool[uint8]
+	i32 pool[int32]
+	f32 pool[float32]
 }
 
-//perfvec:hotpath
-func (s *slabQ) takeU8(n int) []uint8 {
-	if s.uoff+n > len(s.u8) {
-		sz := 2 * len(s.u8)
-		if sz < n {
-			sz = n
-		}
-		s.u8 = make([]uint8, sz) //perfvec:allow hotalloc -- slab warm-up growth; steady state reuses the high-water buffer
-		s.uoff = 0
-	}
-	out := s.u8[s.uoff : s.uoff+n : s.uoff+n]
-	s.uoff += n
-	return out
+func (s *slabQ) reset() {
+	s.u8.reset()
+	s.i32.reset()
+	s.f32.reset()
 }
-
-//perfvec:hotpath
-func (s *slabQ) takeI32(n int) []int32 {
-	if s.ioff+n > len(s.i32) {
-		sz := 2 * len(s.i32)
-		if sz < n {
-			sz = n
-		}
-		s.i32 = make([]int32, sz) //perfvec:allow hotalloc -- slab warm-up growth; steady state reuses the high-water buffer
-		s.ioff = 0
-	}
-	out := s.i32[s.ioff : s.ioff+n : s.ioff+n]
-	s.ioff += n
-	return out
-}
-
-//perfvec:hotpath
-func (s *slabQ) takeF32(n int) []float32 {
-	if s.foff+n > len(s.f32) {
-		sz := 2 * len(s.f32)
-		if sz < n {
-			sz = n
-		}
-		s.f32 = make([]float32, sz) //perfvec:allow hotalloc -- slab warm-up growth; steady state reuses the high-water buffer
-		s.foff = 0
-	}
-	out := s.f32[s.foff : s.foff+n : s.foff+n]
-	s.foff += n
-	return out
-}
-
-func (s *slabQ) reset() { s.uoff, s.ioff, s.foff = 0, 0, 0 }
 
 // gemmPooled is the MatMulQ8 shape: activation codes, the i32 accumulator,
 // and the per-row scales all drawn from the recycled slab; nothing else
@@ -70,9 +65,9 @@ func (s *slabQ) reset() { s.uoff, s.ioff, s.foff = 0, 0, 0 }
 //perfvec:hotpath
 func gemmPooled(s *slabQ, x []float32, m, n, k int, dst []float32) {
 	s.reset()
-	codes := s.takeU8(m * k)
-	scales := s.takeF32(m)
-	acc := s.takeI32(m * n)
+	codes := s.u8.take(m * k)
+	scales := s.f32.take(m)
+	acc := s.i32.take(m * n)
 	for i := 0; i < m; i++ {
 		var hi float32
 		row := x[i*k : (i+1)*k]

@@ -25,12 +25,11 @@ func MatMulQ8(b *testing.B) {
 	}
 	qw := tensor.QuantizeWeightsBT(w, 0, 256)
 	var s tensor.Slab32
-	var q tensor.SlabI8
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Reset()
-		tensor.MatMulQ8(&s, &q, x, qw, nil)
+		tensor.MatMulQ8(&s, x, qw, nil)
 	}
 	b.StopTimer()
 	ops := 2.0 * 256 * 256 * 256
@@ -59,13 +58,12 @@ func MatMulQ8ModelShape(b *testing.B) {
 	wx := tensor.QuantizeWeightsBT(mat(n, kx), 0, kx)
 	wh := tensor.QuantizeWeightsBT(mat(n, kh), 0, kh)
 	var s tensor.Slab32
-	var q tensor.SlabI8
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Reset()
-		pre := tensor.MatMulQ8(&s, &q, x, wx, nil)
-		tensor.MatMulQ8Into(&q, pre, h, wh, nil, true)
+		pre := tensor.MatMulQ8(&s, x, wx, nil)
+		tensor.MatMulQ8Into(&s, pre, h, wh, nil, true)
 	}
 	b.StopTimer()
 	ops := 2.0 * m * n * (kx + kh)

@@ -87,12 +87,12 @@ func NewQ8Encoder(enc SeqEncoder) *Q8Encoder {
 }
 
 // ForwardWindowsQ8 encodes the window batch x through the int8 backend. s
-// supplies f32 activation scratch exactly as in ForwardWindows32; q
-// supplies the quantization scratch each MatMulQ8 call owns transiently.
+// supplies the f32 activation scratch exactly as in ForwardWindows32, and
+// the quantization scratch each MatMulQ8 call owns transiently.
 //
 //perfvec:hotpath
-func ForwardWindowsQ8(enc *Q8Encoder, s *tensor.Slab32, q *tensor.SlabI8, x Windows[tensor.Tensor32]) tensor.Tensor32 {
-	return inferSeq[tensor.Tensor32](q8Ops{slabOps: slabOps{s}, q: q, w: enc.w}, enc.enc, x)
+func ForwardWindowsQ8(enc *Q8Encoder, s *tensor.Slab32, x Windows[tensor.Tensor32]) tensor.Tensor32 {
+	return inferSeq[tensor.Tensor32](q8Ops{slabOps: slabOps{s}, w: enc.w}, enc.enc, x)
 }
 
 // OutDim reports the width of the encoding.
@@ -101,7 +101,6 @@ func (o *Q8Encoder) OutDim() int { return o.enc.OutDim() }
 // q8Ops is the int8 inference backend.
 type q8Ops struct {
 	slabOps
-	q *tensor.SlabI8
 	w map[*tensor.Tensor]q8Weight
 }
 
@@ -119,14 +118,14 @@ func data(t *tensor.Tensor) []float32 {
 //
 //perfvec:hotpath
 func (o q8Ops) linear(x tensor.Tensor32, w, b *tensor.Tensor) tensor.Tensor32 {
-	return tensor.MatMulQ8(o.s, o.q, x, o.w[w].full, data(b))
+	return tensor.MatMulQ8(o.s, x, o.w[w].full, data(b))
 }
 
 //perfvec:hotpath
 func (o q8Ops) linearCat(x, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32 {
 	qw := o.w[w]
-	pre := tensor.MatMulQ8(o.s, o.q, x, qw.x, nil)
-	tensor.MatMulQ8Into(o.q, pre, h, qw.h, nil, true)
+	pre := tensor.MatMulQ8(o.s, x, qw.x, nil)
+	tensor.MatMulQ8Into(o.s, pre, h, qw.h, nil, true)
 	return pre
 }
 
@@ -143,13 +142,13 @@ func (o q8Ops) project(x windows32, w, b *tensor.Tensor) windows32 {
 	if qw == nil {
 		qw = o.w[w].x
 	}
-	return o.projected(x, tensor.MatMulQ8(o.s, o.q, x.Rows, qw, data(b)), w)
+	return o.projected(x, tensor.MatMulQ8(o.s, x.Rows, qw, data(b)), w)
 }
 
 //perfvec:hotpath
 func (o q8Ops) stepCat(p windows32, t int, h tensor.Tensor32, w *tensor.Tensor) tensor.Tensor32 {
 	tensor.GatherRows32(p.pre, p.Rows, p.Start, t)
-	tensor.MatMulQ8Into(o.q, p.pre, h, o.w[w].h, nil, true)
+	tensor.MatMulQ8Into(o.s, p.pre, h, o.w[w].h, nil, true)
 	return p.pre
 }
 
@@ -202,6 +201,6 @@ func NewLinearQ8(l *Linear) *LinearQ8 {
 // Forward applies the layer through the quantized GEMM.
 //
 //perfvec:hotpath
-func (l *LinearQ8) Forward(s *tensor.Slab32, q *tensor.SlabI8, x tensor.Tensor32) tensor.Tensor32 {
-	return tensor.MatMulQ8(s, q, x, l.w, l.b)
+func (l *LinearQ8) Forward(s *tensor.Slab32, x tensor.Tensor32) tensor.Tensor32 {
+	return tensor.MatMulQ8(s, x, l.w, l.b)
 }

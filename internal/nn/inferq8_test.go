@@ -22,7 +22,7 @@ func TestForwardSeqQ8Close(t *testing.T) {
 			if q8.OutDim() != enc.OutDim() {
 				t.Fatalf("OutDim %d != %d", q8.OutDim(), enc.OutDim())
 			}
-			got := ForwardSeqQ8(q8, &tensor.Slab32{}, &tensor.SlabI8{}, xs32)
+			got := ForwardSeqQ8(q8, &tensor.Slab32{}, xs32)
 			want := NewOracle64(enc).ForwardSeq(xs64)
 			if got.R != want.R || got.C != want.C {
 				t.Fatalf("shape [%d,%d] != [%d,%d]", got.R, got.C, want.R, want.C)
@@ -57,12 +57,10 @@ func TestForwardSeqQ8Deterministic(t *testing.T) {
 			_, xs32, _ := seqInputs(rand.New(rand.NewSource(43)), T, batch, featDim)
 			q8 := NewQ8Encoder(enc)
 			s := &tensor.Slab32{}
-			q := &tensor.SlabI8{}
 			var want []float32
 			for pass := 0; pass < 2; pass++ {
 				s.Reset()
-				q.Reset()
-				got := ForwardSeqQ8(q8, s, q, xs32)
+				got := ForwardSeqQ8(q8, s, xs32)
 				if pass == 0 {
 					want = append([]float32(nil), got.Data...)
 					continue
@@ -78,7 +76,7 @@ func TestForwardSeqQ8Deterministic(t *testing.T) {
 }
 
 // TestForwardSeqQ8SteadyStateAllocs pins the quantized encode to zero heap
-// allocations once both slabs are warm.
+// allocations once the slab is warm.
 func TestForwardSeqQ8SteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting differs under -race")
@@ -88,10 +86,9 @@ func TestForwardSeqQ8SteadyStateAllocs(t *testing.T) {
 	q8 := NewQ8Encoder(enc)
 	_, xs32, _ := seqInputs(rand.New(rand.NewSource(4)), T, batch, featDim)
 	s := &tensor.Slab32{}
-	q := &tensor.SlabI8{}
 	pass := func() {
 		s.Reset()
-		ForwardSeqQ8(q8, s, q, xs32)
+		ForwardSeqQ8(q8, s, xs32)
 	}
 	for i := 0; i < 3; i++ {
 		pass()

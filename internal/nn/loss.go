@@ -8,17 +8,3 @@ func MSE(tp *tensor.Tape, pred, target *tensor.Tensor) *tensor.Tensor {
 	d := tensor.Sub(tp, pred, target)
 	return tensor.Mean(tp, tensor.Mul(tp, d, d))
 }
-
-// MAE returns the mean absolute error, computed without autodiff support; it
-// is an evaluation metric only.
-func MAE(pred, target *tensor.Tensor) float64 {
-	var s float64
-	for i, p := range pred.Data {
-		d := float64(p - target.Data[i])
-		if d < 0 {
-			d = -d
-		}
-		s += d
-	}
-	return s / float64(pred.Len())
-}

@@ -1,6 +1,6 @@
 // Package nn implements the neural-network layers, losses, and optimizers
 // used by PerfVec's models: Linear, MLP, LSTM (uni- and bidirectional), GRU,
-// and a Transformer encoder, plus SGD/Adam and step learning-rate decay.
+// and a Transformer encoder, plus Adam and step learning-rate decay.
 //
 // All models operate on batched per-timestep inputs: a sequence is a slice of
 // [batch, features] tensors, one per timestep, and a sequence encoder reduces

@@ -140,9 +140,6 @@ func TestMSEKnownValue(t *testing.T) {
 	if l.Data[0] != 1 { // (0+0+0+4)/4
 		t.Fatalf("MSE = %v, want 1", l.Data[0])
 	}
-	if MAE(p, y) != 0.5 {
-		t.Fatalf("MAE = %v, want 0.5", MAE(p, y))
-	}
 }
 
 // TestAdamFitsLinearRegression trains y = xW on synthetic data and checks the
@@ -165,29 +162,6 @@ func TestAdamFitsLinearRegression(t *testing.T) {
 	}
 	if last > 1e-3 {
 		t.Fatalf("Adam failed to fit linear regression: final loss %v", last)
-	}
-}
-
-func TestSGDReducesLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := tensor.Randn(rng, 1, 32, 4)
-	trueW := tensor.Randn(rng, 1, 4, 1)
-	y := tensor.MatMul(nil, x, trueW)
-	model := NewLinear(rng, 4, 1, false)
-	opt := NewSGD(0.05)
-	first, last := float32(0), float32(0)
-	for it := 0; it < 100; it++ {
-		tp := tensor.NewTapeArena()
-		loss := MSE(tp, model.Forward(tp, x), y)
-		tp.Backward(loss)
-		opt.Step(model.Params())
-		if it == 0 {
-			first = loss.Data[0]
-		}
-		last = loss.Data[0]
-	}
-	if last >= first {
-		t.Fatalf("SGD did not reduce loss: %v -> %v", first, last)
 	}
 }
 

@@ -17,33 +17,6 @@ type Optimizer interface {
 	LR() float32
 }
 
-// SGD is plain stochastic gradient descent.
-type SGD struct {
-	lr float32
-}
-
-// NewSGD returns an SGD optimizer with the given learning rate.
-func NewSGD(lr float32) *SGD { return &SGD{lr: lr} }
-
-// Step implements Optimizer.
-func (s *SGD) Step(params []*tensor.Tensor) {
-	for _, p := range params {
-		if p.Grad == nil {
-			continue
-		}
-		for i, g := range p.Grad {
-			p.Data[i] -= s.lr * g
-		}
-		p.ZeroGrad()
-	}
-}
-
-// SetLR implements Optimizer.
-func (s *SGD) SetLR(lr float32) { s.lr = lr }
-
-// LR implements Optimizer.
-func (s *SGD) LR() float32 { return s.lr }
-
 // Adam implements the Adam optimizer (Kingma & Ba), the optimizer used to
 // train PerfVec (§IV-D: initial LR 1e-3, decayed 10x every 10 epochs).
 type Adam struct {

@@ -47,8 +47,8 @@ func ForwardSeq32(enc SeqEncoder, s *tensor.Slab32, xs []tensor.Tensor32) tensor
 
 // ForwardSeqQ8 encodes a sequence of [batch, features] tensors through the
 // int8 backend.
-func ForwardSeqQ8(enc *Q8Encoder, s *tensor.Slab32, q *tensor.SlabI8, xs []tensor.Tensor32) tensor.Tensor32 {
-	return ForwardWindowsQ8(enc, s, q, seqWindows32(s, xs))
+func ForwardSeqQ8(enc *Q8Encoder, s *tensor.Slab32, xs []tensor.Tensor32) tensor.Tensor32 {
+	return ForwardWindowsQ8(enc, s, seqWindows32(s, xs))
 }
 
 // ForwardSeq encodes a sequence of [batch, features] float64 tensors.

@@ -113,30 +113,6 @@ func TestProgramDataRoundTrip(t *testing.T) {
 	}
 }
 
-func TestCachePutGet(t *testing.T) {
-	c := &Cache{Dir: t.TempDir()}
-	if _, ok := c.Get("missing"); ok {
-		t.Fatal("empty cache must miss")
-	}
-	cfgs := uarch.Predefined()[:2]
-	b, err := bench.ByName("999.specrand")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, err := CollectProgramData(b, cfgs, 1, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tag := "specrand/k2:n500" // path-hostile characters get sanitized
-	if err := c.Put(tag, pd); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := c.Get(tag)
-	if !ok || got.N != pd.N {
-		t.Fatal("cache miss after put")
-	}
-}
-
 func TestLoadProgramDataRejectsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bad.gob")
 	pd := &ProgramData{Name: "x", N: 10, FeatDim: 51, K: 2,

@@ -255,7 +255,8 @@ func kFillBatch(s, e int, ka tensor.KernelArgs) {
 // samples ids[b0:b1] into rows [b0, b1) of x, the row-major
 // [len(ids) x FeatDim] matrix of that position. Positions before program
 // start are skipped: x arrives zeroed, so that is the zero padding. Batch
-// and Trainer.Loss both assemble their windows through it.
+// assembles its windows through it; Trainer.Loss does not (batchLoss
+// copies each sample's window rows into its slab itself).
 //
 //perfvec:hotpath
 func (d *Dataset) fillWindow(x []float32, ids []int, t, window, b0, b1 int) {

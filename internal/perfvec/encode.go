@@ -27,7 +27,7 @@ import (
 // next range from a cursor, encodes it and claims again, until none is left,
 // with no join between ranges. The caller's Encoder runs one claim loop; each
 // other loop borrows an Encoder from the Foundation's pool for its forward
-// passes, so a range's arenas are never shared.
+// passes, so a range's arena is never shared.
 //
 // A range hands the graph its instruction rows once (nn.Windows): for each
 // program segment in it, the Window-1 rows before the segment (zero before
@@ -65,13 +65,13 @@ const maxRangeRows = 128
 // two ahead of a slower peer without waiting.
 const ringSlots = 3
 
-// Encoder is a reusable batch-inference worker: the float32 and int8
-// inference arenas a forward pass runs on, plus the scratch a coalesced pass
-// sums per-program representations in. Encoders are pooled on the
-// Foundation (AcquireEncoder/ReleaseEncoder). In a coalesced pass the
+// Encoder is a reusable batch-inference worker: the inference arena a
+// forward pass runs on, plus the scratch a coalesced pass sums per-program
+// representations in. Encoders are pooled on the Foundation
+// (AcquireEncoder/ReleaseEncoder). In a coalesced pass the
 // Encoder it is called on runs one claim loop and owns the ring and the
 // accumulators; the other claim loops run on encoders borrowed from the same
-// pool for the duration of the call. Tensors drawn from the arenas die at
+// pool for the duration of the call. Tensors drawn from the arena die at
 // the next range's Reset, so nothing produced inside a pass may escape it —
 // results leave through caller-owned slices only. An Encoder is confined to
 // one goroutine between Acquire and Release.
@@ -81,11 +81,9 @@ type Encoder struct {
 	starts []int32   // window start of each output row of the current pass
 	job    encodeJob // the shared state of this encoder's coalesced passes
 
-	// slab is the forward-only float32 arena every pass runs on; slabQ is
-	// the quantization arena of the int8 GEMMs (EncodeProgramsQ8). Both
-	// are reset at the start of every range.
-	slab  tensor.Slab32
-	slabQ tensor.SlabI8
+	// slab is the arena every pass runs on, the int8 GEMMs' quantization
+	// scratch included; it is reset at the start of every range.
+	slab tensor.Slab32
 }
 
 // encoderPool is the Foundation's free list of inference encoders:
@@ -96,17 +94,14 @@ type encoderPool struct {
 	mu    sync.Mutex
 	es    []*Encoder
 	built int
-	peak  arenaSize
+	// peak is the largest slab footprint any encoder has needed. Every
+	// claim loop reserves it up front: which ranges a loop draws depends on
+	// scheduling, so without it an encoder that drew only small ranges
+	// while warming up would grow its slab later.
+	peak tensor.SlabSize
 }
 
-// arenaSize is the arena footprint of one forward pass: what its Slab32 and
-// the largest of its quantized GEMMs take. The pool keeps the largest any
-// encoder has needed, and every claim loop reserves it up front: which
-// ranges a loop draws depends on scheduling, so without it an encoder that
-// drew only small ranges while warming up would grow its arenas later.
-type arenaSize struct{ floats, mats, u8, i32, f32 int }
-
-// reserve sizes e's arenas for the largest pass any pooled encoder has run.
+// reserve sizes e's slab for the largest pass any pooled encoder has run.
 //
 //perfvec:hotpath
 func (e *Encoder) reserve() {
@@ -114,21 +109,17 @@ func (e *Encoder) reserve() {
 	p.mu.Lock()
 	n := p.peak
 	p.mu.Unlock()
-	e.slab.Reserve(n.floats, n.mats)
-	e.slabQ.Reserve(n.u8, n.i32, n.f32)
+	e.slab.Reserve(n)
 }
 
-// notePeak folds the pass e just ran into the pool's largest footprint.
+// notePeak folds the passes e has run into the pool's largest footprint.
 //
 //perfvec:hotpath
 func (e *Encoder) notePeak() {
-	floats, mats := e.slab.Taken()
-	u8, i32, f32 := e.slabQ.Peak()
+	n := e.slab.Peak()
 	p := &e.f.encoders
 	p.mu.Lock()
-	n := &p.peak
-	n.floats, n.mats = max(n.floats, floats), max(n.mats, mats)
-	n.u8, n.i32, n.f32 = max(n.u8, u8), max(n.i32, i32), max(n.f32, f32)
+	p.peak = p.peak.Max(n)
 	p.mu.Unlock()
 }
 
@@ -157,15 +148,14 @@ func (f *Foundation) ReleaseEncoder(e *Encoder) {
 }
 
 // EncoderStats reports how many encoders have been built and the total
-// arena growths (Slab32 plus SlabI8) across the pooled ones — the
-// regression counters for the inference paths' "pooled arenas, reused
-// buffers" promise.
+// slab growths across the pooled ones — the regression counters for the
+// inference paths' "pooled arenas, reused buffers" promise.
 func (f *Foundation) EncoderStats() (built, slabGrows int) {
 	p := &f.encoders
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for _, e := range p.es {
-		slabGrows += e.slab.Grows() + e.slabQ.Grows()
+		slabGrows += e.slab.Grows()
 	}
 	return p.built, slabGrows
 }
@@ -418,7 +408,7 @@ func addRows(acc []float64, ps []*ProgramData, d, pi, off int, reps []float64) (
 	return pi, off
 }
 
-// windowBatch starts a forward pass: it recycles both arenas and lays out
+// windowBatch starts a forward pass: it recycles the slab and lays out
 // the window batch of the n concatenated rows of ps that begin at
 // instruction off of program pi. Each program segment in the range
 // contributes the Window-1 rows before it (zero before the program start;
@@ -428,7 +418,6 @@ func addRows(acc []float64, ps []*ProgramData, d, pi, off int, reps []float64) (
 //perfvec:hotpath
 func (e *Encoder) windowBatch(ps []*ProgramData, pi, off, n int) nn.Windows[tensor.Tensor32] {
 	e.slab.Reset()
-	e.slabQ.Reset()
 	w, fd := e.f.Cfg.Window, e.f.Cfg.FeatDim
 	segs := 0
 	for p, o, left := pi, off, n; left > 0; p, o = p+1, 0 {
@@ -466,7 +455,7 @@ func (e *Encoder) startBuf(n int) []int32 {
 }
 
 // forward runs encoder and head over the window batch xs on the encoder's
-// arenas: the float32 engine (bitwise identical to the tape Forward) or,
+// slab: the float32 engine (bitwise identical to the tape Forward) or,
 // when q8 is set, the int8 engine. The result lives until the next pass.
 //
 //perfvec:hotpath
@@ -474,7 +463,7 @@ func (e *Encoder) forward(xs nn.Windows[tensor.Tensor32], q8 bool) tensor.Tensor
 	f := e.f
 	if q8 {
 		enc, head := f.q8()
-		return head.Forward(&e.slab, &e.slabQ, nn.ForwardWindowsQ8(enc, &e.slab, &e.slabQ, xs))
+		return head.Forward(&e.slab, nn.ForwardWindowsQ8(enc, &e.slab, xs))
 	}
 	return f.Head.Forward32(&e.slab, nn.ForwardWindows32(f.Encoder, &e.slab, xs))
 }

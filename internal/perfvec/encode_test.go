@@ -288,8 +288,7 @@ func TestEncodeManyRangesBitwise(t *testing.T) {
 				}
 				xs32, xs64 := sampleWindows(xs)
 				var s tensor.Slab32
-				var q tensor.SlabI8
-				yq := q8head.Forward(&s, &q, nn.ForwardWindowsQ8(q8enc, &s, &q, xs32))
+				yq := q8head.Forward(&s, nn.ForwardWindowsQ8(q8enc, &s, xs32))
 				wantQ8[i] = SumReps(tensor.FromSlice(yq.Data, yq.R, yq.C))
 				y64 := o.Linear(f.Head, o.ForwardWindows(xs64))
 				want64[i] = make([]float64, cfg.RepDim)

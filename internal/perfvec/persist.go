@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"os"
-	"path/filepath"
 
 	"repro/internal/features"
 	"repro/internal/nn"
@@ -126,10 +124,8 @@ func checksum(b []byte) uint64 {
 }
 
 // Dataset persistence. The paper's training corpus is a 2 TB on-disk
-// artifact collected once and reused across model trainings; this file
-// provides the equivalent workflow: ProgramData serializes with
-// encoding/gob, and a Cache keyed by (benchmark, uarch-set, budget) avoids
-// re-simulating when iterating on models.
+// artifact collected once and reused across model trainings; here a
+// ProgramData serializes with encoding/gob.
 
 // SaveProgramData writes one program's data to w.
 func SaveProgramData(w io.Writer, pd *ProgramData) error {
@@ -173,61 +169,4 @@ func holdsRows(l, n, k int) bool {
 		return l == 0
 	}
 	return l%k == 0 && l/k == n
-}
-
-// Cache is an on-disk store of collected ProgramData, keyed by an arbitrary
-// tag the caller derives from the collection parameters.
-type Cache struct {
-	Dir string
-}
-
-// path sanitizes the tag into a file path.
-func (c *Cache) path(tag string) string {
-	safe := make([]rune, 0, len(tag))
-	for _, r := range tag {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
-			r == '.', r == '-', r == '_':
-			safe = append(safe, r)
-		default:
-			safe = append(safe, '_')
-		}
-	}
-	return filepath.Join(c.Dir, string(safe)+".gob")
-}
-
-// Get returns the cached data for tag, or ok=false if absent or unreadable.
-func (c *Cache) Get(tag string) (pd *ProgramData, ok bool) {
-	fp, err := os.Open(c.path(tag))
-	if err != nil {
-		return nil, false
-	}
-	defer fp.Close()
-	pd, err = LoadProgramData(fp)
-	if err != nil {
-		return nil, false
-	}
-	return pd, true
-}
-
-// Put stores data under tag, creating the cache directory if needed.
-func (c *Cache) Put(tag string, pd *ProgramData) error {
-	if err := os.MkdirAll(c.Dir, 0o755); err != nil {
-		return err
-	}
-	tmp := c.path(tag) + ".tmp"
-	fp, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if err := SaveProgramData(fp, pd); err != nil {
-		fp.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := fp.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, c.path(tag))
 }

@@ -143,7 +143,7 @@
 //     weights quantized once at first use, dynamic per-row activation
 //     quantization, u8 x i8 integer GEMMs with a fused dequantization
 //     epilogue, and fast polynomial gate nonlinearities — on pooled
-//     Slab32/SlabI8 arenas, zero steady-state allocations. The throughput
+//     Slab32 arenas, zero steady-state allocations. The throughput
 //     tier: >= 1.5x the f32 fast path on batched encodes (perfvec-bench
 //     -budget gates the EncodeQ8/EncodeF32 ratio, measured interleaved in
 //     one process). Its

@@ -37,17 +37,18 @@ import "runtime"
 // packed A is u8 (a quarter the f32 footprint — a KC block of a 128-row
 // encode range is at most 64 KiB, L2-resident) and B needs no per-call packing at all,
 // so the worker simply streams row tiles against each L1-resident B strip.
-// All per-call scratch comes from the caller's SlabI8, which MatMulQ8Into
-// resets at entry: a quantized GEMM owns the slab for exactly one call.
+// All per-call scratch comes from the caller's Slab32 quantization pools,
+// which MatMulQ8Into resets at entry: a quantized GEMM owns them for exactly
+// one call, and leaves the slab's activations and headers alone.
 
 // MatMulQ8 computes dequant(x * w^T) + bias on the f32 slab: the quantized
 // twin of MatMulBT32 (+ AddBiasInPlace32 when bias is non-nil, fused into
-// the dequantization epilogue). q supplies the quantization scratch.
+// the dequantization epilogue).
 //
 //perfvec:hotpath
-func MatMulQ8(s *Slab32, q *SlabI8, x Tensor32, w *QuantizedWeights, bias []float32) Tensor32 {
+func MatMulQ8(s *Slab32, x Tensor32, w *QuantizedWeights, bias []float32) Tensor32 {
 	out := s.Mat(x.R, w.N)
-	MatMulQ8Into(q, out, x, w, bias, false)
+	MatMulQ8Into(s, out, x, w, bias, false)
 	return out
 }
 
@@ -57,11 +58,11 @@ func MatMulQ8(s *Slab32, q *SlabI8, x Tensor32, w *QuantizedWeights, bias []floa
 // (add=true; the recurrent cells sum the separately quantized x- and
 // h-projections this way, mirroring MatMulBTCat32's two-GEMM fusion).
 // bias, when non-nil, is added in the epilogue. dst must be [x.R, w.N];
-// x.C must equal w.K. q is reset at entry — nothing taken from it survives
-// this call.
+// x.C must equal w.K. s's quantization pools are reset at entry — nothing
+// this call takes from them survives it; what dst and x alias is untouched.
 //
 //perfvec:hotpath
-func MatMulQ8Into(q *SlabI8, dst Tensor32, x Tensor32, w *QuantizedWeights, bias []float32, add bool) {
+func MatMulQ8Into(s *Slab32, dst Tensor32, x Tensor32, w *QuantizedWeights, bias []float32, add bool) {
 	if x.C != w.K || dst.R != x.R || dst.C != w.N {
 		panic("tensor: MatMulQ8Into shape mismatch")
 	}
@@ -72,19 +73,19 @@ func MatMulQ8Into(q *SlabI8, dst Tensor32, x Tensor32, w *QuantizedWeights, bias
 	if m == 0 || n == 0 {
 		return
 	}
-	q.Reset()
+	s.resetQ()
 	mStrips := (m + gemmMR - 1) / gemmMR
 	nStrips := (n + gemmNR - 1) / gemmNR
-	ap := q.TakeU8(mStrips * kQ * gemmMR * gemmQuad)
-	aScale := q.TakeF32(m)
-	aZp := q.TakeI32(m)
+	ap := s.u8.take(mStrips*kQ*gemmMR*gemmQuad, leastElems)
+	aScale := s.q.take(m, leastElems)
+	aZp := s.i32.take(m, leastElems)
 	ParallelKernel(m, m*k*4, kQuantPackA, KernelArgs{
 		S: [8][]float32{x.Data, aScale},
 		U: [2][]uint8{ap},
 		Z: [3][]int32{aZp},
 		I: [6]int{k, kQ},
 	})
-	acc := q.TakeI32(m * n)
+	acc := s.i32.take(m*n, leastElems)
 	flags := 0
 	units := nStrips
 	if mStrips > nStrips && nStrips < runtime.GOMAXPROCS(0) {

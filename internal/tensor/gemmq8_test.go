@@ -102,7 +102,6 @@ func TestMatMulQ8MatchesReference(t *testing.T) {
 	withQ8(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(31))
 		var slab Slab32
-		var q SlabI8
 		for _, sh := range gemmEdgeShapes {
 			m, k, n := sh[0], sh[1], sh[2]
 			x := Tensor32{Data: randSlice(rng, m*k), R: m, C: k}
@@ -119,7 +118,7 @@ func TestMatMulQ8MatchesReference(t *testing.T) {
 				init := randSlice(rng, m*n)
 				copy(dst.Data, init)
 				want := append([]float32(nil), init...)
-				MatMulQ8Into(&q, dst, x, qw, tc.bias, tc.add)
+				MatMulQ8Into(&slab, dst, x, qw, tc.bias, tc.add)
 				refMatMulQ8(want, x, w, 0, k, tc.bias, tc.add)
 				for i := range want {
 					if math.Float32bits(dst.Data[i]) != math.Float32bits(want[i]) {
@@ -146,7 +145,6 @@ func TestGEMMQ8AsmMatchesGeneric(t *testing.T) {
 	defer func() { useQ8 = orig }()
 	rng := rand.New(rand.NewSource(37))
 	var slab Slab32
-	var q SlabI8
 	for _, sh := range gemmEdgeShapes {
 		m, k, n := sh[0], sh[1], sh[2]
 		x := Tensor32{Data: randSlice(rng, m*k), R: m, C: k}
@@ -159,9 +157,9 @@ func TestGEMMQ8AsmMatchesGeneric(t *testing.T) {
 		copy(gotAsm.Data, init)
 		copy(gotGen.Data, init)
 		useQ8 = true
-		MatMulQ8Into(&q, gotAsm, x, qw, nil, true)
+		MatMulQ8Into(&slab, gotAsm, x, qw, nil, true)
 		useQ8 = false
-		MatMulQ8Into(&q, gotGen, x, qw, nil, true)
+		MatMulQ8Into(&slab, gotGen, x, qw, nil, true)
 		for i := range gotAsm.Data {
 			if math.Float32bits(gotAsm.Data[i]) != math.Float32bits(gotGen.Data[i]) {
 				t.Fatalf("%dx%dx%d: elem %d differs bitwise: asm %v (% x) vs generic %v (% x)",
@@ -237,7 +235,6 @@ func TestMatMulQ8ParallelMatchesSerial(t *testing.T) {
 	withQ8(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(41))
 		var slab Slab32
-		var q SlabI8
 		// {97,33,10}: one column strip at GOMAXPROCS=4 forces the row
 		// partition against the serial column partition.
 		for _, sh := range [][3]int{{61, 67, 57}, {128, 64, 128}, {97, 33, 10}, {12, 40, 200}} {
@@ -249,9 +246,9 @@ func TestMatMulQ8ParallelMatchesSerial(t *testing.T) {
 			serial := slab.Mat(m, n)
 			parallel := slab.Mat(m, n)
 			prev := runtime.GOMAXPROCS(1)
-			MatMulQ8Into(&q, serial, x, qw, nil, false)
+			MatMulQ8Into(&slab, serial, x, qw, nil, false)
 			runtime.GOMAXPROCS(4)
-			MatMulQ8Into(&q, parallel, x, qw, nil, false)
+			MatMulQ8Into(&slab, parallel, x, qw, nil, false)
 			runtime.GOMAXPROCS(prev)
 			for i := range serial.Data {
 				if math.Float32bits(serial.Data[i]) != math.Float32bits(parallel.Data[i]) {
@@ -273,13 +270,12 @@ func TestMatMulQ8Accuracy(t *testing.T) {
 	withQ8(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(43))
 		var slab Slab32
-		var q SlabI8
 		const m, k, n = 64, 96, 48
 		x := Tensor32{Data: randSlice(rng, m*k), R: m, C: k}
 		w := Tensor32{Data: randSlice(rng, n*k), R: n, C: k}
 		qw := QuantizeWeightsBT(w, 0, k)
 		got := slab.Mat(m, n)
-		MatMulQ8Into(&q, got, x, qw, nil, false)
+		MatMulQ8Into(&slab, got, x, qw, nil, false)
 		want := make([]float32, m*n)
 		refNT(want, x.Data, w.Data, m, k, n)
 		// Error scale: one quantization step per operand across a k-deep sum;
@@ -308,7 +304,6 @@ func TestMatMulQ8AllZeroRows(t *testing.T) {
 	withQ8(t, func(t *testing.T) {
 		rng := rand.New(rand.NewSource(47))
 		var slab Slab32
-		var q SlabI8
 		const m, k, n = 9, 51, 32
 		x := Tensor32{Data: randSlice(rng, m*k), R: m, C: k}
 		clear(x.Data[2*k : 3*k]) // row 2 all zero
@@ -317,7 +312,7 @@ func TestMatMulQ8AllZeroRows(t *testing.T) {
 		qw := QuantizeWeightsBT(w, 0, k)
 		bias := randSlice(rng, n)
 		got := slab.Mat(m, n)
-		MatMulQ8Into(&q, got, x, qw, bias, false)
+		MatMulQ8Into(&slab, got, x, qw, bias, false)
 		for _, row := range []int{2, 8} {
 			for j := 0; j < n; j++ {
 				if math.Float32bits(got.Data[row*n+j]) != math.Float32bits(bias[j]) {
@@ -326,7 +321,7 @@ func TestMatMulQ8AllZeroRows(t *testing.T) {
 			}
 		}
 		noBias := slab.Mat(m, n)
-		MatMulQ8Into(&q, noBias, x, qw, nil, false)
+		MatMulQ8Into(&slab, noBias, x, qw, nil, false)
 		for _, row := range []int{2, 8} {
 			for j := 0; j < n; j++ {
 				if v := noBias.Data[row*n+j]; v != 0 {
@@ -338,26 +333,25 @@ func TestMatMulQ8AllZeroRows(t *testing.T) {
 }
 
 // TestMatMulQ8SlabSteadyState pins the scratch discipline: after the first
-// call warms the SlabI8, repeated quantized GEMMs perform no further backing
-// growths and no heap allocations.
+// call warms the slab's quantization pools, repeated quantized GEMMs perform
+// no further backing growths and no heap allocations.
 func TestMatMulQ8SlabSteadyState(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	var slab Slab32
-	var q SlabI8
 	const m, k, n = 64, 51, 128
 	x := Tensor32{Data: randSlice(rng, m*k), R: m, C: k}
 	w := Tensor32{Data: randSlice(rng, n*k), R: n, C: k}
 	qw := QuantizeWeightsBT(w, 0, k)
 	dst := slab.Mat(m, n)
-	pass := func() { MatMulQ8Into(&q, dst, x, qw, nil, false) }
+	pass := func() { MatMulQ8Into(&slab, dst, x, qw, nil, false) }
 	for i := 0; i < 3; i++ {
 		pass()
 	}
-	grows := q.Grows()
+	grows := slab.Grows()
 	for i := 0; i < 5; i++ {
 		pass()
 	}
-	if g := q.Grows(); g != grows {
+	if g := slab.Grows(); g != grows {
 		t.Fatalf("warm MatMulQ8 grew the slab %d more times", g-grows)
 	}
 	if raceEnabled {
@@ -368,22 +362,74 @@ func TestMatMulQ8SlabSteadyState(t *testing.T) {
 	}
 }
 
+// TestMatMulQ8KeepsSlabPasses pins the folded arena: MatMulQ8Into resets
+// only the slab's quantization pools, so a matrix taken before the call
+// keeps its contents, a Mat taken after it does not alias one taken before,
+// and Peak covers every pool — a fresh slab reserved to a pass's peak
+// repeats that pass without growing.
+func TestMatMulQ8KeepsSlabPasses(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	const m, k, n = 40, 51, 128
+	w := Tensor32{Data: randSlice(rng, n*k), R: n, C: k}
+	qw := QuantizeWeightsBT(w, 0, k)
+	xData := randSlice(rng, m*k)
+	pass := func(s *Slab32) (x, dst Tensor32) {
+		s.Reset()
+		x = s.Mat(m, k)
+		copy(x.Data, xData)
+		dst = s.Mat(m, n)
+		MatMulQ8Into(s, dst, x, qw, nil, false)
+		MatMulQ8(s, x, qw, nil)
+		s.Mats(3)
+		after := s.Mat(m, n)
+		for i := range after.Data {
+			after.Data[i] = -1
+		}
+		return x, dst
+	}
+
+	var s Slab32
+	pass(&s)
+	s.Reserve(s.Peak()) // every take of the next pass lands in one array
+	x, dst := pass(&s)
+	// after was filled last: an alias of x or dst would have overwritten it.
+	for i, v := range x.Data {
+		if v != xData[i] {
+			t.Fatalf("input element %d = %v after a later Mat, want %v", i, v, xData[i])
+		}
+	}
+	want := make([]float32, m*n)
+	var ref Slab32
+	MatMulQ8Into(&ref, Tensor32{Data: want, R: m, C: n}, Tensor32{Data: xData, R: m, C: k}, qw, nil, false)
+	for i, v := range dst.Data {
+		if math.Float32bits(v) != math.Float32bits(want[i]) {
+			t.Fatalf("output element %d = %v after a later Mat, want %v", i, v, want[i])
+		}
+	}
+	var fresh Slab32
+	fresh.Reserve(s.Peak())
+	grows := fresh.Grows()
+	pass(&fresh)
+	if g := fresh.Grows(); g != grows {
+		t.Fatalf("slab reserved to a pass's peak grew %d times repeating it", g-grows)
+	}
+}
+
 // benchMatMulQ8 mirrors benchGEMM's 256-cubed shape for the acceptance
 // comparison against the f32 engine.
 func BenchmarkMatMulQ8(b *testing.B) {
 	const m, k, n = 256, 256, 256
 	rng := rand.New(rand.NewSource(1))
 	var slab Slab32
-	var q SlabI8
 	x := Tensor32{Data: randSlice(rng, m*k), R: m, C: k}
 	w := Tensor32{Data: randSlice(rng, n*k), R: n, C: k}
 	qw := QuantizeWeightsBT(w, 0, k)
 	dst := slab.Mat(m, n)
-	MatMulQ8Into(&q, dst, x, qw, nil, false) // warm the slab
+	MatMulQ8Into(&slab, dst, x, qw, nil, false) // warm the slab
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulQ8Into(&q, dst, x, qw, nil, false)
+		MatMulQ8Into(&slab, dst, x, qw, nil, false)
 	}
 	b.StopTimer()
 	ops := 2 * float64(m) * float64(k) * float64(n)

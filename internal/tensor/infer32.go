@@ -37,9 +37,9 @@ func MatMulBT32(s *Slab32, a, b Tensor32) Tensor32 {
 }
 
 // MatMulPackedBT32 returns a[m,k] * b^T on the slab for a b packed once by
-// PackBT32: bitwise MatMulBT32 on the unpacked matrix. Per KC block it packs
-// A into the slab's packing scratch and splits b's column strips through
-// ParallelKernel; no unit packs B.
+// PackBT32: bitwise MatMulBT32 on the unpacked matrix. The engine packs
+// only A, into the slab's packing scratch, and its units read b's column
+// strips in place, split through ParallelKernel.
 //
 //perfvec:hotpath
 func MatMulPackedBT32(s *Slab32, a Tensor32, b *PackedBT32) Tensor32 {
@@ -54,37 +54,15 @@ func MatMulPackedBT32Serial(s *Slab32, a Tensor32, b *PackedBT32) Tensor32 {
 	return matMulPackedBT32(s, a, b, true)
 }
 
-// matMulPackedBT32 is both forms: the serial one hands ParallelKernel a
-// zero work estimate, which runs every strip on the caller.
+// matMulPackedBT32 is both forms.
 //
 //perfvec:hotpath
 func matMulPackedBT32(s *Slab32, a Tensor32, b *PackedBT32, serial bool) Tensor32 {
 	if a.C != b.k {
 		panic("tensor: MatMulPackedBT32 shape mismatch")
 	}
-	m, k, n := a.R, a.C, b.n
-	out := s.Mat(m, n)
-	if m == 0 || n == 0 {
-		return out
-	}
-	mPad := (m + gemmMR - 1) / gemmMR * gemmMR
-	nStrips := (n + gemmNR - 1) / gemmNR
-	if need := mPad * min(b.kc, k); len(s.pack) < need {
-		s.pack = make([]float32, max(need, packSerial)) //perfvec:allow hotalloc -- once per slab, or when a taller A first needs more
-	}
-	for pc := 0; pc < k; pc += b.kc {
-		kc := min(b.kc, k-pc)
-		aPack := s.pack[:mPad*kc]
-		packAN(aPack, a.Data, m, kc, pc, k)
-		work := m * kc * n
-		if serial {
-			work = 0
-		}
-		ParallelKernel(nStrips, work, kGemmPacked, KernelArgs{
-			S: [8][]float32{out.Data, aPack, b.data[nStrips*gemmNR*pc:]},
-			I: [6]int{kc, m, n, 0, n},
-		})
-	}
+	out := s.Mat(a.R, b.n)
+	gemmPacked(&s.pack, serial, out.Data, a.Data, nil, a.R, a.C, b.n, a.C, 0, b.n, false, true, b)
 	return out
 }
 

@@ -33,8 +33,8 @@ import "runtime"
 // Every product's packed panels live in its owner's packing scratch: a
 // Slab32's, a recording Tape's, or a slice local to a nil-tape call. A
 // transposed B that many products share is packed once instead
-// (PackedBT32, in the same strip layout): MatMulPackedBT32's units read
-// its strips in place and pack only A.
+// (PackedBT32, in the same strip layout): gemmPacked's units read its
+// strips in place, and the product packs only A.
 //
 // Layout is parameterized by leading dimensions (lda/ldb/ldc), which lets
 // the fused ops in ops.go (MatMulBTCat, MatMulBTCols) run the engine
@@ -96,28 +96,34 @@ func gemmTN(tp *Tape, dst, a, b []float32, m, k, n, lda, ldb, ldc int) {
 // gemmPacked is the engine: dst[i*ldc+j] += sum_l A[i,l] * B[l,j] for a
 // logical m x k A and k x n B, where A is a (aT: read as a^T, so a's storage
 // is k x m with leading dimension lda) and B is b (bT: read as b^T, so b's
-// storage is n x k with leading dimension ldb).
+// storage is n x k with leading dimension ldb), or, when pb is non-nil, the
+// B that pb holds packed already (b, ldb and bT are then unused).
 //
 // scratch is the packing scratch of the product's owner — a Slab32, a
 // recording Tape, or a slice local to the call — grown here to hold one KC
-// block of packed A followed by the whole padded B block. The KC loop lives
-// here, outside the dispatch: A is packed once per KC block and read by
-// every unit, then the units split through ParallelKernel as a typed
-// kernel. Column units pack their own NR strips of B into their own
-// disjoint regions of the B block; for row units the B block is packed here
-// once, before dispatch. serial keeps every unit on the calling goroutine:
+// block of packed A followed, unless pb supplies it, by the whole padded B
+// block. The KC loop lives here, outside the dispatch: A is packed once per
+// KC block and read by every unit, then the units split through
+// ParallelKernel as a typed kernel. Column units pack their own NR strips
+// of B into their own disjoint regions of the B block; for row units the B
+// block is packed here once, before dispatch; a pre-packed B block is read
+// in place by either. serial keeps every unit on the calling goroutine:
 // the owner's goroutine already has a core to itself, or the product is too
 // small to share. Serial and parallel execution give the same bits.
 //
 //perfvec:hotpath
-func gemmPacked(scratch *[]float32, serial bool, dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
+func gemmPacked(scratch *[]float32, serial bool, dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool, pb *PackedBT32) {
 	if m == 0 || n == 0 {
 		return
 	}
 	mStrips := (m + gemmMR - 1) / gemmMR
 	nStrips := (n + gemmNR - 1) / gemmNR
 	mPad, nPad := mStrips*gemmMR, nStrips*gemmNR
-	if need := (mPad + nPad) * min(gemmKC, k); len(*scratch) < need {
+	kcMax, bPad := gemmKC, nPad
+	if pb != nil {
+		kcMax, bPad = pb.kc, 0
+	}
+	if need := (mPad + bPad) * min(kcMax, k); len(*scratch) < need {
 		*scratch = make([]float32, max(need, packSerial)) //perfvec:allow hotalloc -- grow-only owner scratch: once per owner, or when a larger product first needs more
 	}
 	flags := 0
@@ -138,14 +144,19 @@ func gemmPacked(scratch *[]float32, serial bool, dst, a, b []float32, m, k, n, l
 		units = mStrips
 		flags |= gemmFlagRows
 	}
-	for pc := 0; pc < k; pc += gemmKC {
-		kc := min(gemmKC, k-pc)
-		aPack, bPack := (*scratch)[:mPad*kc], (*scratch)[mPad*kc:(mPad+nPad)*kc]
+	for pc := 0; pc < k; pc += kcMax {
+		kc := min(kcMax, k-pc)
+		aPack := (*scratch)[:mPad*kc]
 		packA(aPack, a, m, kc, pc, lda, aT)
-		src := bBlock(b, pc, ldb, bT)
-		if flags&gemmFlagRows != 0 {
-			packB(bPack, src, 0, n, kc, ldb, bT)
-			src = nil
+		var bPack, src []float32
+		switch {
+		case pb != nil:
+			bPack = pb.data[nPad*pc : nPad*(pc+kc)]
+		case flags&gemmFlagRows != 0:
+			bPack = (*scratch)[mPad*kc : (mPad+nPad)*kc]
+			packB(bPack, bBlock(b, pc, ldb, bT), 0, n, kc, ldb, bT)
+		default:
+			bPack, src = (*scratch)[mPad*kc:(mPad+nPad)*kc], bBlock(b, pc, ldb, bT)
 		}
 		work := m * kc * n
 		if serial {

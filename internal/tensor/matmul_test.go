@@ -294,7 +294,7 @@ func TestGEMMScratchMatchesPool(t *testing.T) {
 						for i := range scratch {
 							scratch[i] = nan
 						}
-						gemmPacked(&scratch, serial, dst, a, b, m, k, n, lda, ldb, n, aT, bT)
+						gemmPacked(&scratch, serial, dst, a, b, m, k, n, lda, ldb, n, aT, bT, nil)
 					}
 					for _, sh := range [][3]int{{135, 51, 128}, {128, 32, 128}, {6, gemmKC + 40, 16}, {61, 67, 57}, {1, 8, gemmNC + 1}, {200, 51, 128}, {97, 33, 10}, {66, gemmKC + 9, 30}, {7, 300, 40}} {
 						m, k, n := sh[0], sh[1], sh[2]

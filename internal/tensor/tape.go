@@ -78,10 +78,10 @@ func (tp *Tape) parallel(n, work int, k Kernel, a KernelArgs) {
 func (tp *Tape) gemm(dst, a, b []float32, m, k, n, lda, ldb, ldc int, aT, bT bool) {
 	if tp == nil {
 		var scratch []float32
-		gemmPacked(&scratch, false, dst, a, b, m, k, n, lda, ldb, ldc, aT, bT)
+		gemmPacked(&scratch, false, dst, a, b, m, k, n, lda, ldb, ldc, aT, bT, nil)
 		return
 	}
-	gemmPacked(&tp.pack, tp.serial, dst, a, b, m, k, n, lda, ldb, ldc, aT, bT)
+	gemmPacked(&tp.pack, tp.serial, dst, a, b, m, k, n, lda, ldb, ldc, aT, bT, nil)
 }
 
 // Zeros returns a zeroed step-lifetime tensor allocated through tp's arena

@@ -12,25 +12,3 @@ package trace
 type Stream interface {
 	Next(rec *Record) (bool, error)
 }
-
-// SliceStream adapts a materialized trace to a Stream, for code that accepts
-// only the streaming interface.
-type SliceStream struct {
-	recs []Record
-	i    int
-}
-
-// NewSliceStream returns a Stream that replays recs in order.
-func NewSliceStream(recs []Record) *SliceStream {
-	return &SliceStream{recs: recs}
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next(rec *Record) (bool, error) {
-	if s.i >= len(s.recs) {
-		return false, nil
-	}
-	*rec = s.recs[s.i]
-	s.i++
-	return true, nil
-}
