@@ -109,8 +109,9 @@
 // -tape-histogram printing one step's op-record kind histogram for graph
 // profiling), and CI fails any change whose training step or GEMM exceeds
 // the allocation budgets in bench_budget.json (TrainStep 10 allocs/op — the
-// steady-state step measures 0 — and MatMul 0: pack panels come from the
-// pool and the output tensor from a reused arena tape).
+// steady-state step measures 0 — and MatMul 0: the panels are packed into
+// the arena tape's own packing scratch and the output tensor is drawn from
+// that reused tape).
 //
 // Each data-path job has one collection path. Training data is
 // materialized: perfvec.CollectAll traces each program once, featurizes it,

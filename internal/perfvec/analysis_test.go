@@ -2,8 +2,6 @@ package perfvec
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -66,65 +64,5 @@ func TestAttributeOpBucketsByClass(t *testing.T) {
 	attrs := AttributeOp(model, pd, recs, uarchRep)
 	if len(attrs) < 3 {
 		t.Fatalf("cam4 should span several op classes, got %d buckets", len(attrs))
-	}
-}
-
-func TestProgramDataRoundTrip(t *testing.T) {
-	cfgs := uarch.Predefined()[:2]
-	b, err := bench.ByName("557.xz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pd, err := CollectProgramData(b, cfgs, 1, 800)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "pd.gob")
-	fp, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := SaveProgramData(fp, pd); err != nil {
-		t.Fatal(err)
-	}
-	fp.Close()
-
-	fp, err = os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fp.Close()
-	got, err := LoadProgramData(fp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != pd.Name || got.N != pd.N || got.K != pd.K {
-		t.Fatalf("metadata mismatch: %+v", got)
-	}
-	for i := range pd.Features {
-		if got.Features[i] != pd.Features[i] {
-			t.Fatal("features differ after round trip")
-		}
-	}
-	for i := range pd.Targets {
-		if got.Targets[i] != pd.Targets[i] {
-			t.Fatal("targets differ after round trip")
-		}
-	}
-}
-
-func TestLoadProgramDataRejectsCorrupt(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.gob")
-	pd := &ProgramData{Name: "x", N: 10, FeatDim: 51, K: 2,
-		Features: make([]float32, 3), Targets: make([]float32, 20)}
-	fp, _ := os.Create(path)
-	if err := SaveProgramData(fp, pd); err != nil {
-		t.Fatal(err)
-	}
-	fp.Close()
-	fp, _ = os.Open(path)
-	defer fp.Close()
-	if _, err := LoadProgramData(fp); err == nil {
-		t.Fatal("expected corruption error")
 	}
 }

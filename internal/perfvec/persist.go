@@ -122,51 +122,3 @@ func checksum(b []byte) uint64 {
 	h.Write(b)
 	return h.Sum64()
 }
-
-// Dataset persistence. The paper's training corpus is a 2 TB on-disk
-// artifact collected once and reused across model trainings; here a
-// ProgramData serializes with encoding/gob.
-
-// SaveProgramData writes one program's data to w.
-func SaveProgramData(w io.Writer, pd *ProgramData) error {
-	return gob.NewEncoder(w).Encode(pd)
-}
-
-// LoadProgramData reads a ProgramData written by SaveProgramData. A record
-// whose shape disagrees with itself or with the featurizer — a negative
-// instruction or uarch count, another feature width, or feature, target or
-// TotalNs arrays of the wrong length — is an error naming the cause.
-func LoadProgramData(r io.Reader) (*ProgramData, error) {
-	var pd ProgramData
-	if err := gob.NewDecoder(r).Decode(&pd); err != nil {
-		return nil, err
-	}
-	if pd.N < 0 || pd.K < 0 {
-		return nil, fmt.Errorf("perfvec: corrupt program data %q: N=%d, K=%d", pd.Name, pd.N, pd.K)
-	}
-	if pd.FeatDim != features.NumFeatures {
-		return nil, fmt.Errorf("perfvec: program data %q has %d features per instruction, the featurizer writes %d",
-			pd.Name, pd.FeatDim, features.NumFeatures)
-	}
-	// The lengths are checked by division, so no product can overflow.
-	if len(pd.Features)%pd.FeatDim != 0 || len(pd.Features)/pd.FeatDim != pd.N {
-		return nil, fmt.Errorf("perfvec: corrupt program data %q: %d features for N=%d x F=%d",
-			pd.Name, len(pd.Features), pd.N, pd.FeatDim)
-	}
-	if !holdsRows(len(pd.Targets), pd.N, pd.K) {
-		return nil, fmt.Errorf("perfvec: corrupt program data %q: %d targets for N=%d x K=%d",
-			pd.Name, len(pd.Targets), pd.N, pd.K)
-	}
-	if len(pd.TotalNs) != pd.K {
-		return nil, fmt.Errorf("perfvec: corrupt program data %q: %d TotalNs for K=%d", pd.Name, len(pd.TotalNs), pd.K)
-	}
-	return &pd, nil
-}
-
-// holdsRows reports whether length l is exactly n rows of k values.
-func holdsRows(l, n, k int) bool {
-	if k == 0 {
-		return l == 0
-	}
-	return l%k == 0 && l/k == n
-}

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/features"
 	"repro/internal/nn"
 	"repro/internal/uarch"
 )
@@ -189,93 +188,6 @@ func FuzzLoadModel(f *testing.F) {
 		}
 		if again := saveModelBytes(t, m, table, uarchs); !bytes.Equal(again, saved) {
 			t.Fatal("a loaded model does not round-trip through SaveModel")
-		}
-	})
-}
-
-// programBytes encodes pd with SaveProgramData.
-func programBytes(tb testing.TB, pd *ProgramData) []byte {
-	tb.Helper()
-	var buf bytes.Buffer
-	if err := SaveProgramData(&buf, pd); err != nil {
-		tb.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
-// badPrograms derives every malformed program record from two valid ones,
-// a simulated program (K=2) and a features-only one (K=0);
-// FuzzLoadProgramData's seed corpus holds the same inputs.
-func badPrograms(tb testing.TB) (valid [][]byte, bad []badModel) {
-	const n, k, fd = 3, 2, features.NumFeatures
-	sim := ProgramData{Name: "sim", N: n, FeatDim: fd, K: k,
-		Features: make([]float32, n*fd), Targets: make([]float32, n*k), TotalNs: []float64{1.5, 2.5}}
-	feats := ProgramData{Name: "feats", N: n, FeatDim: fd, Features: make([]float32, n*fd)}
-	for i := range sim.Features {
-		sim.Features[i] = float32(i) / 7
-		feats.Features[i] = -float32(i) / 5
-	}
-	for i := range sim.Targets {
-		sim.Targets[i] = float32(i + 1)
-	}
-	valid = [][]byte{programBytes(tb, &sim), programBytes(tb, &feats)}
-	edit := func(from ProgramData, change func(*ProgramData)) []byte {
-		change(&from)
-		return programBytes(tb, &from)
-	}
-	bad = []badModel{
-		{"empty", nil, "EOF"},
-		{"truncated", valid[0][:len(valid[0])/2], "EOF"},
-		{"negative_n", edit(feats, func(p *ProgramData) { p.N, p.FeatDim, p.Features = -1, 0, nil }), "N=-1"},
-		{"no_features", edit(feats, func(p *ProgramData) { p.N, p.FeatDim, p.Features = 5, 0, nil }), "0 features per instruction"},
-		{"negative_dims", edit(feats, func(p *ProgramData) { p.N, p.FeatDim, p.Features = -2, -3, make([]float32, 6) }), "N=-2"},
-		{"negative_k", edit(feats, func(p *ProgramData) { p.K = -4 }), "K=-4"},
-		{"foreign_features", edit(feats, func(p *ProgramData) { p.FeatDim = fd - 1 }), "features per instruction"},
-		{"short_features", edit(feats, func(p *ProgramData) { p.Features = p.Features[:len(p.Features)-1] }), "features for N=3"},
-		{"huge_n", edit(feats, func(p *ProgramData) { p.N = math.MaxInt / 2 }), "features for N="},
-		{"short_targets", edit(sim, func(p *ProgramData) { p.Targets = p.Targets[:n*k-1] }), "targets for N=3 x K=2"},
-		{"missing_total_ns", edit(sim, func(p *ProgramData) { p.TotalNs = p.TotalNs[:1] }), "1 TotalNs for K=2"},
-		{"stray_targets", edit(feats, func(p *ProgramData) { p.Targets = make([]float32, n) }), "targets for N=3 x K=0"},
-		{"stray_total_ns", edit(feats, func(p *ProgramData) { p.TotalNs = []float64{1} }), "1 TotalNs for K=0"},
-	}
-	return valid, bad
-}
-
-func TestLoadProgramDataRejectsMalformed(t *testing.T) {
-	valid, bad := badPrograms(t)
-	for i, data := range valid {
-		if _, err := LoadProgramData(bytes.NewReader(data)); err != nil {
-			t.Fatalf("valid record %d: %v", i, err)
-		}
-	}
-	for _, c := range bad {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := LoadProgramData(bytes.NewReader(c.data))
-			if err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Fatalf("LoadProgramData error %v, want one containing %q", err, c.want)
-			}
-		})
-	}
-}
-
-// FuzzLoadProgramData drives the program-data reader with arbitrary bytes.
-// It must never panic, and whatever it accepts must round-trip: saving the
-// loaded record and loading that again reproduces the saved bytes. The seed
-// corpus (testdata/fuzz/FuzzLoadProgramData) holds the valid records and
-// each case of badPrograms.
-func FuzzLoadProgramData(f *testing.F) {
-	f.Fuzz(func(t *testing.T, data []byte) {
-		pd, err := LoadProgramData(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		saved := programBytes(t, pd)
-		pd, err = LoadProgramData(bytes.NewReader(saved))
-		if err != nil {
-			t.Fatalf("reloading a saved record: %v", err)
-		}
-		if again := programBytes(t, pd); !bytes.Equal(again, saved) {
-			t.Fatal("a loaded record does not round-trip through SaveProgramData")
 		}
 	})
 }

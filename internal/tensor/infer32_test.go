@@ -232,11 +232,11 @@ func TestGemm64MatchesFMAChain(t *testing.T) {
 // across growth, wholesale recycling on Reset, and zero growths once warm.
 func TestSlab32(t *testing.T) {
 	s := &Slab32{}
-	a := s.Take(100)
+	a := s.Mat(1, 100).Data
 	for i := range a {
 		a[i] = 1
 	}
-	b := s.Take(1 << 13) // forces growth; a must stay valid
+	b := s.Mat(1, 1<<13).Data // forces growth; a must stay valid
 	for i := range a {
 		if a[i] != 1 {
 			t.Fatal("slice invalidated by growth")
@@ -244,7 +244,7 @@ func TestSlab32(t *testing.T) {
 	}
 	for i := range b {
 		if b[i] != 0 {
-			t.Fatal("Take returned non-zero memory")
+			t.Fatal("Mat returned non-zero memory")
 		}
 	}
 	ms := s.Mats(3)
@@ -252,7 +252,7 @@ func TestSlab32(t *testing.T) {
 	s.Reset()
 	warm := s.Grows()
 	for iter := 0; iter < 4; iter++ {
-		c := s.Take(1 << 13)
+		c := s.Mat(1, 1<<13).Data
 		for i := range c {
 			if c[i] != 0 {
 				t.Fatal("reused memory not re-zeroed")

@@ -138,11 +138,6 @@ func (p *pool[T]) reserve(n int) {
 	}
 }
 
-// Take returns a zeroed slice of n float32s valid until the next Reset.
-//
-//perfvec:hotpath
-func (s *Slab32) Take(n int) []float32 { return s.f.take(n, leastElems) }
-
 // Mat returns a zeroed r x c matrix backed by the slab.
 //
 //perfvec:hotpath
@@ -205,7 +200,7 @@ func (s *Slab32) Peak() SlabSize {
 // and a high-water mark that creeps up does not reallocate every worker
 // each time. It also makes the packing scratch, which a worker would
 // otherwise make at the first small GEMM it runs. A growth here is counted
-// like any other; it is as safe at any time as one in Take.
+// like any other; it is as safe at any time as one in Mat.
 //
 //perfvec:hotpath
 func (s *Slab32) Reserve(z SlabSize) {
