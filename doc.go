@@ -192,10 +192,13 @@
 // (tensor.PackBT32). A sweep then packs only the program side:
 // dse.SweepPrograms gathers every program's representation into one matrix
 // and ranks all K candidates for all of them in one product on the panels
-// (tensor.MatMulPackedBT32), split across the worker pool. Because each
-// output element is the same ascending-k FMA chain regardless of batch
-// composition, and packing only moves elements, every batched prediction is
-// bit-for-bit the single-uarch one (PredictTotalNs32) at any worker count.
+// (tensor.MatMulPackedBT32), split across the worker pool, then converts
+// each row of dots to nanoseconds in one vector pass (tensor.WidenDiv2).
+// Because each output element is the same ascending-k FMA chain regardless
+// of batch composition, packing only moves elements, and the conversion's
+// lanes widen exactly and divide by the same two divisors in the scalar
+// order with IEEE rounding, every batched prediction is bit-for-bit the
+// single-uarch one (PredictTotalNs32) at any worker count.
 // The sweep hot path is //perfvec:hotpath-annotated and draws scratch from
 // a pooled slab free list (zero steady-state allocations, pinned by
 // bench_budget.json). Amortizing the embedding and batching the predictor

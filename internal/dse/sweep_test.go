@@ -68,21 +68,30 @@ func makeRows(n, k int) [][]float64 {
 }
 
 // TestSweepProgramsMatchesNaiveSizes pins the acceptance matrix over space
-// sizes: at 1, 7, 256, and 4096 candidates the batched fan-out must agree
-// bitwise with the per-config oracle.
+// sizes: the batched fan-out must agree bitwise with the per-config oracle
+// pooled (workers 0) and on the calling goroutine (workers 1). Sizes
+// 1-17 leave every remainder past the last full 8-lane block of the vector
+// ns conversion, and 4095 a 7-wide one after 511 blocks; 256 and 4096
+// leave none.
 func TestSweepProgramsMatchesNaiveSizes(t *testing.T) {
-	for _, k := range []int{1, 7, 256, 4096} {
-		f, um, cfgs, progReps := sweepRig(t, k, 3)
-		sw := perfvec.NewSweeper(f, um)
+	f, um, _, progReps := sweepRig(t, 4096, 3)
+	sw := perfvec.NewSweeper(f, um)
+	sizes := []int{256, 4095, 4096}
+	for k := 1; k <= 17; k++ {
+		sizes = append(sizes, k)
+	}
+	for _, k := range sizes {
+		cfgs := uarch.GenerateSpace(uarch.SpaceSpec{Size: k, Seed: 21})
 		sw.SetSpace(cfgs)
-
-		got := makeRows(len(progReps), k)
-		if n := SweepPrograms(sw, progReps, got, 2); n != len(progReps)*k {
-			t.Fatalf("k=%d: SweepPrograms reported %d configs, want %d", k, n, len(progReps)*k)
-		}
 		want := makeRows(len(progReps), k)
 		SweepNaive(f, um, cfgs, progReps, want)
-		requireSweepBitwise(t, "k="+strconv.Itoa(k), got, want)
+		for _, workers := range []int{0, 1} {
+			got := makeRows(len(progReps), k)
+			if n := SweepPrograms(sw, progReps, got, workers); n != len(progReps)*k {
+				t.Fatalf("k=%d: SweepPrograms reported %d configs, want %d", k, n, len(progReps)*k)
+			}
+			requireSweepBitwise(t, "k="+strconv.Itoa(k)+" workers="+strconv.Itoa(workers), got, want)
+		}
 	}
 }
 

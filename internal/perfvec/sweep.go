@@ -15,9 +15,11 @@ import (
 // [P x D] x [K x D]^T product on those panels, which packs only the program
 // side. Because every output element of the engine is the same ascending-k
 // FMA chain however many rows and columns share the pass, and packing only
-// moves elements, each sweep value is bitwise identical to PredictTotalNs32
-// on that one (program, candidate) pair, which the sweep tests here and in
-// internal/dse pin against the per-config oracle.
+// moves elements, each dot is bitwise the one PredictTotalNs32 computes for
+// that (program, candidate) pair. Each row of dots is then converted to ns
+// in one vector pass (tensor.WidenDiv2) that keeps dotNs32's bits, so each
+// sweep value is bitwise identical to PredictTotalNs32, which the sweep
+// tests here and in internal/dse pin against the per-config oracle.
 
 // PredictTotalNs32 is the float32 single-uarch predictor, the K=1 form of a
 // sweep: sweep values and single predictions agree bitwise. It differs from
@@ -34,7 +36,11 @@ func (f *Foundation) PredictTotalNs32(s *tensor.Slab32, progRep, uarchRep []floa
 
 // dotNs32 undoes the target scaling of a float32 predictor dot and converts
 // ticks to ns: the same op sequence as PredictTotalNs, applied to the f32
-// dot.
+// dot. It is the scalar oracle of the sweep's conversion, which runs the
+// same two divides on whole rows through tensor.WidenDiv2 (8 AVX2 lanes at
+// a time where the GEMM engine has them). The vector path keeps these bits:
+// widening a float32 is exact, IEEE division is correctly rounded in every
+// lane, and the kernel divides by the same two divisors in the same order.
 //
 //perfvec:hotpath
 func (f *Foundation) dotNs32(v float32) float64 {
@@ -102,12 +108,16 @@ func (sw *Sweeper) Sweep(progRep []float32, out []float64) {
 // space, writing out[p][:K]: the representations are gathered into one
 // [P x RepDim] matrix and run as one product. serial keeps the product on
 // the calling goroutine; otherwise the tensor worker pool splits it. Row p
-// is bitwise what Sweep writes for progReps[p], at any worker count.
+// is bitwise what Sweep writes for progReps[p], at any worker count. Both
+// panic before the first SetSpace.
 //
 //perfvec:hotpath
 func (sw *Sweeper) SweepBatch(progReps [][]float32, out [][]float64, serial bool) {
 	if len(out) != len(progReps) {
 		panic("perfvec: SweepBatch out length mismatch")
+	}
+	if sw.K() == 0 {
+		panic("perfvec: Sweep before SetSpace: the sweeper has no candidate space")
 	}
 	s := sw.acquireSlab()
 	a := s.Mat(len(progReps), sw.panels.K())
@@ -123,11 +133,9 @@ func (sw *Sweeper) SweepBatch(progReps [][]float32, out [][]float64, serial bool
 	} else {
 		dots = tensor.MatMulPackedBT32(s, a, &sw.panels)
 	}
+	d0 := float64(sw.f.Cfg.TargetScale)
 	for p := range progReps {
-		row := out[p]
-		for j, v := range dots.Row(p) {
-			row[j] = sw.f.dotNs32(v)
-		}
+		tensor.WidenDiv2(out[p], dots.Row(p), d0, sim.TickPerNs)
 	}
 	sw.releaseSlab(s)
 }

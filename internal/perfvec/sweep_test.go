@@ -3,6 +3,7 @@ package perfvec
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -199,4 +200,27 @@ func TestSweeperRepDimMismatch(t *testing.T) {
 		}
 	}()
 	NewSweeper(f, um)
+}
+
+// TestSweepBeforeSetSpacePanics pins the guard for a sweeper with no space:
+// Sweep and SweepBatch panic with a message that names SetSpace.
+func TestSweepBeforeSetSpacePanics(t *testing.T) {
+	cfg := DefaultConfig()
+	f := NewFoundation(cfg)
+	sw := NewSweeper(f, NewUarchModel(cfg.RepDim, 24, 7))
+	rep, out := make([]float32, cfg.RepDim), make([]float64, 4)
+	for name, call := range map[string]func(){
+		"Sweep":      func() { sw.Sweep(rep, out) },
+		"SweepBatch": func() { sw.SweepBatch([][]float32{rep}, [][]float64{out}, true) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "SetSpace") {
+					t.Fatalf("%s before SetSpace: panic %q, want one naming SetSpace", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
 }
